@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FaceOutOfRange
 from .geometry import CameraParams, DepthMap, intrinsics
-from .raycast import raycast_batch
+from .raycast import raycast_batch, triangle_soup
 
 DEPTH_AGREEMENT_TOL = 1e-3   # meters; attachment must match the depth map
 DEPTH_VALID_MIN = 1e-6       # meters; below this a depth is ignored in splits
@@ -106,28 +106,14 @@ def attach_pixel(pixel, depth: DepthMap, cam: CameraParams, meshes) -> SurfaceAt
         raise ValueError("pixel is invalid in the depth map")
     origin, direction = pixel_ray((u, v), depth.values.shape, cam)
 
-    tris = []
-    owner = []
-    face_of = []
-    for oid, (verts, faces) in enumerate(meshes):
-        verts = np.asarray(verts, dtype=np.float64)
-        faces = np.asarray(faces, dtype=np.int64)
-        tris.append(verts[faces])
-        owner.append(np.full(len(faces), oid, dtype=np.int64))
-        face_of.append(np.arange(len(faces), dtype=np.int64))
-    if not tris:
-        return None
-    tris = np.concatenate(tris)
-    owner = np.concatenate(owner)
-    face_of = np.concatenate(face_of)
-
-    t, idx, bary = raycast_batch(origin, direction[None, :], tris)
+    soup = triangle_soup(meshes, range(len(meshes)))
+    t, idx, bary = raycast_batch(origin, direction[None, :], soup.tris)
     if idx[0] < 0:
         return None
     if abs(t[0] - depth.values[v, u]) > DEPTH_AGREEMENT_TOL:
         return None
-    return SurfaceAttachment(object_id=int(owner[idx[0]]),
-                             face_id=int(face_of[idx[0]]),
+    return SurfaceAttachment(object_id=int(soup.owner[idx[0]]),
+                             face_id=int(soup.face[idx[0]]),
                              bary=bary[0])
 
 

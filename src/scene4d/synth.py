@@ -2,9 +2,11 @@
 
 A scene is a set of rigid objects (mesh / box / plane shapes, each with a
 per-frame SE3 motion path), an optional static background mesh, and a
-camera path. Rendering is brute-force raycasting over every triangle, so
-outputs are exact up to float arithmetic and bit-reproducible for a fixed
-seed.
+camera path. Rendering is exact raycasting: every ray gets bitwise the
+nearest hit that testing it against every triangle would give, but a tree
+of padded triangle boxes culls the pairs that cannot hit, and rays are
+processed in fixed-size chunks, so memory stays bounded as meshes grow
+(see `raycast`). Outputs are bit-reproducible for a fixed seed.
 
 The generator also defines the ground-truth temporal aggregation operator:
 warping frame i's points into the time of frame a by each object's rigid
@@ -27,7 +29,8 @@ from .geometry import (SE3, CameraParams, DepthMap, PointMap,
                        axis_angle_rotation, intrinsics, project_many,
                        quat_to_rotation, se3_apply, se3_compose, se3_invert)
 from .lifting import MeshSequence, SurfaceAttachment, classify_dynamic
-from .raycast import RayHit, raycast, raycast_batch  # noqa: F401  (re-exported surface)
+from .raycast import (RayHit, TriangleSoup, raycast,  # noqa: F401  (re-exported surface)
+                      raycast_batch, triangle_soup)
 from .rng import SplitMix64
 
 BACKGROUND_ID = -1
@@ -290,29 +293,13 @@ class SequenceDataset:
 # ---------------------------------------------------------------------------
 # rendering
 
-@dataclass
-class _TriangleSoup:
-    tris: np.ndarray      # (M, 3, 3)
-    owner: np.ndarray     # (M,) object_id (BACKGROUND_ID for background)
-    face: np.ndarray      # (M,) face index within the owner
-
-
-def _soup(spec: SceneSpec, frame: int) -> _TriangleSoup:
-    tris, owner, face = [], [], []
-    for oid, obj in enumerate(spec.objects):
-        v = obj.vertices_at(frame)
-        tris.append(v[obj.faces])
-        owner.append(np.full(len(obj.faces), oid, dtype=np.int64))
-        face.append(np.arange(len(obj.faces), dtype=np.int64))
+def _soup(spec: SceneSpec, frame: int) -> TriangleSoup:
+    meshes = [(obj.vertices_at(frame), obj.faces) for obj in spec.objects]
+    owners = list(range(len(spec.objects)))
     if spec.background is not None:
-        bv, bf = spec.background
-        tris.append(np.asarray(bv, dtype=np.float64)[np.asarray(bf, dtype=np.int64)])
-        owner.append(np.full(len(bf), BACKGROUND_ID, dtype=np.int64))
-        face.append(np.arange(len(bf), dtype=np.int64))
-    if not tris:
-        empty = np.zeros((0, 3, 3))
-        return _TriangleSoup(empty, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    return _TriangleSoup(np.concatenate(tris), np.concatenate(owner), np.concatenate(face))
+        meshes.append(spec.background)
+        owners.append(BACKGROUND_ID)
+    return triangle_soup(meshes, owners)
 
 
 def _render(spec: SceneSpec, frame: int):
