@@ -64,34 +64,35 @@ class LossConfig:
 
 @dataclass
 class LossValue:
-    value: float
-    grad_points: np.ndarray  # same shape as the prediction
-    grad_sigma: np.ndarray   # (H, W)
+    value: float | np.ndarray  # batch shape; a numpy scalar when unbatched
+    grad_points: np.ndarray    # same shape as the prediction
+    grad_sigma: np.ndarray     # (..., H, W)
 
 
 def spatial_gradient(arr: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
     """Forward differences along u (columns) then v (rows), channel-stacked.
 
-    (H, W, C) -> (H, W, 2C) laid out [du channels, dv channels]; a plain
-    (H, W) map is treated as C = 1. Differences in the last column/row and
-    differences involving an invalid pixel are zero.
+    (..., H, W, C) -> (..., H, W, 2C) laid out [du channels, dv channels];
+    a plain 2-D (H, W) map is treated as C = 1, so a batch of scalar maps
+    needs an explicit trailing channel axis. Differences in the last
+    column/row and differences involving an invalid pixel are zero; the
+    (..., H, W) `valid` mask broadcasts against the map's leading axes.
     """
     a = np.asarray(arr)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    squeeze = a.ndim == 2
-    if squeeze:
+    if a.ndim == 2:
         a = a[..., None]
-    h, w, c = a.shape
-    out = np.zeros((h, w, 2 * c), dtype=a.dtype)
+    c = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (2 * c,), dtype=a.dtype)
     with np.errstate(invalid="ignore"):  # invalid pixels may hold inf/nan
-        out[:, :-1, :c] = a[:, 1:, :] - a[:, :-1, :]
-        out[:-1, :, c:] = a[1:, :, :] - a[:-1, :, :]
+        out[..., :, :-1, :c] = a[..., :, 1:, :] - a[..., :, :-1, :]
+        out[..., :-1, :, c:] = a[..., 1:, :, :] - a[..., :-1, :, :]
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
-        du = out[:, :-1, :c]
-        du[~(valid[:, :-1] & valid[:, 1:])] = 0.0
-        dv = out[:-1, :, c:]
-        dv[~(valid[:-1, :] & valid[1:, :])] = 0.0
+        np.copyto(out[..., :, :-1, :c], 0.0,
+                  where=~(valid[..., :, :-1] & valid[..., :, 1:])[..., None])
+        np.copyto(out[..., :-1, :, c:], 0.0,
+                  where=~(valid[..., :-1, :] & valid[..., 1:, :])[..., None])
     return out
 
 
@@ -106,8 +107,16 @@ def focal_weight(e: np.ndarray, beta: float, gamma: float) -> np.ndarray:
     return np.abs(beta * e) ** gamma
 
 
+def _fits(shape: tuple, target: tuple, core: int) -> bool:
+    """True when `shape` ends in target's last `core` axes and broadcasts
+    to `target` without enlarging it."""
+    return (core <= len(shape) <= len(target)
+            and shape[len(shape) - core:] == target[len(target) - core:]
+            and all(a in (1, b) for a, b in zip(reversed(shape), reversed(target))))
+
+
 def _check_positive_sigma(sigma, valid):
-    s = sigma[valid]
+    s = sigma[np.broadcast_to(valid, sigma.shape)]
     if s.size and not np.all(np.isfinite(s) & (s > 0)):
         raise NonPositiveSigma("uncertainty must be positive and finite on valid pixels")
 
@@ -123,22 +132,57 @@ def _promote(a) -> np.ndarray:
     return a.astype(np.result_type(a.dtype, np.float64), copy=False)
 
 
+def _valid_mean(per_pixel: np.ndarray, valid: np.ndarray):
+    """Mean of each copy's (..., H, W) per-pixel terms over its valid pixels.
+
+    Returns (value, scale): value has the batch shape (a numpy scalar when
+    unbatched) and scale is 1 / count shaped (..., 1, 1), which turns
+    per-pixel derivatives into derivatives of the mean. A copy without
+    valid pixels has value 0 and count 1; its per-pixel terms are masked.
+    Each copy's valid pixels are summed as one C-ordered row, which is the
+    order an unbatched call sums them in, so every copy is bitwise equal
+    to its unbatched call; numpy sums a strided gather in another order.
+    """
+    batch = per_pixel.shape[:-2]
+    flat = per_pixel.reshape(-1, per_pixel.shape[-2] * per_pixel.shape[-1])
+    mask = np.broadcast_to(valid, per_pixel.shape).reshape(flat.shape)
+    counts = mask.sum(axis=-1)
+    sums = np.zeros(len(flat), dtype=per_pixel.dtype)
+    for c in np.unique(counts[counts > 0]):  # one pass per distinct count
+        rows = counts == c
+        sums[rows] = flat[rows][mask[rows]].reshape(-1, c).sum(axis=-1)
+    n = np.maximum(counts, 1).reshape(batch)
+    return (sums.reshape(batch) / n)[()], (1.0 / n)[..., None, None]
+
+
 def _grad_term_adjoint(coef: np.ndarray, diff: np.ndarray, n_channels: int) -> np.ndarray:
     """Backpropagate coef[...,None] * diff through the forward differences.
 
-    diff is (H, W, 2C) as produced by spatial_gradient of the prediction;
-    the entry at (v, u) adds +1 to pixel (v, u+1) / (v+1, u) and -1 to
-    (v, u) per channel.
+    diff is (..., H, W, 2C) as produced by spatial_gradient of the
+    prediction; the entry at (v, u) adds +1 to pixel (v, u+1) / (v+1, u)
+    and -1 to (v, u) per channel.
     """
     g = coef[..., None] * diff
     gu = g[..., :n_channels]
     gv = g[..., n_channels:]
-    out = np.zeros(diff.shape[:2] + (n_channels,))
+    out = np.zeros(diff.shape[:-1] + (n_channels,))
     out -= gu
-    out[:, 1:, :] += gu[:, :-1, :]
+    out[..., :, 1:, :] += gu[..., :, :-1, :]
     out -= gv
-    out[1:, :, :] += gv[:-1, :, :]
+    out[..., 1:, :, :] += gv[..., :-1, :, :]
     return out
+
+
+def _residual_weight(cfg: LossConfig, e: np.ndarray,
+                     dynamic_mask: np.ndarray | None) -> np.ndarray:
+    """The detached (..., H, W, 3) weight of residual e under cfg.weight_mode."""
+    if cfg.weight_mode == "focal":
+        return focal_weight(e, cfg.beta, cfg.gamma)
+    if cfg.weight_mode == "dynamic":
+        dm = np.zeros(e.shape[:-1], bool) if dynamic_mask is None \
+            else np.asarray(dynamic_mask, bool)
+        return np.where(dm, cfg.dynamic_weight, 1.0)[..., None] * np.ones(3)
+    return np.ones_like(e)
 
 
 def point_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
@@ -148,9 +192,13 @@ def point_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
                compute_grads: bool = True) -> LossValue:
     """Uncertainty-weighted point-map loss with switchable residual weighting.
 
-    pred/gt are (H, W, 3) maps (endpoint coordinates, or offsets when
-    cfg.representation == "offset"); sigma is the (H, W) positive
-    uncertainty; dynamic_mask feeds the dynamic weight mode.
+    pred is a (..., H, W, 3) map (endpoint coordinates, or offsets when
+    cfg.representation == "offset") and sigma the (..., H, W) positive
+    uncertainty, with the same leading batch axes; gt, valid, dynamic_mask
+    (which feeds the dynamic weight mode) and `frozen_weight` broadcast
+    against them. Every copy along the batch axes gets bitwise the value
+    and gradients of an unbatched call on it; `value` has the batch shape
+    and is a numpy scalar when unbatched.
     `frozen_weight` overrides the residual weight (used by the
     finite-difference harness, which must hold the detached weight fixed).
     """
@@ -159,30 +207,22 @@ def point_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
     gt = _promote(gt)
     sigma = _promote(sigma)
     valid = np.asarray(valid, dtype=bool)
-    if pred.shape != gt.shape or pred.ndim != 3 or pred.shape[2] != 3 \
-            or sigma.shape != pred.shape[:2] or valid.shape != sigma.shape:
-        raise ShapeMismatch("pred/gt (H,W,3), sigma/valid (H,W) required")
-    if dynamic_mask is not None and np.asarray(dynamic_mask).shape != valid.shape:
-        raise ShapeMismatch("dynamic_mask must match the valid mask")
+    if pred.ndim < 3 or pred.shape[-1] != 3 or sigma.shape != pred.shape[:-1] \
+            or not _fits(gt.shape, pred.shape, 3) or not _fits(valid.shape, sigma.shape, 2):
+        raise ShapeMismatch("pred (...,H,W,3) and sigma (...,H,W) required, "
+                            "gt and valid must broadcast to them")
+    if dynamic_mask is not None and not _fits(np.shape(dynamic_mask), sigma.shape, 2):
+        raise ShapeMismatch("dynamic_mask must broadcast to the valid mask")
     _check_positive_sigma(sigma, valid)
-
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return LossValue(0.0, np.zeros_like(pred), np.zeros_like(sigma))
 
     with np.errstate(invalid="ignore"):
         e = np.where(valid[..., None], pred - gt, 0.0)
     if frozen_weight is not None:
         w = _promote(frozen_weight)
-        if w.shape != e.shape:
-            raise ShapeMismatch("frozen_weight must match the residual shape")
-    elif cfg.weight_mode == "focal":
-        w = focal_weight(e, cfg.beta, cfg.gamma)
-    elif cfg.weight_mode == "dynamic":
-        dm = np.zeros_like(valid) if dynamic_mask is None else np.asarray(dynamic_mask, bool)
-        w = np.where(dm, cfg.dynamic_weight, 1.0)[..., None] * np.ones(3)
+        if not _fits(w.shape, e.shape, 3):
+            raise ShapeMismatch("frozen_weight must broadcast to the residual shape")
     else:
-        w = np.ones_like(e)
+        w = _residual_weight(cfg, e, dynamic_mask)
 
     we = w * e
     n1 = np.sqrt(np.sum(we * we, axis=-1))             # per-pixel weighted norm
@@ -197,12 +237,11 @@ def point_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
 
     log_sig = np.where(valid, np.log(np.where(valid, sigma, 1.0)), 0.0)
     per_pixel = sigma * n1 + sigma * n2 - cfg.alpha * log_sig
-    value = per_pixel[valid].sum() / n_valid  # numpy scalar, keeps input precision
+    value, scale = _valid_mean(per_pixel, valid)  # keeps input precision
 
     if not compute_grads:
         return LossValue(value, None, None)
 
-    scale = 1.0 / n_valid
     safe1 = np.where(n1 > 0, n1, 1.0)
     coef1 = np.where(valid & (n1 > 0), sigma / safe1, 0.0) * scale
     grad_pred = coef1[..., None] * (w * w * e)
@@ -219,32 +258,31 @@ def depth_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
                valid: np.ndarray, alpha: float = 0.1,
                compute_grads: bool = True) -> LossValue:
     """Aleatoric-uncertainty depth loss: sigma*|e| + sigma*||∇e||_2 - alpha*ln(sigma),
-    mean over valid pixels."""
+    mean over valid pixels.
+
+    pred and sigma are (..., H, W) with the same leading batch axes; gt and
+    valid broadcast against them. Batching follows point_loss.
+    """
     pred = _promote(pred)
     gt = _promote(gt)
     sigma = _promote(sigma)
     valid = np.asarray(valid, dtype=bool)
-    if pred.shape != gt.shape or pred.ndim != 2 or sigma.shape != pred.shape \
-            or valid.shape != pred.shape:
-        raise ShapeMismatch("pred/gt/sigma/valid must all be (H, W)")
+    if pred.ndim < 2 or sigma.shape != pred.shape or not _fits(gt.shape, pred.shape, 2) \
+            or not _fits(valid.shape, pred.shape, 2):
+        raise ShapeMismatch("pred/sigma (...,H,W) required, gt and valid must broadcast to them")
     _check_positive_sigma(sigma, valid)
-
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return LossValue(0.0, np.zeros_like(pred), np.zeros_like(sigma))
 
     with np.errstate(invalid="ignore"):
         e = np.where(valid, pred - gt, 0.0)
-    diff = spatial_gradient(e, valid)                  # (H, W, 2)
+    diff = spatial_gradient(e[..., None], valid)       # (..., H, W, 2)
     n2 = np.sqrt(np.sum(diff * diff, axis=-1))
     log_sig = np.where(valid, np.log(np.where(valid, sigma, 1.0)), 0.0)
     per_pixel = sigma * np.abs(e) + sigma * n2 - alpha * log_sig
-    value = per_pixel[valid].sum() / n_valid
+    value, scale = _valid_mean(per_pixel, valid)
 
     if not compute_grads:
         return LossValue(value, None, None)
 
-    scale = 1.0 / n_valid
     grad_pred = np.where(valid, sigma * np.sign(e), 0.0) * scale
     n2a = np.where(n2 > 0, n2, 1.0)
     coef2 = np.where(valid & (n2 > 0), sigma / n2a, 0.0) * scale
@@ -278,18 +316,30 @@ def total_loss(point_value: float, camera_value: float, depth_value: float,
 # ---------------------------------------------------------------------------
 # finite-difference verification
 
-def relative_gradient_error(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+def relative_gradient_error(analytic, numeric):
+    """|a - n| / max(1e-8, |a| + |n|), elementwise on arrays."""
+    return np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
 
 
-def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5) -> float:
+# Perturbed longdouble elements per block of finite-difference copies
+# (2 MiB): bounds the harness's memory whatever the array size. The
+# 8x8 instances of the check helpers fit one block per array.
+FD_BLOCK_ELEMENTS = 1 << 17
+
+
+def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5, *,
+                      batched: bool = False) -> float:
     """Max relative error between central differences of value_fn and the
     supplied analytic gradients.
 
+    Every coordinate of every array named in `grads` is perturbed by ±h.
     value_fn(arrays) must return the scalar loss for the given dict of
-    arrays; every coordinate of every array named in `grads` is perturbed
-    by ±h. Whatever should be held fixed during perturbation (e.g. the
-    detached focal weight) must be baked into value_fn.
+    arrays. With batched=True it instead receives every array with a
+    leading copy axis (unperturbed arrays as read-only broadcast views)
+    and returns one value per copy; the ±h copies are then evaluated a
+    block at a time, at most FD_BLOCK_ELEMENTS perturbed elements (and at
+    least one ± pair) per call. Whatever should be held fixed during
+    perturbation (e.g. the detached focal weight) must be baked into value_fn.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError("h must lie in [1e-7, 1e-3]")
@@ -299,24 +349,40 @@ def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5) -> f
     work = {k: np.array(v, dtype=np.longdouble) for k, v in arrays.items()}
     h = np.longdouble(h)
     for name, g in grads.items():
-        arr = work[name]
-        flat = arr.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = value_fn(work)
-            flat[i] = orig - h
-            down = value_fn(work)
-            flat[i] = orig
-            numeric = float((up - down) / (2.0 * h))
-            worst = max(worst, relative_gradient_error(float(gflat[i]), numeric))
+        shape = work[name].shape
+        base = work[name].reshape(-1)
+        gflat = np.asarray(g, dtype=np.float64).reshape(-1)
+        if gflat.size != base.size:
+            raise ShapeMismatch(f"gradient of {name!r} has {gflat.size} entries, "
+                                f"the array {base.size}")
+        per_block = max(1, FD_BLOCK_ELEMENTS // (2 * base.size))
+        # row 2j holds the +h copy and row 2j+1 the -h copy of coordinate j
+        # of the current block; only those entries change between blocks
+        stack = np.repeat(base[None], 2 * min(per_block, base.size), axis=0)
+        for start in range(0, base.size, per_block):
+            idx = np.arange(start, min(start + per_block, base.size))
+            rows = np.arange(2 * len(idx))
+            stack[rows[0::2], idx] = base[idx] + h
+            stack[rows[1::2], idx] = base[idx] - h
+            copies = stack[:len(rows)].reshape((len(rows),) + shape)
+            if batched:
+                batch = {k: np.broadcast_to(v, copies.shape[:1] + v.shape)
+                         for k, v in work.items()}
+                values = np.asarray(value_fn({**batch, name: copies}))
+                if values.shape != copies.shape[:1]:
+                    raise ShapeMismatch("a batched value_fn must return one value per copy")
+            else:
+                values = np.array([value_fn({**work, name: c}) for c in copies])
+            stack[rows[0::2], idx] = stack[rows[1::2], idx] = base[idx]
+            numeric = ((values[0::2] - values[1::2]) / (2.0 * h)).astype(np.float64)
+            errs = relative_gradient_error(gflat[idx], numeric)
+            # fmax skips NaN errors: a NaN never becomes the worst error
+            worst = float(np.fmax.reduce(errs, initial=worst))
     return worst
 
 
 def _uniform_array(rng: SplitMix64, shape, lo: float, hi: float) -> np.ndarray:
-    n = int(np.prod(shape))
-    return (lo + (hi - lo) * np.array([rng.uniform() for _ in range(n)])).reshape(shape)
+    return (lo + (hi - lo) * rng.uniform_array(int(np.prod(shape)))).reshape(shape)
 
 
 def _signed_residual(rng: SplitMix64, shape) -> np.ndarray:
@@ -350,20 +416,15 @@ def check_point_loss_gradients(cfg: LossConfig, seed: int, trials: int = 100,
         pred, gt, sigma, valid, dyn = _random_point_instance(rng, size, size)
         center = point_loss(pred, gt, sigma, valid, dyn, cfg)
         # freeze the detached weight at the center point
-        e = np.where(valid[..., None], pred - gt, 0.0)
-        if cfg.weight_mode == "focal":
-            w0 = focal_weight(e, cfg.beta, cfg.gamma)
-        elif cfg.weight_mode == "dynamic":
-            w0 = np.where(dyn, cfg.dynamic_weight, 1.0)[..., None] * np.ones(3)
-        else:
-            w0 = np.ones_like(e)
+        w0 = _residual_weight(cfg, np.where(valid[..., None], pred - gt, 0.0), dyn)
 
         def value_fn(arrs):
             return point_loss(arrs["pred"], gt, arrs["sigma"], valid, dyn, cfg,
                               frozen_weight=w0, compute_grads=False).value
 
         err = finite_diff_check(value_fn, {"pred": pred, "sigma": sigma},
-                                {"pred": center.grad_points, "sigma": center.grad_sigma}, h)
+                                {"pred": center.grad_points, "sigma": center.grad_sigma}, h,
+                                batched=True)
         worst = max(worst, err)
     return worst
 
@@ -384,7 +445,8 @@ def check_depth_loss_gradients(seed: int, alpha: float = 0.1, trials: int = 100,
                               compute_grads=False).value
 
         err = finite_diff_check(value_fn, {"pred": pred, "sigma": sigma},
-                                {"pred": center.grad_points, "sigma": center.grad_sigma}, h)
+                                {"pred": center.grad_points, "sigma": center.grad_sigma}, h,
+                                batched=True)
         worst = max(worst, err)
     return worst
 

@@ -104,18 +104,20 @@ def accuracy_completion(pred: np.ndarray, gt: np.ndarray,
             float(comp.mean()), float(np.median(comp)))
 
 
-def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS) -> np.ndarray:
+def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS,
+                     tree: cKDTree | None = None) -> np.ndarray:
     """Per-point unit normals from k-NN covariance (smallest eigenvector).
 
     The k neighbors include the point itself. Sign is arbitrary; consumers
-    use absolute dot products.
+    use absolute dot products. `tree`, when given, must be a KD-tree built
+    on `cloud`; it saves building another.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     if k < 3:
         raise ValueError("k must be >= 3")
     if len(cloud) < k:
         raise TooFewPoints(f"need at least k={k} points, got {len(cloud)}")
-    _, idx = cKDTree(cloud).query(cloud, k=k)
+    _, idx = (cKDTree(cloud) if tree is None else tree).query(cloud, k=k)
     nbrs = cloud[idx]                              # (n, k, 3)
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered)
@@ -124,34 +126,48 @@ def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS) -> np.nda
     return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
-def normal_consistency(pred: np.ndarray, gt: np.ndarray,
-                       k: int = DEFAULT_NC_NEIGHBORS):
-    """Bidirectional |cos| agreement between estimated normals -> (mean, median)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    n_pred = estimate_normals(pred, k)
-    n_gt = estimate_normals(gt, k)
-    _, idx_pg = cKDTree(gt).query(pred, k=1)
-    _, idx_gp = cKDTree(pred).query(gt, k=1)
+def _normal_agreement(n_pred, n_gt, idx_pg, idx_gp):
+    """(mean, median) |cos| between each point's normal and its nearest
+    neighbor's in the other cloud, both directions pooled."""
     fwd = np.abs(np.sum(n_pred * n_gt[idx_pg], axis=1))
     bwd = np.abs(np.sum(n_gt * n_pred[idx_gp], axis=1))
     vals = np.minimum(np.concatenate([fwd, bwd]), 1.0)
     return float(vals.mean()), float(np.median(vals))
 
 
+def normal_consistency(pred: np.ndarray, gt: np.ndarray,
+                       k: int = DEFAULT_NC_NEIGHBORS):
+    """Bidirectional |cos| agreement between estimated normals -> (mean, median)."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    tree_p, tree_g = cKDTree(pred), cKDTree(gt)
+    n_pred = estimate_normals(pred, k, tree_p)
+    n_gt = estimate_normals(gt, k, tree_g)
+    _, idx_pg = tree_g.query(pred, k=1)
+    _, idx_gp = tree_p.query(gt, k=1)
+    return _normal_agreement(n_pred, n_gt, idx_pg, idx_gp)
+
+
 def recon_metrics(pred: np.ndarray, gt: np.ndarray,
                   n_max: int = DEFAULT_DOWNSAMPLE, seed: int = 0,
                   k: int = DEFAULT_NC_NEIGHBORS) -> ReconMetrics:
-    """Full reconstruction protocol on mutually downsampled clouds."""
+    """Full reconstruction protocol on mutually downsampled clouds.
+
+    One KD-tree per cloud serves accuracy, completion and both normal
+    steps: each direction's nearest-neighbor query gives the distances
+    and the matches that normal consistency compares.
+    """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("both clouds must be nonempty")
     p = downsample_random(pred, n_max, seed)
     g = downsample_random(gt, n_max, seed)
-    acc = nn_distances(p, g)
-    comp = nn_distances(g, p)
-    nc_mean, nc_median = normal_consistency(p, g, k)
+    tree_p, tree_g = cKDTree(p), cKDTree(g)
+    acc, idx_pg = tree_g.query(p, k=1)
+    comp, idx_gp = tree_p.query(g, k=1)
+    nc_mean, nc_median = _normal_agreement(estimate_normals(p, k, tree_p),
+                                           estimate_normals(g, k, tree_g), idx_pg, idx_gp)
     return ReconMetrics(
         acc_mean=float(acc.mean()), acc_median=float(np.median(acc)),
         comp_mean=float(comp.mean()), comp_median=float(np.median(comp)),

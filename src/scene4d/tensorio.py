@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,16 +111,13 @@ def write_ply(path, cloud: np.ndarray, normals: np.ndarray | None = None) -> Non
             f.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_ply(path):
-    """Returns (points (n,3), normals (n,3) or None)."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0].strip() != "ply":
+def _read_ply_header(f, path):
+    """Parse the header lines of an open PLY file -> (n_vertex, props)."""
+    if f.readline().strip() != "ply":
         raise MalformedHeader(f"{path}: not a PLY file")
     n_vertex = None
     props = []
-    body_at = None
-    for i, ln in enumerate(lines[1:], start=1):
+    for ln in iter(f.readline, ""):
         parts = ln.split()
         if not parts:
             continue
@@ -127,41 +125,70 @@ def read_ply(path):
             if parts[1:] != ["ascii", "1.0"]:
                 raise MalformedHeader(f"{path}: only ascii 1.0 is supported")
         elif parts[0] == "element":
-            if parts[1] != "vertex":
-                raise MalformedHeader(f"{path}: unexpected element {parts[1]!r}")
+            if parts[1:2] != ["vertex"]:
+                raise MalformedHeader(f"{path}: unexpected element {ln.strip()!r}")
+            if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
+                raise MalformedHeader(f"{path}: bad vertex count in {ln.strip()!r}")
             n_vertex = int(parts[2])
         elif parts[0] == "property":
+            if len(parts) != 3:
+                raise MalformedHeader(f"{path}: bad property line {ln.strip()!r}")
             props.append(parts[2])
         elif parts[0] == "end_header":
-            body_at = i + 1
-            break
+            if n_vertex is None:
+                break
+            if props[:3] != ["x", "y", "z"]:
+                raise MalformedHeader(f"{path}: first properties must be x y z")
+            return n_vertex, props
         elif parts[0] == "comment":
             continue
         else:
-            raise MalformedHeader(f"{path}: unexpected header line {ln!r}")
-    if n_vertex is None or body_at is None:
-        raise MalformedHeader(f"{path}: incomplete header")
-    if props[:3] != ["x", "y", "z"]:
-        raise MalformedHeader(f"{path}: first properties must be x y z")
-    has_normals = props[3:6] == ["nx", "ny", "nz"]
-    body = lines[body_at:body_at + n_vertex]
-    if len(body) < n_vertex:
-        raise MalformedHeader(f"{path}: {len(body)} rows, header promised {n_vertex}")
-    vals = np.array([[float(v) for v in ln.split()] for ln in body], dtype=np.float64)
+            raise MalformedHeader(f"{path}: unexpected header line {ln.strip()!r}")
+    raise MalformedHeader(f"{path}: incomplete header")
+
+
+def read_ply(path):
+    """Returns (points (n,3), normals (n,3) or None).
+
+    The body must hold n_vertex rows of one number per declared property;
+    blank lines and rows past n_vertex are ignored. Anything else raises
+    MalformedHeader.
+    """
+    try:
+        with open(path) as f:
+            n_vertex, props = _read_ply_header(f, path)
+            with warnings.catch_warnings():
+                # empty bodies and skipped blank lines only warn; the checks below decide
+                warnings.simplefilter("ignore", UserWarning)
+                vals = np.loadtxt(f, dtype=np.float64, comments=None,
+                                  max_rows=n_vertex, ndmin=2)
+    except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
+        raise MalformedHeader(f"{path}: unreadable PLY data ({e})") from e
     if n_vertex == 0:
         vals = vals.reshape(0, len(props))
+    if len(vals) != n_vertex:
+        raise MalformedHeader(f"{path}: {len(vals)} rows, header promised {n_vertex}")
+    if vals.shape[1] != len(props):
+        raise MalformedHeader(f"{path}: {vals.shape[1]} values per row, "
+                              f"header declares {len(props)} properties")
     pts = vals[:, :3]
-    normals = vals[:, 3:6] if has_normals else None
+    normals = vals[:, 3:6] if props[3:6] == ["nx", "ny", "nz"] else None
     return pts, normals
 
 
 # ---------------------------------------------------------------------------
 # trajectories CSV
 
+_TRAJECTORY_DTYPE = np.dtype([(name, np.float64 if name in ("x", "y", "z") else np.int64)
+                              for name in ("track_id", "frame", "x", "y", "z",
+                                           "visible", "dynamic")])
+_TRAJECTORY_HEADER = list(_TRAJECTORY_DTYPE.names)
+
+
 def write_trajectories(path, traj: TrajectorySet) -> None:
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
-        wr.writerow(["track_id", "frame", "x", "y", "z", "visible", "dynamic"])
+        wr.writerow(_TRAJECTORY_HEADER)
         for m in range(traj.n_tracks):
             dyn = int(traj.dynamic[m])
             for t in range(traj.n_frames):
@@ -171,28 +198,45 @@ def write_trajectories(path, traj: TrajectorySet) -> None:
 
 
 def read_trajectories(path) -> TrajectorySet:
-    with open(path, newline="") as f:
-        rd = csv.reader(f)
-        header = next(rd)
-        if header != ["track_id", "frame", "x", "y", "z", "visible", "dynamic"]:
-            raise InputError(f"{path}: unexpected trajectory CSV header")
-        rows = [(int(r[0]), int(r[1]), float(r[2]), float(r[3]), float(r[4]),
-                 int(r[5]), int(r[6])) for r in rd]
-    if not rows:
+    """Read a full (track, frame) grid; every key exactly once, any order.
+
+    The body is parsed in one np.loadtxt pass; blank lines are skipped.
+    Short or long rows, non-integer keys or flags, non-numeric positions,
+    negative or duplicate keys, a grid with holes and a track whose rows
+    disagree on its dynamic flag raise InputError.
+    """
+    try:
+        with open(path) as f:
+            if f.readline().rstrip("\r\n").split(",") != _TRAJECTORY_HEADER:
+                raise InputError(f"{path}: unexpected trajectory CSV header")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body only warns
+                rows = np.loadtxt(f, dtype=_TRAJECTORY_DTYPE, delimiter=",",
+                                  comments=None, ndmin=1)
+    except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
+        raise InputError(f"{path}: unreadable trajectory rows ({e})") from e
+    if rows.size == 0:
         return TrajectorySet(positions=np.zeros((0, 0, 3)),
                              visible=np.zeros((0, 0), bool), dynamic=np.zeros(0, bool))
-    m = max(r[0] for r in rows) + 1
-    n = max(r[1] for r in rows) + 1
+    tid, fr, dyn = rows["track_id"], rows["frame"], rows["dynamic"] != 0
+    if tid.min() < 0 or fr.min() < 0:
+        raise InputError(f"{path}: negative track or frame index")
+    m = int(tid.max()) + 1
+    n = int(fr.max()) + 1
     if len(rows) != m * n:
         raise InputError(f"{path}: incomplete (track, frame) grid")
+    # len(rows) == m * n keys inside [0, m) x [0, n): unique iff the grid is full
+    if np.unique(tid * n + fr).size != len(rows):
+        raise InputError(f"{path}: duplicate (track, frame) rows")
     pos = np.zeros((m, n, 3))
-    vis = np.zeros((m, n), dtype=bool)
-    dyn = np.zeros(m, dtype=bool)
-    for tid, fr, x, y, z, v, d in rows:
-        pos[tid, fr] = (x, y, z)
-        vis[tid, fr] = bool(v)
-        dyn[tid] = bool(d)
-    return TrajectorySet(positions=pos, visible=vis, dynamic=dyn)
+    visible = np.zeros((m, n), dtype=bool)
+    dynamic = np.zeros(m, dtype=bool)
+    pos[tid, fr] = np.stack([rows["x"], rows["y"], rows["z"]], axis=-1)
+    visible[tid, fr] = rows["visible"] != 0
+    dynamic[tid] = dyn
+    if not np.array_equal(dynamic[tid], dyn):
+        raise InputError(f"{path}: rows of one track disagree on its dynamic flag")
+    return TrajectorySet(positions=pos, visible=visible, dynamic=dynamic)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,223 @@
+"""Batched losses and the batched finite-difference harness against the
+per-call forms they replace: bitwise-equal values, gradients and check
+results, and harness memory bounded by its block size."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scene4d import losses
+from scene4d.errors import ShapeMismatch
+from scene4d.losses import (LossConfig, depth_loss, finite_diff_check,
+                            gradient_check_suite, point_loss,
+                            relative_gradient_error)
+
+
+def reference_finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5) -> float:
+    """Reference: one scalar evaluation per ±h coordinate, perturbed in place.
+
+    This is the per-coordinate loop `finite_diff_check` had before it
+    evaluated blocks of copies, kept verbatim.
+    """
+    if not (1e-7 <= h <= 1e-3):
+        raise ValueError("h must lie in [1e-7, 1e-3]")
+    worst = 0.0
+    work = {k: np.array(v, dtype=np.longdouble) for k, v in arrays.items()}
+    h = np.longdouble(h)
+    for name, g in grads.items():
+        arr = work[name]
+        flat = arr.reshape(-1)
+        gflat = np.asarray(g).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = value_fn(work)
+            flat[i] = orig - h
+            down = value_fn(work)
+            flat[i] = orig
+            numeric = float((up - down) / (2.0 * h))
+            worst = max(worst, relative_gradient_error(float(gflat[i]), numeric))
+    return worst
+
+
+def _via_reference(value_fn, arrays, grads, h=1e-5, *, batched=False):
+    """finite_diff_check's signature on the reference loop; a batched
+    value_fn sees each scalar evaluation as a batch of one copy."""
+    if batched:
+        batched_fn = value_fn
+
+        def value_fn(arrs):
+            return batched_fn({k: v[None] for k, v in arrs.items()})[0]
+    return reference_finite_diff_check(value_fn, arrays, grads, h)
+
+
+@pytest.mark.parametrize("seed", [0, 31, 2026])
+@pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(weight_mode="none"),
+                                 LossConfig(grad_term=False, alpha=0.5),
+                                 LossConfig(gamma=2.0, representation="offset")],
+                         ids=["focal", "none", "no_grad_term", "gamma2_offset"])
+def test_suite_equals_per_coordinate_reference(monkeypatch, seed, cfg):
+    fast = gradient_check_suite(seed, trials=1, cfg=cfg)
+    monkeypatch.setattr(losses, "finite_diff_check", _via_reference)
+    slow = gradient_check_suite(seed, trials=1, cfg=cfg)
+    assert fast == slow
+    assert all(err < 1e-4 for err in fast.values())
+
+
+def test_scalar_and_batched_harness_agree():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (5, 4))
+    y = rng.uniform(-1.0, 1.0, 4)
+    grads = {"x": 3 * x * x * y, "y": (x ** 3).sum(axis=0)}
+
+    def scalar(a):
+        return (a["x"] ** 3 * a["y"]).sum()
+
+    def batched(a):
+        return (a["x"] ** 3 * a["y"][:, None, :]).reshape(len(a["x"]), -1).sum(axis=-1)
+
+    arrays = {"x": x, "y": y}
+    ref = reference_finite_diff_check(scalar, arrays, grads)
+    assert finite_diff_check(scalar, arrays, grads) == ref
+    assert finite_diff_check(batched, arrays, grads, batched=True) < 1e-6
+
+
+def test_batched_harness_rejects_wrong_value_count():
+    with pytest.raises(ShapeMismatch):
+        finite_diff_check(lambda a: np.zeros(1), {"x": np.zeros(3)}, {"x": np.zeros(3)},
+                          batched=True)
+    with pytest.raises(ShapeMismatch):
+        finite_diff_check(lambda a: 0.0, {"x": np.zeros(3)}, {"x": np.zeros(4)})
+
+
+def test_harness_memory_bounded_by_block():
+    # all 2 * 10^4 copies of a 10^4-element array at once would take 3.2 GB
+    n = 10_000
+    x = np.linspace(-1.0, 1.0, n)
+
+    def value_fn(a):
+        return (a["x"] * a["x"]).sum(axis=-1)
+
+    tracemalloc.start()
+    try:
+        err = finite_diff_check(value_fn, {"x": x}, {"x": 2 * x}, batched=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err < 1e-6
+    assert peak < 16e6
+
+
+# ---------------------------------------------------------------------------
+# batched losses equal per-slice calls bitwise
+
+_BATCHES = [(), (1,), (3,), (2, 2)]
+
+
+def _instance(seed, batch, h, w, channels, dtype, gt_batched, valid_batched):
+    rng = np.random.default_rng(seed)
+    core = (h, w, channels) if channels else (h, w)
+    pred = rng.uniform(-1.0, 1.0, batch + core).astype(dtype)
+    gt = rng.uniform(-1.0, 1.0, (batch if gt_batched else ()) + core)
+    # exact ties make some residuals and gradient differences vanish
+    pred[rng.uniform(size=pred.shape) < 0.1] = 0.25
+    gt[rng.uniform(size=gt.shape) < 0.1] = 0.25
+    sigma = rng.uniform(0.3, 2.0, batch + (h, w)).astype(dtype)
+    valid = rng.uniform(size=(batch if valid_batched else ()) + (h, w)) < 0.8
+    return rng, pred, gt, sigma, valid
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from(_BATCHES),
+       h=st.integers(1, 16), w=st.integers(1, 16),
+       dtype=st.sampled_from([np.float64, np.longdouble]), valid_batched=st.booleans())
+def test_valid_mean_sums_each_copy_like_a_flat_gather(seed, batch, h, w, dtype, valid_batched):
+    # spread magnitudes so that any other summation order rounds differently
+    rng = np.random.default_rng(seed)
+    per_pixel = (rng.standard_normal(batch + (h, w))
+                 * 10.0 ** rng.integers(-6, 7, batch + (h, w))).astype(dtype)
+    valid = rng.uniform(size=(batch if valid_batched else ()) + (h, w)) < 0.8
+    value, scale = losses._valid_mean(per_pixel, valid)
+    assert np.shape(value) == batch and scale.shape == batch + (1, 1)
+    for idx in np.ndindex(*batch):
+        v = valid[idx] if valid_batched else valid
+        n = int(v.sum())
+        assert value[idx] == (per_pixel[idx][v].sum() / n if n else 0.0)
+        assert scale[idx] == 1.0 / max(n, 1)
+
+
+def _assert_same(full, part, idx):
+    assert full.value[idx] == part.value
+    assert full.grad_points[idx].dtype == part.grad_points.dtype
+    assert np.array_equal(full.grad_points[idx], part.grad_points)
+    assert np.array_equal(full.grad_sigma[idx], part.grad_sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from(_BATCHES),
+       h=st.integers(1, 12), w=st.integers(1, 12),
+       dtype=st.sampled_from([np.float64, np.longdouble]),
+       gt_batched=st.booleans(), valid_batched=st.booleans(),
+       mode=st.sampled_from(["focal", "dynamic", "none", "frozen"]),
+       gamma=st.sampled_from([0.0, 1.0, 2.0]), grad_term=st.booleans())
+def test_point_loss_batched_equals_per_slice(seed, batch, h, w, dtype, gt_batched,
+                                             valid_batched, mode, gamma, grad_term):
+    rng, pred, gt, sigma, valid = _instance(seed, batch, h, w, 3, dtype,
+                                            gt_batched, valid_batched)
+    dyn = rng.uniform(size=(h, w)) < 0.5
+    frozen = rng.uniform(0.0, 3.0, (h, w, 3)) if mode == "frozen" else None
+    cfg = LossConfig(weight_mode="focal" if mode == "frozen" else mode, gamma=gamma,
+                     grad_term=grad_term)
+    full = point_loss(pred, gt, sigma, valid, dyn, cfg, frozen_weight=frozen)
+    assert np.shape(full.value) == batch
+    for idx in np.ndindex(*batch):
+        part = point_loss(pred[idx], gt[idx] if gt_batched else gt, sigma[idx],
+                          valid[idx] if valid_batched else valid, dyn, cfg,
+                          frozen_weight=frozen)
+        _assert_same(full, part, idx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from(_BATCHES),
+       h=st.integers(1, 12), w=st.integers(1, 12),
+       dtype=st.sampled_from([np.float64, np.longdouble]),
+       gt_batched=st.booleans(), valid_batched=st.booleans(),
+       alpha=st.sampled_from([0.0, 0.1, 2.0]))
+def test_depth_loss_batched_equals_per_slice(seed, batch, h, w, dtype, gt_batched,
+                                             valid_batched, alpha):
+    _, pred, gt, sigma, valid = _instance(seed, batch, h, w, 0, dtype,
+                                          gt_batched, valid_batched)
+    full = depth_loss(pred, gt, sigma, valid, alpha)
+    assert np.shape(full.value) == batch
+    for idx in np.ndindex(*batch):
+        part = depth_loss(pred[idx], gt[idx] if gt_batched else gt, sigma[idx],
+                          valid[idx] if valid_batched else valid, alpha)
+        _assert_same(full, part, idx)
+
+
+def test_unbatched_value_is_numpy_scalar():
+    p = np.zeros((2, 2, 3))
+    out = point_loss(p + 0.5, p, np.ones((2, 2)), np.ones((2, 2), bool))
+    assert isinstance(out.value, np.float64)
+    out = depth_loss(p[..., 0], p[..., 0], np.ones((2, 2)), np.ones((2, 2), bool))
+    assert isinstance(out.value, np.float64)
+
+
+def test_batched_shape_errors():
+    pred = np.zeros((2, 3, 3, 3))
+    sigma = np.ones((2, 3, 3))
+    valid = np.ones((3, 3), bool)
+    with pytest.raises(ShapeMismatch):           # sigma must carry the batch axes
+        point_loss(pred, np.zeros((3, 3, 3)), np.ones((3, 3)), valid)
+    with pytest.raises(ShapeMismatch):           # gt may not enlarge the batch
+        point_loss(pred, np.zeros((4, 2, 3, 3, 3)), sigma, valid)
+    with pytest.raises(ShapeMismatch):           # valid must match (H, W)
+        point_loss(pred, pred, sigma, np.ones((3, 1), bool))
+    with pytest.raises(ShapeMismatch):
+        point_loss(pred, pred, sigma, valid, frozen_weight=np.ones((3, 3, 1)))
+    with pytest.raises(ShapeMismatch):
+        depth_loss(pred[..., 0], pred[..., 0], sigma[:1], valid)
+

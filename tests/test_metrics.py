@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from scene4d import metrics
 from scene4d.errors import (DegenerateConfiguration, DegenerateScale,
                             EmptyCloud, EmptyReference, NoSamples,
                             NoValidPixels, TooFewPoints)
@@ -478,3 +480,42 @@ def test_recon_metrics_identical_clouds():
     m = recon_metrics(cloud, cloud, n_max=500, seed=2, k=12)
     assert m.acc_mean == 0.0 and m.comp_median == 0.0
     assert m.nc_mean == pytest.approx(1.0, abs=1e-12)
+
+
+def _six_tree_recon(pred, gt, n_max, seed, k):
+    """Reference: the protocol with a fresh KD-tree for every query, as
+    recon_metrics computed it before it kept one tree per cloud."""
+    p = downsample_random(pred, n_max, seed)
+    g = downsample_random(gt, n_max, seed)
+    acc = nn_distances(p, g)
+    comp = nn_distances(g, p)
+    n_p, n_g = estimate_normals(p, k), estimate_normals(g, k)
+    _, idx_pg = cKDTree(g).query(p, k=1)
+    _, idx_gp = cKDTree(p).query(g, k=1)
+    vals = np.minimum(np.concatenate([np.abs(np.sum(n_p * n_g[idx_pg], axis=1)),
+                                      np.abs(np.sum(n_g * n_p[idx_gp], axis=1))]), 1.0)
+    return (float(acc.mean()), float(np.median(acc)), float(comp.mean()),
+            float(np.median(comp)), float(vals.mean()), float(np.median(vals)))
+
+
+@pytest.mark.parametrize("n_pred, n_gt, n_max, k", [(700, 650, 500, 12), (300, 400, 1000, 8)])
+def test_recon_metrics_one_tree_per_cloud_bitwise(monkeypatch, n_pred, n_gt, n_max, k):
+    rng = SplitMix64(25)
+    pred = _random_cloud(rng, n_pred)
+    gt = _random_cloud(rng, n_gt)
+    gt[:50] = pred[:50]                      # exact matches and distance ties
+    want = _six_tree_recon(pred, gt, n_max, 4, k)
+    want_nc = _six_tree_recon(pred, gt, 10**6, 0, k)[4:]
+    builds = []
+
+    def counting_tree(data, *args, **kwargs):
+        builds.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+    monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+    m = recon_metrics(pred, gt, n_max=n_max, seed=4, k=k)
+    assert (m.acc_mean, m.acc_median, m.comp_mean, m.comp_median,
+            m.nc_mean, m.nc_median) == want
+    assert sorted(builds) == sorted([min(n_pred, n_max), min(n_gt, n_max)])
+    builds.clear()
+    assert normal_consistency(pred, gt, k) == want_nc
+    assert len(builds) == 2
