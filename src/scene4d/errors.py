@@ -50,6 +50,10 @@ class NonPositiveSigma(Scene4DError):
     """Uncertainty map contains non-positive entries on valid pixels."""
 
 
+class NonFiniteDerivative(Scene4DError):
+    """A finite-difference or analytic derivative is NaN or infinite."""
+
+
 # --- evaluation metrics ---
 
 class EmptyReference(Scene4DError):

@@ -9,8 +9,9 @@ Conventions (fixed once, relied on everywhere):
   principal point sits at the image center, so intrinsics come from fov
   and resolution alone.
 * Pixel ``(u, v)`` covers ``[u, u+1) x [v, v+1)``; rays pass through the
-  pixel center ``(u + 0.5, v + 0.5)``. ``project`` returns continuous
-  image coordinates in that same frame.
+  pixel center ``(u + 0.5, v + 0.5)``. ``pixel_directions`` is the one
+  place that builds those rays, and ``project`` returns continuous image
+  coordinates in that same frame.
 * Depth is z-depth: distance along the camera z axis, not ray length.
 * Image arrays are indexed ``[v, u]`` (row-major, v = row, u = column).
 """
@@ -233,17 +234,23 @@ def intrinsics(c: CameraParams, height: int, width: int) -> tuple[float, float, 
 # ---------------------------------------------------------------------------
 # projection
 
+def pixel_directions(c: CameraParams, height: int, width: int) -> np.ndarray:
+    """(H, W, 3) camera-frame ray directions through the pixel centres.
+
+    The z component is exactly 1, so t along a direction is the z-depth;
+    rotate a row to the world frame with ``d @ c.rotation`` (R^T d).
+    """
+    fx, fy, cx, cy = intrinsics(c, height, width)
+    u = np.arange(width, dtype=np.float64) + 0.5
+    v = np.arange(height, dtype=np.float64) + 0.5
+    uu, vv = np.meshgrid(u, v)
+    return np.stack([(uu - cx) / fx, (vv - cy) / fy, np.ones_like(uu)], axis=-1)
+
+
 def unproject(d: DepthMap, c: CameraParams) -> PointMap:
     """Lift a depth map to world-frame points through the camera."""
-    h, w = d.values.shape
-    fx, fy, cx, cy = intrinsics(c, h, w)
-    u = np.arange(w, dtype=np.float64) + 0.5
-    v = np.arange(h, dtype=np.float64) + 0.5
-    uu, vv = np.meshgrid(u, v)
     z = np.where(d.valid, d.values, 0.0)
-    x = (uu - cx) / fx * z
-    y = (vv - cy) / fy * z
-    cam = np.stack([x, y, z], axis=-1)
+    cam = pixel_directions(c, *d.values.shape) * z[..., None]
     R = c.rotation
     world = (cam - c.t) @ R  # R^T (p - t), row-vector form
     world = np.where(d.valid[..., None], world, 0.0)
@@ -251,19 +258,15 @@ def unproject(d: DepthMap, c: CameraParams) -> PointMap:
 
 
 def project(p, c: CameraParams, height: int, width: int):
-    """Pinhole projection of a world point.
+    """Pinhole projection of a world point: a one-point `project_many`.
 
     Returns (u, v, z) continuous image coordinates and camera-frame depth,
     or None when the point lies behind the camera (z <= 1e-9).
     """
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    cam = c.rotation @ p + c.t
-    if cam[2] <= 1e-9:
+    u, v, z, _ = project_many(np.asarray(p, dtype=np.float64).reshape(1, 3), c, height, width)
+    if z[0] <= 1e-9:
         return None
-    fx, fy, cx, cy = intrinsics(c, height, width)
-    u = fx * cam[0] / cam[2] + cx
-    v = fy * cam[1] / cam[2] + cy
-    return u, v, cam[2]
+    return u[0], v[0], z[0]
 
 
 def project_many(points: np.ndarray, c: CameraParams, height: int, width: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FaceOutOfRange
-from .geometry import CameraParams, DepthMap, intrinsics
+from .geometry import CameraParams, DepthMap, pixel_directions
 from .raycast import raycast_batch, triangle_soup
 
 DEPTH_AGREEMENT_TOL = 1e-3   # meters; attachment must match the depth map
@@ -79,20 +79,6 @@ class ClipBoundary:
             raise ValueError("split indices must be strictly increasing")
 
 
-def pixel_ray(pixel, depth_shape, cam: CameraParams):
-    """World-frame (origin, direction) through a pixel center.
-
-    The direction is scaled so that t along the ray equals camera-frame
-    z-depth.
-    """
-    u, v = pixel
-    h, w = depth_shape
-    fx, fy, cx, cy = intrinsics(cam, h, w)
-    dir_cam = np.array([(u + 0.5 - cx) / fx, (v + 0.5 - cy) / fy, 1.0])
-    R = cam.rotation
-    return cam.center(), R.T @ dir_cam
-
-
 def attach_pixel(pixel, depth: DepthMap, cam: CameraParams, meshes) -> SurfaceAttachment | None:
     """Bind a valid depth pixel to the nearest face of the supplied meshes.
 
@@ -104,10 +90,10 @@ def attach_pixel(pixel, depth: DepthMap, cam: CameraParams, meshes) -> SurfaceAt
     u, v = int(pixel[0]), int(pixel[1])
     if not depth.valid[v, u]:
         raise ValueError("pixel is invalid in the depth map")
-    origin, direction = pixel_ray((u, v), depth.values.shape, cam)
+    direction = pixel_directions(cam, *depth.values.shape)[v, u] @ cam.rotation
 
     soup = triangle_soup(meshes, range(len(meshes)))
-    t, idx, bary = raycast_batch(origin, direction[None, :], soup.tris)
+    t, idx, bary = raycast_batch(cam.center(), direction[None, :], soup.tris)
     if idx[0] < 0:
         return None
     if abs(t[0] - depth.values[v, u]) > DEPTH_AGREEMENT_TOL:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonPositiveSigma, ShapeMismatch
+from .errors import NonFiniteDerivative, NonPositiveSigma, ShapeMismatch
 from .rng import SplitMix64, derive_seed
 
 WEIGHT_MODES = ("focal", "dynamic", "none")
@@ -340,6 +340,8 @@ def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5, *,
     block at a time, at most FD_BLOCK_ELEMENTS perturbed elements (and at
     least one ± pair) per call. Whatever should be held fixed during
     perturbation (e.g. the detached focal weight) must be baked into value_fn.
+    Raises NonFiniteDerivative when an analytic or central-difference
+    derivative (or their relative error) is NaN or infinite.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError("h must lie in [1e-7, 1e-3]")
@@ -376,8 +378,10 @@ def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5, *,
             stack[rows[0::2], idx] = stack[rows[1::2], idx] = base[idx]
             numeric = ((values[0::2] - values[1::2]) / (2.0 * h)).astype(np.float64)
             errs = relative_gradient_error(gflat[idx], numeric)
-            # fmax skips NaN errors: a NaN never becomes the worst error
-            worst = float(np.fmax.reduce(errs, initial=worst))
+            # a NaN error would be skipped by any max and pass the check
+            if not np.all(np.isfinite(errs)):
+                raise NonFiniteDerivative(f"a derivative of {name!r} is not finite")
+            worst = float(np.max(errs, initial=worst))
     return worst
 
 

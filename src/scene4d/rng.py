@@ -80,9 +80,6 @@ class SplitMix64:
         picked.sort()
         return picked
 
-    def normals(self, count: int, mu: float = 0.0, sigma: float = 1.0) -> list[float]:
-        return [self.normal(mu, sigma) for _ in range(count)]
-
     # -- vectorized counterparts (bit-identical to the scalar draws) -----
 
     def uniform_array(self, n: int) -> np.ndarray:

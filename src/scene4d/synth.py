@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyScene, QueryInvalid
 from .geometry import (SE3, CameraParams, DepthMap, PointMap,
-                       axis_angle_rotation, intrinsics, project_many,
+                       axis_angle_rotation, pixel_directions, project_many,
                        quat_to_rotation, se3_apply, se3_compose, se3_invert)
 from .lifting import MeshSequence, SurfaceAttachment, classify_dynamic
 from .raycast import (RayHit, TriangleSoup, raycast,  # noqa: F401  (re-exported surface)
@@ -311,17 +311,10 @@ def _render(spec: SceneSpec, frame: int):
     """
     h, w = spec.resolution
     cam = spec.camera_path[frame]
-    fx, fy, cx, cy = intrinsics(cam, h, w)
-    u = np.arange(w, dtype=np.float64) + 0.5
-    v = np.arange(h, dtype=np.float64) + 0.5
-    uu, vv = np.meshgrid(u, v)
-    dirs_cam = np.stack([(uu - cx) / fx, (vv - cy) / fy, np.ones_like(uu)], axis=-1)
-    R = cam.rotation
-    dirs = dirs_cam.reshape(-1, 3) @ R  # R^T d per row
-    origin = cam.center()
+    dirs = pixel_directions(cam, h, w).reshape(-1, 3) @ cam.rotation  # R^T d per row
 
     soup = _soup(spec, frame)
-    t, idx, bary = raycast_batch(origin, dirs, soup.tris)
+    t, idx, bary = raycast_batch(cam.center(), dirs, soup.tris)
     hit = idx >= 0
 
     depth = np.where(hit, t, 0.0).reshape(h, w)
@@ -392,6 +385,26 @@ def _positions_over_time(spec: SceneSpec, oid: np.ndarray, base: np.ndarray) -> 
     return out
 
 
+def _lookup_pixels(points: np.ndarray, cam: CameraParams, depth: DepthMap):
+    """Find the pixels that world points project to, and check them there.
+
+    Returns (iu, iv, inside, visible): the floored pixel indices, whether
+    the point is in front of the camera and on the image, and whether it
+    also lands on a valid pixel whose depth matches its camera-frame z
+    within VISIBILITY_DEPTH_TOL.
+    """
+    h, w = depth.values.shape
+    u, v, z, front = project_many(points, cam, h, w)
+    iu = np.floor(u).astype(np.int64)
+    iv = np.floor(v).astype(np.int64)
+    inside = front & (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
+    visible = np.zeros(len(z), dtype=bool)
+    sel = np.flatnonzero(inside)
+    visible[sel] = depth.valid[iv[sel], iu[sel]] \
+        & (np.abs(z[sel] - depth.values[iv[sel], iu[sel]]) <= VISIBILITY_DEPTH_TOL)
+    return iu, iv, inside, visible
+
+
 def generate(spec: SceneSpec) -> SequenceDataset:
     """Render every frame and derive trajectories, labels and masks.
 
@@ -425,19 +438,7 @@ def generate(spec: SceneSpec) -> SequenceDataset:
     # visibility by reprojection against the rendered depth
     visible = np.zeros((m, spec.n_frames), dtype=bool)
     for t in range(spec.n_frames):
-        uu, vv, zz, front = project_many(positions[:, t, :], spec.camera_path[t], h, w)
-        iu = np.floor(uu).astype(np.int64)
-        iv = np.floor(vv).astype(np.int64)
-        inside = front & (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
-        ok = np.zeros(m, dtype=bool)
-        sel = np.nonzero(inside)[0]
-        if len(sel):
-            dver = depths[t].values[iv[sel], iu[sel]]
-            dok = depths[t].valid[iv[sel], iu[sel]]
-            ok[sel] = dok & (np.abs(zz[sel] - dver) <= VISIBILITY_DEPTH_TOL)
-        visible[:, t] = ok
-
-    dynamic = classify_dynamic(positions, 0, spec.dynamic_delta) if m else np.zeros(0, bool)
+        visible[:, t] = _lookup_pixels(positions[:, t, :], spec.camera_path[t], depths[t])[3]
 
     # per-pixel dynamic masks, reference frame = own frame
     dmask = np.zeros((spec.n_frames, h, w), dtype=bool)
@@ -446,13 +447,12 @@ def generate(spec: SceneSpec) -> SequenceDataset:
         if not len(pv):
             continue
         o, b = _base_points(spec, atts[t], pv, pu)
-        pos = _positions_over_time(spec, o, b)           # (P, N, 3)
-        disp = np.linalg.norm(pos - pos[:, t:t + 1, :], axis=2)
-        dmask[t, pv, pu] = disp.max(axis=1) > spec.dynamic_delta
+        dmask[t, pv, pu] = classify_dynamic(_positions_over_time(spec, o, b), t,
+                                            spec.dynamic_delta)
 
     traj = TrajectorySet(positions=positions, visible=visible,
-                         dynamic=np.asarray(dynamic, dtype=bool) if m else np.zeros(0, bool),
-                         query_pixels=np.stack([q_u, q_v], axis=1) if m else np.zeros((0, 2), np.int64))
+                         dynamic=classify_dynamic(positions, 0, spec.dynamic_delta),
+                         query_pixels=np.stack([q_u, q_v], axis=1))
     return SequenceDataset(depths=depths, cameras=list(spec.camera_path),
                            pointmaps=pmaps, attachments=atts,
                            trajectories=traj, dynamic_mask=dmask, spec=spec)
@@ -508,18 +508,14 @@ def recover_query_pixels(dataset: SequenceDataset) -> np.ndarray:
     pixel. Used when a dataset comes off disk, where the CSV stores
     positions but not pixel indices.
     """
-    h, w = dataset.resolution
-    pos0 = dataset.trajectories.positions[:, 0, :]
-    u, v, z, front = project_many(pos0, dataset.cameras[0], h, w)
-    iu = np.floor(u).astype(np.int64)
-    iv = np.floor(v).astype(np.int64)
-    ok = front & (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
-    if not np.all(ok):
-        raise QueryInvalid("a trajectory's frame-0 position projects outside the image")
     depth = dataset.depths[0]
+    iu, iv, inside, visible = _lookup_pixels(dataset.trajectories.positions[:, 0, :],
+                                             dataset.cameras[0], depth)
+    if not np.all(inside):
+        raise QueryInvalid("a trajectory's frame-0 position projects outside the image")
     if not np.all(depth.valid[iv, iu]):
         raise QueryInvalid("a trajectory's frame-0 pixel is invalid")
-    if np.max(np.abs(z - depth.values[iv, iu])) > VISIBILITY_DEPTH_TOL:
+    if not np.all(visible):
         raise QueryInvalid("a trajectory's frame-0 position disagrees with the depth map")
     return np.stack([iu, iv], axis=1)
 
@@ -533,16 +529,12 @@ def tracks_from_aggregation(maps_per_target: list[PointMap], query_pixels,
     (u, v) places its position at time a at maps_per_target[a][v, u].
     """
     queries = np.asarray(query_pixels, dtype=np.int64).reshape(-1, 2)
-    n = len(maps_per_target)
-    m = len(queries)
-    positions = np.zeros((m, n, 3))
-    for k, (u, v) in enumerate(queries):
-        if not maps_per_target[0].valid[v, u]:
-            raise QueryInvalid(f"query pixel ({u}, {v}) invalid in the source frame")
-        for a in range(n):
-            positions[k, a] = maps_per_target[a].points[v, u]
-    visible = np.ones((m, n), dtype=bool)
-    dynamic = classify_dynamic(positions, 0, dynamic_delta) if m else np.zeros(0, bool)
-    return TrajectorySet(positions=positions, visible=visible,
-                         dynamic=np.asarray(dynamic, dtype=bool) if m else np.zeros(0, bool),
+    u, v = queries[:, 0], queries[:, 1]
+    invalid = np.flatnonzero(~maps_per_target[0].valid[v, u])
+    if len(invalid):
+        k = invalid[0]
+        raise QueryInvalid(f"query pixel ({u[k]}, {v[k]}) invalid in the source frame")
+    positions = np.stack([pm.points[v, u] for pm in maps_per_target], axis=1)  # (M, N, 3)
+    return TrajectorySet(positions=positions, visible=np.ones(positions.shape[:2], dtype=bool),
+                         dynamic=classify_dynamic(positions, 0, dynamic_delta),
                          query_pixels=queries)

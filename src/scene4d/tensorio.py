@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import warnings
 from pathlib import Path
@@ -78,7 +79,7 @@ def read_tensor(path) -> np.ndarray:
         raise TruncatedPayload(f"{path}: dims truncated")
     dims = struct.unpack_from(f"<{ndim}Q", data, 10)
     dtype = _DTYPES[code]
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
     payload = data[header_end:]
     if len(payload) != expected:
         raise TruncatedPayload(f"{path}: payload {len(payload)} bytes, expected {expected}")

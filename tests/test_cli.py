@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -147,6 +148,25 @@ def test_loss_check_command(capsys):
     errs = json.loads(out)["max_relative_error"]
     assert set(errs) == {"point_focal", "point_dynamic", "point_offset", "depth", "camera"}
     assert all(v < 1e-4 for v in errs.values())
+
+
+def test_loss_check_non_finite_gradient_exits_one(tmp_path, capsys):
+    cfgp = tmp_path / "loss.json"
+    cfgp.write_text(json.dumps({"beta": 1e200, "gamma": 2}))
+    with np.errstate(all="ignore"):
+        code, out = _run(capsys, "loss-check", "--config", str(cfgp), "--trials", "1")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "NonFiniteDerivative"
+
+
+def test_overflowing_tensor_header_exits_one(tmp_path, capsys):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "depth_0000.ct4").write_bytes(b"C4RT" + struct.pack("<BBI2Q", 1, 1, 2, 2**40, 2**40))
+    code, out = _run(capsys, "split", "--depth-dir", str(d))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "TruncatedPayload"
 
 
 def test_forward_command(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scene4d import losses
-from scene4d.errors import ShapeMismatch
+from scene4d.errors import NonFiniteDerivative, ShapeMismatch
 from scene4d.losses import (LossConfig, depth_loss, finite_diff_check,
                             gradient_check_suite, point_loss,
                             relative_gradient_error)
@@ -221,3 +221,25 @@ def test_batched_shape_errors():
     with pytest.raises(ShapeMismatch):
         depth_loss(pred[..., 0], pred[..., 0], sigma[:1], valid)
 
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@np.errstate(all="ignore")
+def test_harness_rejects_non_finite_derivatives(batched):
+    # a NaN relative error used to be skipped, so a NaN loss passed the check
+    x = {"x": np.zeros(2)}
+    nan_loss = (lambda a: np.full(len(a["x"]), np.nan)) if batched else (lambda a: np.nan)
+    with pytest.raises(NonFiniteDerivative):
+        finite_diff_check(nan_loss, x, {"x": np.ones(2)}, batched=batched)
+    square = (lambda a: (a["x"] ** 2).sum(axis=-1)) if batched else (lambda a: (a["x"] ** 2).sum())
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteDerivative):
+            finite_diff_check(square, x, {"x": np.array([0.0, bad])}, batched=batched)
+    assert finite_diff_check(square, x, {"x": np.zeros(2)}, batched=batched) == 0.0
+
+
+@np.errstate(all="ignore")
+def test_overflowing_config_fails_the_check():
+    # beta * e overflows in the focal weight: the analytic gradient is NaN
+    with pytest.raises(NonFiniteDerivative):
+        gradient_check_suite(0, trials=1, cfg=LossConfig(beta=1e200, gamma=2.0))

@@ -1,5 +1,7 @@
 """File formats: tensor container, PLY, trajectory CSV, dataset round-trips."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,15 @@ def test_tensor_truncated_payload(tmp_path):
     write_tensor(path, np.zeros((4, 4), dtype=np.float64))
     data = path.read_bytes()
     path.write_bytes(data[:-8])
+    with pytest.raises(TruncatedPayload):
+        read_tensor(path)
+
+
+def test_tensor_overflowing_dims_are_truncated_payload(tmp_path):
+    # 2^40 x 2^40 elements: a fixed-width product of the dims wraps to 0,
+    # which would match the empty payload
+    path = tmp_path / "t.ct4"
+    path.write_bytes(b"C4RT" + struct.pack("<BBI2Q", 1, 1, 2, 2**40, 2**40))
     with pytest.raises(TruncatedPayload):
         read_tensor(path)
 
