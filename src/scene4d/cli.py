@@ -6,7 +6,9 @@ randomness is routed through --seed flags into splitmix64 streams, so a
 repeated invocation with identical flags produces byte-identical output.
 
 Exit codes: 0 success, 2 invalid flags or unusable input files, 1
-computation-time error.
+computation-time error. Commands run with numpy floating-point warnings
+off: a numeric failure is reported by its exit code and JSON line, not by
+RuntimeWarnings on stderr.
 """
 
 from __future__ import annotations
@@ -313,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InputError, FileNotFoundError) as e:
         _emit({"error": {"type": type(e).__name__, "message": str(e)}})
         return 2

@@ -388,16 +388,19 @@ def _positions_over_time(spec: SceneSpec, oid: np.ndarray, base: np.ndarray) -> 
 def _lookup_pixels(points: np.ndarray, cam: CameraParams, depth: DepthMap):
     """Find the pixels that world points project to, and check them there.
 
-    Returns (iu, iv, inside, visible): the floored pixel indices, whether
-    the point is in front of the camera and on the image, and whether it
-    also lands on a valid pixel whose depth matches its camera-frame z
-    within VISIBILITY_DEPTH_TOL.
+    Returns (iu, iv, inside, visible): the floored pixel indices (-1 where
+    not inside), whether the point is in front of the camera and on the
+    image, and whether it also lands on a valid pixel whose depth matches
+    its camera-frame z within VISIBILITY_DEPTH_TOL. The bounds are tested
+    on the float coordinates, which is the same test as on their floors
+    and is false for inf and NaN (a point in the camera plane), so only
+    finite in-range values are cast to int.
     """
     h, w = depth.values.shape
     u, v, z, front = project_many(points, cam, h, w)
-    iu = np.floor(u).astype(np.int64)
-    iv = np.floor(v).astype(np.int64)
-    inside = front & (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
+    inside = front & (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    iu = np.floor(np.where(inside, u, -1.0)).astype(np.int64)
+    iv = np.floor(np.where(inside, v, -1.0)).astype(np.int64)
     visible = np.zeros(len(z), dtype=bool)
     sel = np.flatnonzero(inside)
     visible[sel] = depth.valid[iv[sel], iu[sel]] \

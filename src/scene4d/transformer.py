@@ -5,7 +5,10 @@ aggregation tokens | patch tokens] (the aggregation block is folded into
 the patch tokens under "add" fusion). The target frame gets its own
 aggregation token set, every other frame shares a second set; frame 0
 gets its own registration set, the rest share another. Layers alternate
-frame-restricted and global self-attention, frame scope first.
+frame-restricted and global self-attention, frame scope first. Attention
+holds one (L, L) score buffer per layer, reused for every (sequence, head)
+pair, and equals the dense (B, heads, L, L) softmax bitwise; memory still
+grows as L^2, so a global layer is quadratic in the frame count.
 
 There is no temporal position encoding: frame identity enters only through
 those special token sets, so permuting non-special frames permutes the
@@ -217,20 +220,38 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _self_attention(x: np.ndarray, lw: LayerWeights, n_heads: int, stats=None) -> np.ndarray:
-    """Multi-head self-attention over a batch of sequences (B, L, C)."""
+    """Multi-head self-attention over a batch of sequences (B, L, C).
+
+    One (L, L) float64 score buffer is reused for every (sequence, head)
+    pair. Each pair makes the same gemm call (same M, N, K) that numpy's
+    stacked matmul makes, and every softmax step works on whole contiguous
+    rows, so the result equals the dense (B, heads, L, L) kernel bitwise.
+    Rows are not split into blocks: splitting M changes gemm's rounding.
+    If `stats` is a list, the (B, heads, L) softmax row sums are appended
+    to it flattened.
+    """
     b, l, c = x.shape
     d = c // n_heads
     q = (x @ lw.wq).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
     k = (x @ lw.wk).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
     v = (x @ lw.wv).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(d)
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=-1, keepdims=True)
-    if stats is not None:
-        stats.append(w.sum(axis=-1).reshape(-1))
-    out = (w @ v).transpose(0, 2, 1, 3).reshape(b, l, c)
-    return out @ lw.wo
+    scale = math.sqrt(d)
+    w = np.empty((l, l))
+    out = np.empty((b, n_heads, l, d))
+    sums = None if stats is None else np.empty((b, n_heads, l))
+    for i in range(b):
+        for j in range(n_heads):
+            np.matmul(q[i, j], k[i, j].T, out=w)
+            w /= scale
+            w -= w.max(axis=-1, keepdims=True)
+            np.exp(w, out=w)
+            w /= w.sum(axis=-1, keepdims=True)
+            if sums is not None:
+                sums[i, j] = w.sum(axis=-1)
+            np.matmul(w, v[i, j], out=out[i, j])
+    if sums is not None:
+        stats.append(sums.reshape(-1))
+    return out.transpose(0, 2, 1, 3).reshape(b, l, c) @ lw.wo
 
 
 def attention_layer(frames: list[FrameTokens], lw: LayerWeights, scope: str,

@@ -2,7 +2,7 @@
 wrappers (`bench/spans.py`). A refactor that stops calling a traced
 function through its module's globals, or removes one, silently drops that
 layer from traced runs or crashes them; this drives the wrappers over the
-producer commands and fails instead."""
+producer commands and `forward` and fails instead."""
 
 import contextlib
 import importlib.util
@@ -10,9 +10,12 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
+
 import scene4d
 import scene4d.cli
 from conftest import demo_scene
+from scene4d.tensorio import read_tensor, write_tensor
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -31,11 +34,15 @@ def _run(argv):
     return code, buf.getvalue()
 
 
+def _originals(spans, rec):
+    return [(owner, attr, owner.__dict__[attr])
+            for owner, attr, _ in spans._wrappers(rec, scene4d)]
+
+
 def test_traced_producer_commands_record_spans_and_restore(tmp_path):
     spans = _load_spans()
     rec = spans.Recorder("test")
-    traced = [(owner, attr, owner.__dict__[attr])
-              for owner, attr, _ in spans._wrappers(rec, scene4d)]
+    traced = _originals(spans, rec)
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(
         demo_scene(n_frames=3, resolution=(16, 16), n_queries=12).to_dict()))
@@ -53,5 +60,36 @@ def test_traced_producer_commands_record_spans_and_restore(tmp_path):
             "synth.generate", "synth.tracks"} <= names
     assert spans.check_nesting(rec.spans) == []
     assert rec.counts[0]["raycast.rays"] == 3 * 16 * 16
+    for owner, attr, original in traced:
+        assert owner.__dict__[attr] is original, f"{attr} not restored"
+
+
+def test_traced_forward_records_attention_spans_and_restores(tmp_path):
+    spans = _load_spans()
+    rec = spans.Recorder("test")
+    traced = _originals(spans, rec)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    rng = np.random.default_rng(5)
+    for t in range(3):
+        write_tensor(frames / f"frame_{t:04d}.ct4", rng.random((32, 32, 3)))
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"dim": 32, "n_heads": 4, "patch": 8}))
+    dump = tmp_path / "features.ct4"
+
+    rec.iteration, rec.active = 0, True
+    with spans.instrument(rec, scene4d):
+        fwd = _run(["forward", "--frames", str(frames), "--target", "1",
+                    "--config", str(cfg), "--dump", str(dump)])
+    rec.active = False
+
+    assert fwd[0] == 0, fwd
+    assert read_tensor(dump).shape == (3, 16, 32)
+    names = [s[0] for s in rec.spans]
+    assert {"transformer.attn_frame", "transformer.attn_global",
+            "transformer.forward"} <= set(names)
+    assert names.count("transformer.attn_frame") == names.count("transformer.attn_global") == 2
+    assert spans.check_nesting(rec.spans) == []
+    assert rec.counts[0]["transformer.tokens"] == 3 * (1 + 4 + 4 + 16)
     for owner, attr, original in traced:
         assert owner.__dict__[attr] is original, f"{attr} not restored"

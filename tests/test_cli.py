@@ -160,6 +160,18 @@ def test_loss_check_non_finite_gradient_exits_one(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "NonFiniteDerivative"
 
 
+def test_loss_check_non_finite_gradient_leaves_stderr_empty(tmp_path):
+    cfgp = tmp_path / "loss.json"
+    cfgp.write_text(json.dumps({"beta": 1e200, "gamma": 2}))
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli", "loss-check",
+                           "--config", str(cfgp), "--trials", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "NonFiniteDerivative"
+    assert proc.stderr == ""
+
+
 def test_overflowing_tensor_header_exits_one(tmp_path, capsys):
     d = tmp_path / "d"
     d.mkdir()

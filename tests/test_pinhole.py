@@ -3,12 +3,14 @@
 one projection-to-pixel lookup. Each is checked bitwise against the forms
 it replaced, which are kept here verbatim as references."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import demo_scene, random_camera
+from conftest import demo_scene, identity_camera, random_camera
 from scene4d import synth
 from scene4d.errors import QueryInvalid
 from scene4d.geometry import (CameraParams, DepthMap, intrinsics, pixel_directions,
@@ -306,3 +308,16 @@ def test_generate_with_no_queries():
     assert traj.dynamic.shape == (0,) and traj.dynamic.dtype == bool
     assert traj.query_pixels.shape == (0, 2) and traj.query_pixels.dtype == np.int64
 
+
+def test_lookup_pixels_casts_only_finite_coordinates():
+    # the camera centre has z = 0 and projects to NaN; a point just in
+    # front of it projects far past the int64 range; neither may reach the
+    # int cast, so no RuntimeWarning is raised
+    cam = identity_camera()
+    d = _depth_map(SplitMix64(5), 8, 12)
+    pts = np.array([[0.0, 0.0, 0.0], [1e12, 0.0, 1e-8], [0.0, -1e12, 1e-8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iu, iv, inside, visible = synth._lookup_pixels(pts, cam, d)
+    assert not inside.any() and not visible.any()
+    assert (iu == -1).all() and (iv == -1).all()

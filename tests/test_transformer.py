@@ -2,16 +2,40 @@
 equivariance, head contracts. Weights are random but seeded; every check
 is numeric, none requires training."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from scene4d import transformer
 from scene4d.errors import (IndivisibleResolution, ShapeMismatch,
                             TargetOutOfRange)
 from scene4d.geometry import camera_decode
 from scene4d.rng import SplitMix64
-from scene4d.transformer import (AggregationFormer, FrameTokens, ModelConfig,
-                                 TokenBank, assemble, attention_layer,
-                                 forward, patchify)
+from scene4d.transformer import (AggregationFormer, FrameTokens, LayerWeights,
+                                 ModelConfig, TokenBank, _self_attention,
+                                 assemble, attention_layer, forward, patchify)
+
+
+def dense_self_attention(x, lw, n_heads, stats=None):
+    """The dense kernel, verbatim: (B, heads, L, L) scores in one array.
+    `_self_attention` must equal it bitwise."""
+    b, l, c = x.shape
+    d = c // n_heads
+    q = (x @ lw.wq).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
+    k = (x @ lw.wk).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
+    v = (x @ lw.wv).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(d)
+    scores -= scores.max(axis=-1, keepdims=True)
+    w = np.exp(scores)
+    w /= w.sum(axis=-1, keepdims=True)
+    if stats is not None:
+        stats.append(w.sum(axis=-1).reshape(-1))
+    out = (w @ v).transpose(0, 2, 1, 3).reshape(b, l, c)
+    return out @ lw.wo
 
 
 def _images(n, h=32, w=32, seed=0):
@@ -134,7 +158,6 @@ def test_global_scope_mixes_frames(model):
 
 
 def test_single_token_attention_is_value_projection(model):
-    from scene4d.transformer import _self_attention
     lw = model.bank.layers[0]
     x = SplitMix64(3).uniform_array(32).reshape(1, 1, 32)
     out = _self_attention(x, lw, model.config.n_heads)
@@ -147,6 +170,84 @@ def test_softmax_rows_sum_to_one(model):
     sums = np.concatenate(res.softmax_row_sums)
     assert len(res.softmax_row_sums) == model.config.n_layers
     assert np.max(np.abs(sums - 1.0)) < 1e-6
+
+
+def _attention_weights(rng, c):
+    def draw(*shape, std=0.5):
+        return rng.normal_array(int(np.prod(shape)), 0.0, std).reshape(shape)
+    return LayerWeights(wq=draw(c, c), wk=draw(c, c), wv=draw(c, c), wo=draw(c, c),
+                        w1=np.zeros((c, 4 * c)), w2=np.zeros((4 * c, c)),
+                        ln1_g=np.ones(c), ln1_b=np.zeros(c),
+                        ln2_g=np.ones(c), ln2_b=np.zeros(c))
+
+
+attention_cases = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4),
+                            st.integers(1, 70), st.integers(1, 4), st.integers(1, 9),
+                            st.sampled_from([0.1, 1.0, 8.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(attention_cases, st.booleans())
+@example((0, 1, 1, 1, 1, 1.0), True)
+@example((1, 1, 1, 4, 8, 1.0), False)
+@example((2, 3, 1, 2, 3, 1.0), True)
+@example((3, 1, 33, 4, 16, 8.0), True)
+@example((4, 5, 17, 3, 5, 0.1), False)
+def test_self_attention_bitwise_equals_dense(case, with_stats):
+    seed, b, l, n_heads, d, scale = case
+    rng = SplitMix64(seed)
+    lw = _attention_weights(rng, n_heads * d)
+    x = rng.normal_array(b * l * n_heads * d, 0.0, scale).reshape(b, l, n_heads * d)
+    stats, ref_stats = ([], []) if with_stats else (None, None)
+    out = _self_attention(x, lw, n_heads, stats)
+    ref = dense_self_attention(x, lw, n_heads, ref_stats)
+    assert out.shape == ref.shape == (b, l, n_heads * d)
+    assert np.array_equal(out, ref)
+    if with_stats:
+        assert len(stats) == len(ref_stats) == 1
+        assert stats[0].shape == ref_stats[0].shape == (b * n_heads * l,)
+        assert np.array_equal(stats[0], ref_stats[0])
+
+
+def _bench_frames(n=8, size=256):
+    return _images(n, size, size, seed=21)
+
+
+@pytest.mark.parametrize("fusion", ["concatenate", "add"])
+def test_forward_bitwise_equals_dense_kernel(fusion, monkeypatch):
+    # 8 frames of 256^2: L = 265 per frame, 2120 at global scope
+    model = AggregationFormer(ModelConfig(fusion=fusion))
+    imgs = _bench_frames()
+    res = model.forward(imgs, 3, collect_stats=True)
+    monkeypatch.setattr(transformer, "_self_attention", dense_self_attention)
+    ref = model.forward(imgs, 3, collect_stats=True)
+    assert np.array_equal(res.patch_features, ref.patch_features)
+    assert np.array_equal(res.cam_features, ref.cam_features)
+    assert np.array_equal(model.head_camera(res.cam_features),
+                          model.head_camera(ref.cam_features))
+    assert len(res.frames) == len(ref.frames) == 8
+    for f, g in zip(res.frames, ref.frames):
+        assert np.array_equal(f.tokens, g.tokens)
+    assert len(res.softmax_row_sums) == len(ref.softmax_row_sums) == 4
+    for s, t in zip(res.softmax_row_sums, ref.softmax_row_sums):
+        assert s.shape == t.shape and np.array_equal(s, t)
+
+
+def test_global_attention_layer_memory_bound():
+    # one (2120, 2120) float64 score buffer is 36 MB; the dense kernel held
+    # (4, 2120, 2120) arrays three times over and peaked at about 300 MB
+    model = AggregationFormer(ModelConfig())
+    patches = [patchify(im, model.bank) for im in _bench_frames()]
+    frames = assemble(patches, 3, model.bank)
+    assert sum(f.tokens.shape[0] for f in frames) == 2120
+    tracemalloc.start()
+    try:
+        out = attention_layer(frames, model.bank.layers[1], "global", model.config.n_heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 8
+    assert peak < 64e6
 
 
 # ---------------------------------------------------------------------------
