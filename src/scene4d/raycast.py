@@ -25,11 +25,32 @@ Errors that large need det to be rounding noise near its 1e-12 guard:
 coordinates far beyond 1e3, or an origin within about 1e-12 of the plane
 of a triangle its ray grazes.
 
-Memory: rays walk the tree _RAY_CHUNK at a time and the (ray, leaf) pairs
-that survive are tested _PAIR_BLOCK at a time. Working memory is therefore
-set by those constants and the number of leaf boxes a ray crosses, not by
-the triangle count (the brute-force form needed rays x triangles x 3
-floats per temporary).
+Coherent rays are culled in packets, as in packet and frustum traversal
+(Wald, Slusallek, Benthin & Wagner 2001; Reshetov, Soupikov & Hurley
+2005). Each _PACKET consecutive rays get a cone through the origin built
+from their own directions: all of them must be finite and strictly of one
+sign s on the packet's dominant axis k, and for each other axis i the
+cone spans the packet's [min, max] of d_i / |d_k|, widened by
+1e-9 (1 + |bound|). That widening is far above the rounding of the
+ratios, so the exact cone holds every exact ray. A box is culled only
+when it lies wholly outside one of the cone's five planes by more than
+the rounding of that test, so no box the exact cone meets is culled. A
+pair the full test accepts has its ray inside the padded leaf box by a
+margin the argument above already provides, so its packet keeps that
+leaf and every ancestor (each contains the leaf); the ray then takes the
+slab test against the leaf alone. Rays of a packet without a cone (a
+zero, non-finite or sign-mixed direction), or whose cone keeps more than
+2 x (tree levels) nodes at some level (incoherent directions, where the
+cone is too wide to help), walk the tree ray by ray. The result does not
+depend on the ray order; coherent order only lets more be culled.
+
+Memory: rays are processed _RAY_CHUNK at a time. A packet keeps at most
+2 x (tree levels) nodes per level, its (ray, leaf) candidates are
+expanded _PAIR_BLOCK at a time, and the (ray, leaf) pairs that survive
+are tested _PAIR_BLOCK at a time. Working memory is therefore set by
+those constants and the number of leaf boxes a ray crosses, not by the
+triangle count (the brute-force form needed rays x triangles x 3 floats
+per temporary).
 """
 
 from __future__ import annotations
@@ -46,6 +67,7 @@ _RAY_CHUNK = 4096     # rays walked down the tree together
 _PAIR_BLOCK = 4096    # (ray, leaf) pairs expanded to triangles together
 _PAD_REL = 1e-3       # leaf box pad, relative to the box's largest extent,
 _PAD_ABS = 1e-6       # plus this much in scene units
+_PACKET = 16          # consecutive rays culled together by their frustum
 
 
 @dataclass
@@ -123,18 +145,14 @@ def raycast_batch(origin, directions, triangles):
         terms = [np.concatenate([a, np.zeros((1,) + a.shape[1:])])[leaf_tri]
                  for a in (e1, e2, tvec, qvec, tq)]
         levels = [((lo - origin).T, (hi - origin).T) for lo, hi in levels]
-        with np.errstate(divide="ignore", over="ignore"):
-            inv_d = (1.0 / dirs).T
         for start in range(0, n, _RAY_CHUNK):
-            ray, leaf = _walk(levels, inv_d, np.arange(start, min(start + _RAY_CHUNK, n)))
-            found = [_pair_test(dirs, terms, leaf_tri, ray[s:s + _PAIR_BLOCK], leaf[s:s + _PAIR_BLOCK])
-                     for s in range(0, len(ray), _PAIR_BLOCK)]
+            found = _cast_chunk(dirs[start:start + _RAY_CHUNK], levels, terms, leaf_tri)
             if not found:
                 continue
             r, tri, t, b1, b2 = (np.concatenate(col) for col in zip(*found))
             nearest = np.lexsort((tri, t, r))
             first = nearest[np.unique(r[nearest], return_index=True)[1]]
-            win = r[first]
+            win = start + r[first]
             best_t[win], best_tri[win] = t[first], tri[first]
             bb1[win], bb2[win] = b1[first], b2[first]
 
@@ -143,6 +161,43 @@ def raycast_batch(origin, directions, triangles):
     bary = np.stack([1.0 - bb1 - bb2, bb1, bb2], axis=1)
     bary[~hit] = 0.0
     return best_t, tri_index, bary
+
+
+def _cast_chunk(dirs, levels, terms, leaf_tri):
+    """The accepted (ray, tri, t, b1, b2) pairs of one chunk of rays, as a
+    list of blocks; ray indices are local to the chunk.
+
+    Packets of _PACKET consecutive rays walk the tree with their frustum;
+    the rays of a packet then take the slab test against its surviving
+    leaves only. Rays of packets without a frustum, or whose frustum keeps
+    more than 2 x (tree levels) nodes at some level, walk the tree alone.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_d = (1.0 / dirs).T
+    planes, cut, bounded = _packet_frustums(dirs, *levels[-1])
+    packet, leaf, wide = _walk(
+        levels, lambda lo, hi, p: _meets_frustum(lo, hi, planes[:, :, p], cut[:, p]),
+        np.flatnonzero(bounded), cap=2 * len(levels))
+    lone, _ = _packet_rays(np.union1d(np.flatnonzero(~bounded), wide), len(dirs))
+    ray, lone_leaf, _ = _walk(levels, lambda lo, hi, r: _crosses(lo, hi, inv_d[:, r]), lone)
+    found = [_pair_test(dirs, terms, leaf_tri, ray[s:s + _PAIR_BLOCK], lone_leaf[s:s + _PAIR_BLOCK])
+             for s in range(0, len(ray), _PAIR_BLOCK)]
+    leaf_lo, leaf_hi = levels[0]
+    step = _PAIR_BLOCK // _PACKET
+    for s in range(0, len(packet), step):
+        ray, keep = _packet_rays(packet[s:s + step], len(dirs))
+        lf = np.repeat(leaf[s:s + step], _PACKET)[keep]
+        keep = _crosses(leaf_lo[:, lf], leaf_hi[:, lf], inv_d[:, ray])
+        found.append(_pair_test(dirs, terms, leaf_tri, ray[keep], lf[keep]))
+    return found
+
+
+def _packet_rays(packet, n):
+    """The rays of the given packets of an n-ray chunk, and which of the
+    _PACKET slots per packet hold a ray (the last packet may be short)."""
+    ray = (packet[:, None] * _PACKET + np.arange(_PACKET)).ravel()
+    keep = ray < n
+    return ray[keep], keep
 
 
 def _pair_test(dirs, terms, leaf_tri, ray, leaf):
@@ -154,16 +209,18 @@ def _pair_test(dirs, terms, leaf_tri, ray, leaf):
     """
     e1, e2, tvec, qvec, tq = (np.take(a, leaf, axis=0) for a in terms)   # (P, _LEAF_SIZE[, 3])
     d = dirs[ray]
-    pvec = np.cross(d[:, None, :], e2)
-    det = np.einsum("plk,plk->pl", e1, pvec)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Determinants below the guard may be subnormal, and non-finite input
+    # makes nan; neither can pass the tests below, so neither warns.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pvec = np.cross(d[:, None, :], e2)
+        det = np.einsum("plk,plk->pl", e1, pvec)
         inv_det = np.where(np.abs(det) >= _DET_EPS, 1.0 / det, 0.0)
-    b1 = np.einsum("plk,plk->pl", tvec, pvec) * inv_det
-    b2 = np.einsum("pk,plk->pl", d, qvec) * inv_det
-    t = tq * inv_det
-    ok = (np.abs(det) >= _DET_EPS) \
-        & (b1 >= -_BARY_EPS) & (b2 >= -_BARY_EPS) \
-        & (b1 + b2 <= 1.0 + _BARY_EPS) & (t > _T_MIN)
+        b1 = np.einsum("plk,plk->pl", tvec, pvec) * inv_det
+        b2 = np.einsum("pk,plk->pl", d, qvec) * inv_det
+        t = tq * inv_det
+        ok = (np.abs(det) >= _DET_EPS) \
+            & (b1 >= -_BARY_EPS) & (b2 >= -_BARY_EPS) \
+            & (b1 + b2 <= 1.0 + _BARY_EPS) & (t > _T_MIN)
     pair, slot = np.nonzero(ok)
     return ray[pair], leaf_tri[leaf[pair], slot], t[ok], b1[ok], b2[ok]
 
@@ -213,20 +270,33 @@ def _leaf_tree(tris):
     return leaf_tri.reshape(-1, _LEAF_SIZE), levels
 
 
-def _walk(levels, inv_d, ray):
-    """Breadth-first descent from the root: the (ray, leaf) pairs whose
-    boxes the rays cross. Box corners in `levels` are (3, nodes) arrays
-    relative to the origin; inv_d is (3, rays)."""
-    node = np.zeros(len(ray), dtype=np.int64)
+def _walk(levels, crosses, item, cap=None):
+    """Breadth-first descent from the root: the (item, leaf) pairs whose
+    boxes pass `crosses(lo, hi, item)`, and the items dropped for keeping
+    more than `cap` nodes at some level.
+
+    Box corners in `levels` are (3, nodes) arrays relative to the origin;
+    `crosses` gets the corners of each (item, node) pair as (3, pairs)
+    arrays and its items, and returns a keep mask.
+    """
+    node = np.zeros(len(item), dtype=np.int64)
+    dropped = [np.zeros(0, dtype=np.int64)]
     for depth, (lo, hi) in enumerate(reversed(levels)):
         if depth:
-            ray = np.repeat(ray, 2)
+            item = np.repeat(item, 2)
             node = (2 * node[:, None] + (0, 1)).ravel()
             keep = node < lo.shape[1]
-            ray, node = ray[keep], node[keep]
-        keep = _crosses(lo[:, node], hi[:, node], inv_d[:, ray])
-        ray, node = ray[keep], node[keep]
-    return ray, node
+            item, node = item[keep], node[keep]
+        keep = crosses(lo[:, node], hi[:, node], item)
+        item, node = item[keep], node[keep]
+        if not len(item):
+            break
+        if cap is not None:
+            wide = np.bincount(item)[item] > cap
+            if wide.any():
+                dropped.append(np.unique(item[wide]))
+                item, node = item[~wide], node[~wide]
+    return item, node, np.concatenate(dropped)
 
 
 def _crosses(lo, hi, inv_d):
@@ -245,3 +315,68 @@ def _crosses(lo, hi, inv_d):
     enter = np.fmax(np.fmax(near[0], near[1]), near[2])
     leave = np.fmin(np.fmin(far[0], far[1]), far[2])
     return (enter <= leave) & (leave >= 0.0)
+
+
+def _packet_frustums(dirs, root_lo, root_hi):
+    """Inward normals (3, 5, packets) of a cone through the origin that
+    holds every ray of each packet, the cut (5, packets) below which a box
+    lies outside a plane, and which packets have a cone.
+
+    A packet is bounded when all its directions are finite and strictly of
+    one sign s on its dominant axis k. Each ray is then |d_k| (s, r_i, r_j)
+    in (k, i, j) order, and the cone is s x_k >= 0 together with
+    lo_i <= s x_i / x_k <= hi_i for the packet's widened [lo_i, hi_i] of
+    each ratio r_i = d_i / |d_k|.
+
+    A box corner c sits outside plane n when n . c < 0 by more than that
+    sum's rounding. For every box of the tree, that rounding is below
+    1e-12 |n|_1 times the sum over axes of the root box's largest corner
+    magnitude (the root holds every box), plus the smallest normal float
+    for underflow; the cut is minus that bound. It is inf or nan, and
+    culls nothing, when the bound overflows or the root box is not finite.
+    """
+    n = len(dirs)
+    starts = np.arange(0, n, _PACKET)
+    owner = np.arange(n) // _PACKET
+    packet = np.arange(len(starts))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        k = np.argmax(np.abs(np.add.reduceat(dirs, starts)), axis=1)
+        dk = dirs[np.arange(n), k[owner]]
+        s = np.sign(dk[starts])
+        ok = np.isfinite(dirs).all(axis=1) & (dk * s[owner] > 0)
+        ratio = dirs / np.abs(dk)[:, None]
+        # The widening dwarfs the rounding of each ratio, so every exact
+        # ratio lies inside [lo, hi].
+        lo = np.minimum.reduceat(ratio, starts)
+        hi = np.maximum.reduceat(ratio, starts)
+        lo -= 1e-9 * (1.0 + np.abs(lo))
+        hi += 1e-9 * (1.0 + np.abs(hi))
+        bounded = np.logical_and.reduceat(ok, starts) \
+            & np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+        # Plane 0 is s x_k >= 0. For the other axes i, planes 1-4 are
+        # x_i - lo_i s x_k >= 0 and -x_i + hi_i s x_k >= 0.
+        other = (k[:, None] + (1, 1, 2, 2)) % 3                          # (packets, 4)
+        bound = np.stack([lo, -hi], axis=2).reshape(-1, 6)[
+            packet[:, None], 2 * other + (0, 1, 0, 1)]                   # lo_i, -hi_i, ...
+        planes = np.zeros((3, 5, len(starts)))
+        planes[k, 0, packet] = s
+        planes[other, (1, 2, 3, 4), packet[:, None]] = (1.0, -1.0, 1.0, -1.0)
+        planes[k[:, None], (1, 2, 3, 4), packet[:, None]] = -bound * s[:, None]
+        size = np.maximum(np.abs(root_lo), np.abs(root_hi)).sum()
+        cut = -(1e-12 * (np.abs(planes).sum(axis=0) * size) + np.finfo(np.float64).tiny)
+    return planes, cut, bounded
+
+
+def _meets_frustum(lo, hi, planes, cut):
+    """Conservative box-frustum test: False only when the box [lo, hi]
+    lies wholly outside one plane of its packet's cone.
+
+    lo and hi are (3, P), planes (3, 5, P) and cut (5, P). The corner of
+    a box farthest along an inward normal n has n . c = sum over axes of
+    max(n lo, n hi); the box is outside when that is below the cut. A box
+    whose n . c overflows or is nan is kept.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        reach = np.maximum(planes * lo[:, None], planes * hi[:, None])
+        reach = reach[0] + reach[1] + reach[2]                           # (5, P)
+    return ~((reach < cut) & (reach > -np.inf)).any(axis=0)

@@ -21,7 +21,6 @@ depth is > 0 (the renderer never emits a zero depth for a hit).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import struct
@@ -108,8 +107,20 @@ def write_ply(path, cloud: np.ndarray, normals: np.ndarray | None = None) -> Non
         for p in props:
             f.write(f"property float {p}\n")
         f.write("end_header\n")
-        for row in rows:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
+        _write_rows(f, lambda row: " ".join(map(repr, row)) + "\n", rows)
+
+
+def _write_rows(f, line, *columns):
+    """Write `line(*row)` for each row of the equal-length `columns`.
+
+    Rows are converted to Python objects 1024 at a time: one `tolist` per
+    block is much faster than converting value by value, and the block
+    keeps the converted copy small. `repr` of a Python float is the
+    shortest string that reads back to the same double, and a float32
+    converts to a double exactly, so the text is that of `repr(float(v))`.
+    """
+    for start in range(0, len(columns[0]), 1024):
+        f.writelines(map(line, *(c[start:start + 1024].tolist() for c in columns)))
 
 
 def _read_ply_header(f, path):
@@ -187,15 +198,15 @@ _TRAJECTORY_HEADER = list(_TRAJECTORY_DTYPE.names)
 
 
 def write_trajectories(path, traj: TrajectorySet) -> None:
+    """One row per (track, frame), track-major, with CRLF line ends."""
+    m, n = traj.n_tracks, traj.n_frames
     with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(_TRAJECTORY_HEADER)
-        for m in range(traj.n_tracks):
-            dyn = int(traj.dynamic[m])
-            for t in range(traj.n_frames):
-                p = traj.positions[m, t]
-                wr.writerow([m, t, repr(float(p[0])), repr(float(p[1])),
-                             repr(float(p[2])), int(traj.visible[m, t]), dyn])
+        f.write(",".join(_TRAJECTORY_HEADER) + "\r\n")
+        _write_rows(f, lambda i, t, p, vis, dyn:
+                    f"{i},{t},{p[0]!r},{p[1]!r},{p[2]!r},{vis},{dyn}\r\n",
+                    np.repeat(np.arange(m), n), np.tile(np.arange(n), m),
+                    traj.positions.reshape(-1, 3), traj.visible.reshape(-1).astype(np.int64),
+                    np.repeat(traj.dynamic.astype(np.int64), n))
 
 
 def read_trajectories(path) -> TrajectorySet:

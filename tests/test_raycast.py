@@ -4,16 +4,17 @@ barycentric region, and working memory that stays flat in triangle count."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import demo_scene, identity_camera
+from conftest import demo_scene, identity_camera, random_camera
 from scene4d import synth
-from scene4d.geometry import intrinsics
-from scene4d.raycast import raycast, raycast_batch
+from scene4d.geometry import intrinsics, pixel_directions
+from scene4d.raycast import _PACKET, _packet_frustums, raycast, raycast_batch
 from scene4d.rng import SplitMix64
 from scene4d.synth import SceneObject, SceneSpec, plane_mesh, spin_path
 
@@ -257,3 +258,101 @@ def test_memory_flat_in_triangle_count(slices, stacks):
         tracemalloc.stop()
     assert (idx >= 0).sum() > 1000
     assert peak < 64e6
+
+
+# ---------------------------------------------------------------------------
+# packet culling
+
+def _camera_soup(rng, n_front, n_behind, n_straddle):
+    """Camera-frame triangles: in front of the camera, behind it, across
+    its plane, one whose padded box holds the camera centre, and two in
+    planes through the centre, so some pixel rays graze them."""
+    def tris(count, z_lo, z_hi):
+        centre = rng.uniform(-1, 1, (count, 1, 3)) * [2.5, 2.5, 0] \
+            + np.column_stack([np.zeros((count, 2)), rng.uniform(z_lo, z_hi, count)])[:, None]
+        return centre + rng.normal(0, 0.6, (count, 3, 3))
+    around = np.array([[[-0.1, -0.1, 0.05], [0.1, -0.1, -0.05], [0.0, 0.1, 0.0]]])
+    a, b = rng.normal(0, 1, (2, 3)) + [0, 0, 3]
+    through = np.array([[a, b, a + b], [2 * a, 0.5 * b, a - b]])
+    return np.concatenate([tris(n_front, 1, 6), -tris(n_behind, 1, 6),
+                           tris(n_straddle, -0.5, 0.5), around, through])
+
+
+@st.composite
+def pinhole_batches(draw):
+    """(origin, directions, triangles): pixel rays of a random camera, with
+    resolutions not a multiple of the packet size, optionally some rays
+    made zero, non-finite or sign-flipped, against a camera-frame soup."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cam = random_camera(SplitMix64(seed))
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    dirs = pixel_directions(cam, h, w).reshape(-1, 3) @ cam.rotation    # R^T d per row
+    soup = _camera_soup(rng, draw(st.integers(0, 12)), draw(st.integers(0, 4)),
+                        draw(st.integers(0, 4)))
+    dup = draw(st.lists(st.integers(0, len(soup) - 1), max_size=3))
+    soup = np.concatenate([soup, soup[dup]])             # equal t: index tie-break
+    for kind in draw(st.lists(st.sampled_from(["zero", "nan", "inf", "flip"]), max_size=4)):
+        i = draw(st.integers(0, len(dirs) - 1))
+        dirs[i] = {"zero": [0.0, 0.0, 0.0], "nan": [np.nan, 0.0, 1.0],
+                   "inf": [0.0, -np.inf, 1.0], "flip": -dirs[i]}[kind]
+    return cam.center(), dirs, (soup - cam.t) @ cam.rotation     # soup in the world frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinhole_batches())
+def test_packets_bitwise_equal_brute_force_on_pinhole_batches(case):
+    origin, dirs, tris = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = brute_force_raycast_batch(origin, dirs, tris)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = raycast_batch(origin, dirs, tris)
+    assert_bitwise_equal(got, want)
+
+
+def test_packet_frustum_bounds_only_one_signed_finite_packets():
+    # A zero, nan, inf or sign-flipped ray leaves its packet without a
+    # cone; every other packet's cone holds each of its rays.
+    dirs = camera_rays(9) @ random_camera(SplitMix64(3)).rotation   # 5 full packets, 1 short
+    assert len(dirs) % _PACKET
+    dirs[[3, 20, 40, 60]] = [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                             [0.0, np.inf, 1.0], -dirs[60]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        planes, cut, bounded = _packet_frustums(dirs, -np.ones((3, 1)), np.ones((3, 1)))
+    assert planes.shape == (3, 5, 6) and cut.shape == (5, 6)
+    assert bounded.tolist() == [False, False, False, False, True, True]
+    for p in (4, 5):
+        rays = dirs[p * _PACKET:(p + 1) * _PACKET]
+        assert (rays @ planes[:, :, p] > 0).all()
+
+
+@pytest.mark.parametrize("hemisphere", [False, True], ids=["sphere", "hemisphere"])
+def test_memory_flat_for_incoherent_rays(hemisphere):
+    # Random directions make wide packet frustums that keep most of the
+    # tree; such packets must fall back to the per-ray walk instead of
+    # expanding every surviving leaf to all their rays.
+    verts, faces = jittered_sphere(9, 64, 33, [0.0, 0.0, 3.0], 1.6)
+    tris = verts[faces]
+    dirs = SplitMix64(21).normal_array(4096 * 3).reshape(-1, 3)
+    if hemisphere:
+        dirs[:, 2] = np.abs(dirs[:, 2])
+    tracemalloc.start()
+    try:
+        _, idx, _ = raycast_batch([0, 0, 0], dirs, tris)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (idx >= 0).sum() > 100
+    assert peak < 64e6
+
+
+def test_subnormal_determinant_does_not_warn():
+    # det = -1e-320 is below the 1e-12 guard, and 1 / det overflows: the
+    # pair is rejected without a RuntimeWarning.
+    tri = np.array([[0.0, 0, 2], [1e-160, 0, 2], [0, 1e-160, 2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, idx, bary = raycast_batch([0, 0, 0], [[0.0, 0, 1], [1e-200, 1e-200, 1]], tri[None])
+    assert idx.tolist() == [-1, -1] and np.isinf(t).all() and not bary.any()

@@ -1,5 +1,6 @@
 """File formats: tensor container, PLY, trajectory CSV, dataset round-trips."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -357,3 +358,116 @@ def test_fuzz_read_trajectories_parses_or_raises_input_error(tmp_path_factory, r
     m, n = traj.visible.shape
     assert traj.positions.shape == (m, n, 3) and traj.dynamic.shape == (m,)
     assert m * n == len(rows)
+
+
+# ---------------------------------------------------------------------------
+# writers: byte-identical to the value-by-value loops they replaced
+
+def reference_write_ply(path, cloud, normals=None):
+    """The value-by-value PLY writer, kept verbatim as the byte reference."""
+    cloud = np.asarray(cloud, dtype=np.float32).reshape(-1, 3)
+    cols = [cloud]
+    props = ["x", "y", "z"]
+    if normals is not None:
+        normals = np.asarray(normals, dtype=np.float32).reshape(-1, 3)
+        cols.append(normals)
+        props += ["nx", "ny", "nz"]
+    rows = np.concatenate(cols, axis=1)
+    with open(path, "w") as f:
+        f.write("ply\nformat ascii 1.0\n")
+        f.write(f"element vertex {len(cloud)}\n")
+        for p in props:
+            f.write(f"property float {p}\n")
+        f.write("end_header\n")
+        for row in rows:
+            f.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def reference_write_trajectories(path, traj):
+    """The row-by-row csv.writer trajectory writer, kept verbatim."""
+    import csv
+    with open(path, "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(["track_id", "frame", "x", "y", "z", "visible", "dynamic"])
+        for m in range(traj.n_tracks):
+            dyn = int(traj.dynamic[m])
+            for t in range(traj.n_frames):
+                p = traj.positions[m, t]
+                wr.writerow([m, t, repr(float(p[0])), repr(float(p[1])),
+                             repr(float(p[2])), int(traj.visible[m, t]), dyn])
+
+
+def _bit_pattern_floats(seed, shape, dtype):
+    """Uniformly random bit patterns of `dtype`: subnormals, -0.0, huge
+    magnitudes and (for float64) nan and inf all turn up."""
+    uint = np.uint32 if dtype == np.float32 else np.uint64
+    bits = np.random.default_rng(seed).integers(0, np.iinfo(uint).max, size=shape,
+                                                dtype=uint, endpoint=True)
+    return bits.view(dtype)
+
+
+_SPECIAL_F32 = np.array([-0.0, 0.0, 1e-45, -1e-45, 1.1754944e-38, 3.4028235e38,
+                         -3.4028235e38, 0.1, 1 / 3, 16777217.0, 1e-7, 2.5], dtype=np.float32)
+
+
+def test_write_ply_golden_bytes(tmp_path):
+    # 2500 rows cross the writer's 1024-row blocks twice; the first rows are
+    # the special values, the rest random finite float32 bit patterns.
+    rows = _bit_pattern_floats(3, (2500, 6), np.float32)
+    rows[~np.isfinite(rows)] = -0.0
+    rows[:2] = _SPECIAL_F32.reshape(2, 6)
+    path = tmp_path / "g.ply"
+    write_ply(path, rows[:, :3], rows[:, 3:])
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        "f8a0e1b24503c6aeb54a9bdfcb988e367d70930925d0d409a311d89cff85363e"
+    body = data.split(b"end_header\n", 1)[1].split(b"\n")
+    assert body[0] == b"-0.0 0.0 1.401298464324817e-45 -1.401298464324817e-45 " \
+                      b"1.1754943508222875e-38 3.4028234663852886e+38"
+    assert body[1] == b"-3.4028234663852886e+38 0.10000000149011612 " \
+                      b"0.3333333432674408 16777216.0 1.0000000116860974e-07 2.5"
+    reference_write_ply(tmp_path / "r.ply", rows[:, :3], rows[:, 3:])
+    assert data == (tmp_path / "r.ply").read_bytes()
+
+
+def test_write_trajectories_golden_bytes(tmp_path):
+    # 400 tracks x 7 frames = 2800 rows: three writer blocks.
+    pos = _bit_pattern_floats(4, (400, 7, 3), np.float64)
+    pos[0, 0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    rng = np.random.default_rng(5)
+    traj = TrajectorySet(positions=pos, visible=rng.random((400, 7)) < 0.5,
+                         dynamic=rng.random(400) < 0.5)
+    path = tmp_path / "t.csv"
+    write_trajectories(path, traj)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        "b25cedd376ee50b210a970e381b822f8cd4dee171ffc0a428bdeaf3990220b1a"
+    lines = data.split(b"\r\n")
+    assert lines[0] == b"track_id,frame,x,y,z,visible,dynamic"
+    assert lines[1].startswith(b"0,0,-0.0,5e-324,1.7976931348623157e+308,")
+    reference_write_trajectories(tmp_path / "r.csv", traj)
+    assert data == (tmp_path / "r.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2100), st.booleans())
+def test_write_ply_bytes_equal_reference(tmp_path_factory, seed, n, with_normals):
+    rows = _bit_pattern_floats(seed, (n, 6), np.float32)
+    rows[~np.isfinite(rows)] = -0.0
+    normals = rows[:, 3:] if with_normals else None
+    d = tmp_path_factory.mktemp("ply")
+    write_ply(d / "a.ply", rows[:, :3], normals)
+    reference_write_ply(d / "b.ply", rows[:, :3], normals)
+    assert (d / "a.ply").read_bytes() == (d / "b.ply").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(0, 9))
+def test_write_trajectories_bytes_equal_reference(tmp_path_factory, seed, m, n):
+    rng = np.random.default_rng(seed)
+    traj = TrajectorySet(positions=_bit_pattern_floats(seed, (m, n, 3), np.float64),
+                         visible=rng.random((m, n)) < 0.5, dynamic=rng.random(m) < 0.5)
+    d = tmp_path_factory.mktemp("csv")
+    write_trajectories(d / "a.csv", traj)
+    reference_write_trajectories(d / "b.csv", traj)
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
