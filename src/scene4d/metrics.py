@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (DegenerateConfiguration, DegenerateScale, EmptyCloud,
                      EmptyReference, NoSamples, NoValidPixels, TooFewPoints)
@@ -62,6 +61,13 @@ class PoseMetrics:
 # ---------------------------------------------------------------------------
 # point-cloud primitives
 
+def cKDTree(data, *args, **kwargs):  # noqa: N802  (stands in for the class)
+    """scipy's `cKDTree(data, ...)`. scipy.spatial is imported on the first
+    call, so commands that build no tree start without it."""
+    from scipy.spatial import cKDTree as tree
+    return tree(data, *args, **kwargs)
+
+
 def downsample_random(cloud: np.ndarray, n_max: int, seed: int) -> np.ndarray:
     """Uniform sample without replacement, order-stable; identity when the
     cloud already fits."""
@@ -105,12 +111,12 @@ def accuracy_completion(pred: np.ndarray, gt: np.ndarray,
 
 
 def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS,
-                     tree: cKDTree | None = None) -> np.ndarray:
+                     tree=None) -> np.ndarray:
     """Per-point unit normals from k-NN covariance (smallest eigenvector).
 
     The k neighbors include the point itself. Sign is arbitrary; consumers
     use absolute dot products. `tree`, when given, must be a KD-tree built
-    on `cloud`; it saves building another.
+    on `cloud` by `cKDTree`; it saves building another.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     if k < 3:

@@ -107,20 +107,26 @@ def write_ply(path, cloud: np.ndarray, normals: np.ndarray | None = None) -> Non
         for p in props:
             f.write(f"property float {p}\n")
         f.write("end_header\n")
-        _write_rows(f, lambda row: " ".join(map(repr, row)) + "\n", rows)
+        _write_rows(f, " ".join(["%r"] * len(props)) + "\n", *rows.T)
 
 
-def _write_rows(f, line, *columns):
-    """Write `line(*row)` for each row of the equal-length `columns`.
+def _write_rows(f, template, *columns):
+    """Write `template % row` for each row of the equal-length `columns`.
 
-    Rows are converted to Python objects 1024 at a time: one `tolist` per
-    block is much faster than converting value by value, and the block
-    keeps the converted copy small. `repr` of a Python float is the
-    shortest string that reads back to the same double, and a float32
-    converts to a double exactly, so the text is that of `repr(float(v))`.
+    Rows go out 1024 at a time: each column's block is converted with one
+    `tolist`, interleaved into one flat list, and the block is formatted
+    with a single `%` on the template repeated once per row. `%r` of a
+    Python float is its `repr`, the shortest string that reads back to the
+    same double, and a float32 converts to a double exactly, so the text
+    is that of `repr(float(v))`; `%d` of a Python int is its `str`.
     """
+    ncols = len(columns)
     for start in range(0, len(columns[0]), 1024):
-        f.writelines(map(line, *(c[start:start + 1024].tolist() for c in columns)))
+        block = [c[start:start + 1024].tolist() for c in columns]
+        flat = [None] * (len(block[0]) * ncols)
+        for j, values in enumerate(block):
+            flat[j::ncols] = values
+        f.write(template * len(block[0]) % tuple(flat))
 
 
 def _read_ply_header(f, path):
@@ -162,20 +168,22 @@ def _read_ply_header(f, path):
 def read_ply(path):
     """Returns (points (n,3), normals (n,3) or None).
 
-    The body must hold n_vertex rows of one number per declared property;
-    blank lines and rows past n_vertex are ignored. Anything else raises
-    MalformedHeader.
+    The body must hold n_vertex rows of one number per declared property,
+    with no blank or whitespace-only line among them; rows past n_vertex
+    are ignored. Anything else raises MalformedHeader.
     """
     try:
         with open(path) as f:
             n_vertex, props = _read_ply_header(f, path)
-            with warnings.catch_warnings():
-                # empty bodies and skipped blank lines only warn; the checks below decide
-                warnings.simplefilter("ignore", UserWarning)
+            with warnings.catch_warnings(record=True) as caught:
+                # an empty body and each skipped blank line only warn; the checks below decide
+                warnings.simplefilter("always", UserWarning)
                 vals = np.loadtxt(f, dtype=np.float64, comments=None,
                                   max_rows=n_vertex, ndmin=2)
     except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
         raise MalformedHeader(f"{path}: unreadable PLY data ({e})") from e
+    if any("will not be counted towards" in str(w.message) for w in caught):
+        raise MalformedHeader(f"{path}: blank line among the {n_vertex} vertex rows")
     if n_vertex == 0:
         vals = vals.reshape(0, len(props))
     if len(vals) != n_vertex:
@@ -202,28 +210,32 @@ def write_trajectories(path, traj: TrajectorySet) -> None:
     m, n = traj.n_tracks, traj.n_frames
     with open(path, "w", newline="") as f:
         f.write(",".join(_TRAJECTORY_HEADER) + "\r\n")
-        _write_rows(f, lambda i, t, p, vis, dyn:
-                    f"{i},{t},{p[0]!r},{p[1]!r},{p[2]!r},{vis},{dyn}\r\n",
+        pos = traj.positions.reshape(-1, 3)
+        _write_rows(f, "%d,%d,%r,%r,%r,%d,%d\r\n",
                     np.repeat(np.arange(m), n), np.tile(np.arange(n), m),
-                    traj.positions.reshape(-1, 3), traj.visible.reshape(-1).astype(np.int64),
+                    pos[:, 0], pos[:, 1], pos[:, 2], traj.visible.reshape(-1).astype(np.int64),
                     np.repeat(traj.dynamic.astype(np.int64), n))
 
 
 def read_trajectories(path) -> TrajectorySet:
     """Read a full (track, frame) grid; every key exactly once, any order.
 
-    The body is parsed in one np.loadtxt pass; blank lines are skipped.
-    Short or long rows, non-integer keys or flags, non-numeric positions,
-    negative or duplicate keys, a grid with holes and a track whose rows
-    disagree on its dynamic flag raise InputError.
+    The body is parsed in one np.loadtxt pass. A blank line anywhere in
+    the body (the line end after the last row is not one), short or long
+    rows, non-integer keys or flags, non-numeric positions, negative or
+    duplicate keys, a grid with holes and a track whose rows disagree on
+    its dynamic flag raise InputError.
     """
     try:
         with open(path) as f:
             if f.readline().rstrip("\r\n").split(",") != _TRAJECTORY_HEADER:
                 raise InputError(f"{path}: unexpected trajectory CSV header")
+            lines = f.readlines()
+            if "\n" in lines:  # universal newlines turn every line end into "\n"
+                raise InputError(f"{path}: blank line in the trajectory rows")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body only warns
-                rows = np.loadtxt(f, dtype=_TRAJECTORY_DTYPE, delimiter=",",
+                rows = np.loadtxt(lines, dtype=_TRAJECTORY_DTYPE, delimiter=",",
                                   comments=None, ndmin=1)
     except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
         raise InputError(f"{path}: unreadable trajectory rows ({e})") from e

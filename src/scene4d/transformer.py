@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import IndivisibleResolution, ShapeMismatch, TargetOutOfRange
 from .rng import SplitMix64, derive_seed
@@ -216,6 +215,7 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # here, not at the top: only `forward` needs scipy
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 

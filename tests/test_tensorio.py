@@ -263,6 +263,37 @@ def test_ply_malformed_rows_and_header_lines(tmp_path, header, body):
         read_ply(path)
 
 
+_PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+             "property float y\nproperty float z\nend_header\n")
+
+
+@pytest.mark.parametrize("body", [
+    "\n0 0 0\n1 1 1\n2 2 2\n",            # before the first row
+    "0 0 0\n\n1 1 1\n2 2 2\n",            # between rows
+    "0 0 0\n1 1 1\n \t \n2 2 2\n",        # whitespace only
+    "0 0 0\r\n\r\n1 1 1\r\n2 2 2\r\n",    # CRLF
+    "0 0 0\n1 1 1\n\n",                  # short body ending in a blank line
+])
+def test_ply_blank_line_among_vertex_rows_is_malformed(tmp_path, body):
+    path = tmp_path / "b.ply"
+    path.write_text(_PLY_HEAD + body)
+    with pytest.raises(MalformedHeader, match="blank line|rows"):
+        read_ply(path)
+
+
+@pytest.mark.parametrize("body", [
+    "0 0 0\n1 1 1\n2 2 2",                # no final newline
+    "0 0 0\n1 1 1\n2 2 2\n",
+    "0 0 0\n1 1 1\n2 2 2\n\n\n",          # blank lines past the vertex rows
+    "0 0 0\n1 1 1\n2 2 2\n\n9 9\n",       # anything past the vertex rows
+])
+def test_ply_final_newline_and_rows_past_n_vertex_still_read(tmp_path, body):
+    path = tmp_path / "ok.ply"
+    path.write_text(_PLY_HEAD + body)
+    pts, normals = read_ply(path)
+    assert np.array_equal(pts, [[0, 0, 0], [1, 1, 1], [2, 2, 2]]) and normals is None
+
+
 def test_ply_undecodable_bytes(tmp_path):
     path = tmp_path / "bad.ply"
     path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
@@ -340,6 +371,30 @@ def test_trajectory_csv_empty_file_and_any_row_order(tmp_path):
                                            [[1, 2, 3], [7.5, 8, 9]]])
     assert np.array_equal(back.visible, [[False, True], [True, False]])
     assert np.array_equal(back.dynamic, [False, True])
+
+
+@pytest.mark.parametrize("data", [
+    "\n0,0,1,2,3,1,0\n",                         # before the first row
+    "0,0,1,2,3,1,0\n\n0,1,1,2,3,1,0\n",           # between rows
+    "0,0,1,2,3,1,0\r\n\r\n0,1,1,2,3,1,0\r\n",     # CRLF
+    "0,0,1,2,3,1,0\n0,1,1,2,3,1,0\n\n",           # after the last row's line end
+    "0,0,1,2,3,1,0\n \n0,1,1,2,3,1,0\n",          # whitespace only
+    "\n",                                         # a blank body line and no rows
+])
+def test_trajectory_csv_blank_line_in_body_is_input_error(tmp_path, data):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"track_id,frame,x,y,z,visible,dynamic\r\n" + data.encode())
+    with pytest.raises(InputError):
+        read_trajectories(path)
+
+
+def test_trajectory_csv_final_newline_optional(tmp_path):
+    path = tmp_path / "t.csv"
+    for end in ("", "\n", "\r\n"):
+        path.write_text(_csv(["0,0,1,2,3,1,0"]) + "0,1,4,5,6,0,0" + end)
+        back = read_trajectories(path)
+        assert np.array_equal(back.positions, [[[1, 2, 3], [4, 5, 6]]])
+        assert np.array_equal(back.visible, [[True, False]])
 
 
 _CSV_FIELDS = st.sampled_from(["0", "1", "2", "-1", "0.5", "x", "", "1e3", "nan",
