@@ -67,28 +67,15 @@ class SplitMix64:
 
         Draw order: one randbelow(n - i) per selection step, i = 0..k-1.
         The result is sorted ascending so downstream consumers keep the
-        input order of whatever the indices address.
-
-        The k draws are made in one vectorized step whenever none of them
-        would be rejected (the scalar loop runs from the same state
-        otherwise), and the pool is a dict holding only the swapped
-        entries, so the cost grows with k, not n.
+        input order of whatever the indices address. The pool is a dict
+        holding only the swapped entries, so its size grows with k, not n.
         """
         if k > n:
             raise ValueError("cannot sample more indices than available")
-        saved = self._state
-        x = self._u64_array(k)
-        m = np.uint64(n) - np.arange(k, dtype=np.uint64)   # n - i
-        rem = (np.uint64(0) - m) % m                        # 2**64 % (n - i)
-        if np.any((rem != 0) & (x >= np.uint64(0) - rem)):  # randbelow would redraw
-            self._state = saved
-            offsets = [self.randbelow(n - i) for i in range(k)]
-        else:
-            offsets = (x % m).tolist()
         pool = {}                      # position -> index, where they differ
         picked = []
-        for i, off in enumerate(offsets):
-            j = i + off
+        for i in range(k):
+            j = i + self.randbelow(n - i)
             picked.append(pool.get(j, j))
             pool[j] = pool.get(i, i)
         picked.sort()
@@ -96,16 +83,12 @@ class SplitMix64:
 
     # -- vectorized counterparts (bit-identical to the scalar draws) -----
 
-    def _u64_array(self, n: int) -> np.ndarray:
-        """The next n next_u64() values in one shot; advances n draws."""
+    def uniform_array(self, n: int) -> np.ndarray:
+        """n uniforms in one shot; advances the stream exactly n draws."""
         idx = np.arange(1, n + 1, dtype=np.uint64)
         states = np.uint64(self._state) + idx * np.uint64(_GOLDEN)
         self._state = (self._state + n * _GOLDEN) & _MASK
-        return _mix_np(states)
-
-    def uniform_array(self, n: int) -> np.ndarray:
-        """n uniforms in one shot; advances the stream exactly n draws."""
-        return (self._u64_array(n) >> np.uint64(11)) * (1.0 / (1 << 53))
+        return (_mix_np(states) >> np.uint64(11)) * (1.0 / (1 << 53))
 
     def normal_array(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """n Box-Muller normals; consumes 2n uniform draws like n normal() calls."""

@@ -21,6 +21,7 @@ depth is > 0 (the renderer never emits a zero depth for a hit).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -107,26 +108,31 @@ def write_ply(path, cloud: np.ndarray, normals: np.ndarray | None = None) -> Non
         for p in props:
             f.write(f"property float {p}\n")
         f.write("end_header\n")
-        _write_rows(f, " ".join(["%r"] * len(props)) + "\n", *rows.T)
+        _write_rows(f, " ".join(["%r"] * len(props)) + "\n", rows)
 
 
-def _write_rows(f, template, *columns):
-    """Write `template % row` for each row of the equal-length `columns`.
+def _write_rows(f, template, rows):
+    """Write `template % row` for each row of the 2-D array `rows`.
 
-    Rows go out 1024 at a time: each column's block is converted with one
-    `tolist`, interleaved into one flat list, and the block is formatted
-    with a single `%` on the template repeated once per row. `%r` of a
-    Python float is its `repr`, the shortest string that reads back to the
-    same double, and a float32 converts to a double exactly, so the text
-    is that of `repr(float(v))`; `%d` of a Python int is its `str`.
+    Rows go out 1024 at a time: each block is flattened in row order with
+    one `tolist` and formatted with a single `%` on the template repeated
+    once per row. `%r` of a Python float is its `repr`, the shortest
+    string that reads back to the same double, and a float32 converts to a
+    double exactly, so the text is that of `repr(float(v))`; `%d` of an
+    integral float is the integer's `str`.
     """
-    ncols = len(columns)
-    for start in range(0, len(columns[0]), 1024):
-        block = [c[start:start + 1024].tolist() for c in columns]
-        flat = [None] * (len(block[0]) * ncols)
-        for j, values in enumerate(block):
-            flat[j::ncols] = values
-        f.write(template * len(block[0]) % tuple(flat))
+    for start in range(0, len(rows), 1024):
+        block = rows[start:start + 1024]
+        f.write(template * len(block) % tuple(block.ravel().tolist()))
+
+
+def _checked_lines(f, max_lines, blank_error):
+    """The lines of `f`, at most `max_lines` (all if None); raises
+    `blank_error` at the first blank or whitespace-only one."""
+    for ln in itertools.islice(f, max_lines):
+        if ln.isspace():
+            raise blank_error
+        yield ln
 
 
 def _read_ply_header(f, path):
@@ -175,15 +181,13 @@ def read_ply(path):
     try:
         with open(path) as f:
             n_vertex, props = _read_ply_header(f, path)
-            with warnings.catch_warnings(record=True) as caught:
-                # an empty body and each skipped blank line only warn; the checks below decide
-                warnings.simplefilter("always", UserWarning)
-                vals = np.loadtxt(f, dtype=np.float64, comments=None,
-                                  max_rows=n_vertex, ndmin=2)
+            lines = _checked_lines(f, n_vertex, MalformedHeader(
+                f"{path}: blank line among the {n_vertex} vertex rows"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body only warns
+                vals = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
         raise MalformedHeader(f"{path}: unreadable PLY data ({e})") from e
-    if any("will not be counted towards" in str(w.message) for w in caught):
-        raise MalformedHeader(f"{path}: blank line among the {n_vertex} vertex rows")
     if n_vertex == 0:
         vals = vals.reshape(0, len(props))
     if len(vals) != n_vertex:
@@ -210,29 +214,28 @@ def write_trajectories(path, traj: TrajectorySet) -> None:
     m, n = traj.n_tracks, traj.n_frames
     with open(path, "w", newline="") as f:
         f.write(",".join(_TRAJECTORY_HEADER) + "\r\n")
-        pos = traj.positions.reshape(-1, 3)
-        _write_rows(f, "%d,%d,%r,%r,%r,%d,%d\r\n",
-                    np.repeat(np.arange(m), n), np.tile(np.arange(n), m),
-                    pos[:, 0], pos[:, 1], pos[:, 2], traj.visible.reshape(-1).astype(np.int64),
-                    np.repeat(traj.dynamic.astype(np.int64), n))
+        # float64 holds the keys and flags exactly and widens float32 positions exactly
+        _write_rows(f, "%d,%d,%r,%r,%r,%d,%d\r\n", np.column_stack([
+            np.repeat(np.arange(m), n), np.tile(np.arange(n), m),
+            traj.positions.reshape(-1, 3), traj.visible.reshape(-1),
+            np.repeat(traj.dynamic, n)]).astype(np.float64, copy=False))
 
 
 def read_trajectories(path) -> TrajectorySet:
     """Read a full (track, frame) grid; every key exactly once, any order.
 
-    The body is parsed in one np.loadtxt pass. A blank line anywhere in
-    the body (the line end after the last row is not one), short or long
-    rows, non-integer keys or flags, non-numeric positions, negative or
-    duplicate keys, a grid with holes and a track whose rows disagree on
-    its dynamic flag raise InputError.
+    The body is parsed in one np.loadtxt pass. A blank or whitespace-only
+    line anywhere in the body (the line end after the last row is not
+    one), short or long rows, non-integer keys or flags, non-numeric
+    positions, negative or duplicate keys, a grid with holes and a track
+    whose rows disagree on its dynamic flag raise InputError.
     """
     try:
         with open(path) as f:
             if f.readline().rstrip("\r\n").split(",") != _TRAJECTORY_HEADER:
                 raise InputError(f"{path}: unexpected trajectory CSV header")
-            lines = f.readlines()
-            if "\n" in lines:  # universal newlines turn every line end into "\n"
-                raise InputError(f"{path}: blank line in the trajectory rows")
+            lines = _checked_lines(f, None, InputError(
+                f"{path}: blank line in the trajectory rows"))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body only warns
                 rows = np.loadtxt(lines, dtype=_TRAJECTORY_DTYPE, delimiter=",",

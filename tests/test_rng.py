@@ -59,10 +59,10 @@ def test_derive_seed_changes_with_tags():
 
 
 # ---------------------------------------------------------------------------
-# sample_indices: vectorized draws and a sparse pool, equal to the old body
+# sample_indices: a sparse pool, equal to the old list-pool body
 
 def reference_sample_indices(self, n, k):
-    """SplitMix64.sample_indices before its draws were vectorized, kept
+    """SplitMix64.sample_indices before its pool became a dict, kept
     verbatim: one randbelow per step and an O(n) list pool."""
     if k > n:
         raise ValueError("cannot sample more indices than available")
@@ -117,8 +117,8 @@ def test_sample_indices_at_bench_size_equals_reference():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_sample_indices_rejection_path_equals_scalar_draws(seed):
-    # for n - i just above 2**63 randbelow rejects about half of its draws,
-    # so the vectorized draws are thrown away and the scalar loop runs
+    # for n - i just above 2**63 randbelow rejects about half of its draws;
+    # such an n is far too large for the list-pool reference
     n = (1 << 63) + 1000 + seed
     new, ref = SplitMix64(seed), SplitMix64(seed)
     picks = new.sample_indices(n, 6)
