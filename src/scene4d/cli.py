@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,20 @@ def _load_json(path):
     try:
         with open(p) as f:
             return json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # invalid JSON or bad bytes
         raise InputError(f"{path}: invalid JSON ({e})") from e
+
+
+def _settings(cls, path) -> dict:
+    """The JSON object of `cls` field settings at `path` ({} if None); a
+    non-object or a key that is not a field of `cls` raises InputError."""
+    d = _load_json(path) if path else {}
+    if not isinstance(d, dict):
+        raise InputError(f"{path}: expected a JSON object of settings")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InputError(f"{path}: unknown settings {unknown}")
+    return d
 
 
 def _require(path, kind="file"):
@@ -191,7 +203,7 @@ def cmd_eval_pose(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
-    cfg = losses.LossConfig(**_load_json(args.config)) if args.config else losses.LossConfig()
+    cfg = losses.LossConfig(**_settings(losses.LossConfig, args.config))
     errors = losses.gradient_check_suite(args.seed, trials=args.trials, h=args.h, cfg=cfg)
     _emit({"command": "loss-check", "seed": args.seed, "trials": args.trials,
            "h": args.h, "max_relative_error": errors})
@@ -204,7 +216,7 @@ def cmd_forward(args) -> int:
     if not paths:
         raise InputError(f"{args.frames}: no .ct4 frames")
     images = [tensorio.read_tensor(p) for p in paths]
-    cfg_dict = _load_json(args.config) if args.config else {}
+    cfg_dict = _settings(transformer.ModelConfig, args.config)
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     config = transformer.ModelConfig(**cfg_dict)

@@ -2,7 +2,9 @@
 
 Two families matter to the CLI: ``InputError`` subclasses indicate a bad
 invocation or unusable input file (exit code 2), everything else derived
-from ``Scene4DError`` is a computation-time failure (exit code 1).
+from ``Scene4DError`` is a computation-time failure (exit code 1). The
+``.ct4`` format errors (``BadMagic``, ``UnsupportedVersion``,
+``TruncatedPayload``) stay in the second family.
 """
 
 
@@ -108,5 +110,5 @@ class TruncatedPayload(Scene4DError):
     """Tensor file payload shorter than the header promises."""
 
 
-class MalformedHeader(Scene4DError):
-    """PLY header cannot be parsed."""
+class MalformedHeader(InputError):
+    """PLY header or body cannot be parsed."""

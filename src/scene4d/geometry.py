@@ -159,14 +159,6 @@ class DepthMap:
         if v.size and (not np.all(np.isfinite(v)) or np.any(v < 0)):
             raise ValueError("valid depths must be finite and non-negative")
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class PointMap:
@@ -184,14 +176,6 @@ class PointMap:
         p = self.points[self.valid]
         if p.size and not np.all(np.isfinite(p)):
             raise ValueError("valid points must be finite")
-
-    @property
-    def height(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.points.shape[1]
 
     def cloud(self) -> np.ndarray:
         """Valid points as an (n, 3) array, row-major pixel order."""

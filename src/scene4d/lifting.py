@@ -46,10 +46,6 @@ class MeshSequence:
     def n_frames(self) -> int:
         return self.vertices.shape[0]
 
-    def triangles(self, frame: int) -> np.ndarray:
-        """(F, 3, 3) triangle vertex positions at one frame."""
-        return self.vertices[frame][self.faces]
-
 
 @dataclass
 class SurfaceAttachment:

@@ -45,7 +45,6 @@ class LossConfig:
     dynamic_weight: float = 1000.0
     representation: str = "endpoint"
     grad_term: bool = True
-    reduction: str = "mean_over_valid"
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
@@ -58,8 +57,6 @@ class LossConfig:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"representation must be one of {REPRESENTATIONS}")
-        if self.reduction != "mean_over_valid":
-            raise ValueError("only mean_over_valid reduction is supported")
 
 
 @dataclass

@@ -25,24 +25,19 @@ Errors that large need det to be rounding noise near its 1e-12 guard:
 coordinates far beyond 1e3, or an origin within about 1e-12 of the plane
 of a triangle its ray grazes.
 
-Coherent rays are culled in packets, as in packet and frustum traversal
-(Wald, Slusallek, Benthin & Wagner 2001; Reshetov, Soupikov & Hurley
-2005). Each _PACKET consecutive rays get a cone through the origin built
-from their own directions: all of them must be finite and strictly of one
-sign s on the packet's dominant axis k, and for each other axis i the
-cone spans the packet's [min, max] of d_i / |d_k|, widened by
-1e-9 (1 + |bound|). That widening is far above the rounding of the
-ratios, so the exact cone holds every exact ray. A box is culled only
-when it lies wholly outside one of the cone's five planes by more than
-the rounding of that test, so no box the exact cone meets is culled. A
-pair the full test accepts has its ray inside the padded leaf box by a
-margin the argument above already provides, so its packet keeps that
-leaf and every ancestor (each contains the leaf); the ray then takes the
-slab test against the leaf alone. Rays of a packet without a cone (a
-zero, non-finite or sign-mixed direction), or whose cone keeps more than
-2 x (tree levels) nodes at some level (incoherent directions, where the
-cone is too wide to help), walk the tree ray by ray. The result does not
-depend on the ray order; coherent order only lets more be culled.
+Coherent rays are culled in packets (Wald, Slusallek, Benthin & Wagner
+2001) by the interval slab test (Wald, Boulos & Shirley 2007): each
+_PACKET consecutive rays walk the tree together, testing boxes against
+the packet's [min, max] of 1/d per axis. Rounding is monotone, so a box
+the packet drops is one every ray's own slab test drops (see
+`_meets_interval`); a zero, non-finite or sign-mixed direction only
+widens an interval. A pair the full test accepts has its ray inside the
+padded leaf box by a margin the argument above already provides, so the
+ray's slab test, and so its packet, keeps that leaf and every ancestor
+(each contains the leaf); the ray then takes the slab test against the
+leaf alone. Packets that keep more than 2 x (tree levels) nodes at some
+level (incoherent directions) walk the tree ray by ray. The result does
+not depend on the ray order; coherent order only lets more be culled.
 
 Memory: rays are processed _RAY_CHUNK at a time. A packet keeps at most
 2 x (tree levels) nodes per level, its (ray, leaf) candidates are
@@ -67,7 +62,7 @@ _RAY_CHUNK = 4096     # rays walked down the tree together
 _PAIR_BLOCK = 4096    # (ray, leaf) pairs expanded to triangles together
 _PAD_REL = 1e-3       # leaf box pad, relative to the box's largest extent,
 _PAD_ABS = 1e-6       # plus this much in scene units
-_PACKET = 16          # consecutive rays culled together by their frustum
+_PACKET = 16          # consecutive rays culled together by their 1/d bounds
 
 
 @dataclass
@@ -167,18 +162,20 @@ def _cast_chunk(dirs, levels, terms, leaf_tri):
     """The accepted (ray, tri, t, b1, b2) pairs of one chunk of rays, as a
     list of blocks; ray indices are local to the chunk.
 
-    Packets of _PACKET consecutive rays walk the tree with their frustum;
-    the rays of a packet then take the slab test against its surviving
-    leaves only. Rays of packets without a frustum, or whose frustum keeps
-    more than 2 x (tree levels) nodes at some level, walk the tree alone.
+    Packets of _PACKET consecutive rays walk the tree with the slab test
+    on their [min, max] of 1/d; the rays of a packet then take the slab
+    test against its surviving leaves only. Rays of packets that keep more
+    than 2 x (tree levels) nodes at some level walk the tree alone.
     """
     with np.errstate(divide="ignore", over="ignore"):
         inv_d = (1.0 / dirs).T
-    planes, cut, bounded = _packet_frustums(dirs, *levels[-1])
+    starts = np.arange(0, len(dirs), _PACKET)
+    inv_lo = np.minimum.reduceat(inv_d, starts, axis=1)
+    inv_hi = np.maximum.reduceat(inv_d, starts, axis=1)
     packet, leaf, wide = _walk(
-        levels, lambda lo, hi, p: _meets_frustum(lo, hi, planes[:, :, p], cut[:, p]),
-        np.flatnonzero(bounded), cap=2 * len(levels))
-    lone, _ = _packet_rays(np.union1d(np.flatnonzero(~bounded), wide), len(dirs))
+        levels, lambda lo, hi, p: _meets_interval(lo, hi, inv_lo[:, p], inv_hi[:, p]),
+        np.arange(len(starts)), cap=2 * len(levels))
+    lone, _ = _packet_rays(wide, len(dirs))
     ray, lone_leaf, _ = _walk(levels, lambda lo, hi, r: _crosses(lo, hi, inv_d[:, r]), lone)
     found = [_pair_test(dirs, terms, leaf_tri, ray[s:s + _PAIR_BLOCK], lone_leaf[s:s + _PAIR_BLOCK])
              for s in range(0, len(ray), _PAIR_BLOCK)]
@@ -317,66 +314,22 @@ def _crosses(lo, hi, inv_d):
     return (enter <= leave) & (leave >= 0.0)
 
 
-def _packet_frustums(dirs, root_lo, root_hi):
-    """Inward normals (3, 5, packets) of a cone through the origin that
-    holds every ray of each packet, the cut (5, packets) below which a box
-    lies outside a plane, and which packets have a cone.
+def _meets_interval(lo, hi, inv_lo, inv_hi):
+    """Slab test of a packet: False only when every ray whose inverse
+    direction lies in [inv_lo, inv_hi] on each axis fails `_crosses`.
 
-    A packet is bounded when all its directions are finite and strictly of
-    one sign s on its dominant axis k. Each ray is then |d_k| (s, r_i, r_j)
-    in (k, i, j) order, and the cone is s x_k >= 0 together with
-    lo_i <= s x_i / x_k <= hi_i for the packet's widened [lo_i, hi_i] of
-    each ratio r_i = d_i / |d_k|.
-
-    A box corner c sits outside plane n when n . c < 0 by more than that
-    sum's rounding. For every box of the tree, that rounding is below
-    1e-12 |n|_1 times the sum over axes of the root box's largest corner
-    magnitude (the root holds every box), plus the smallest normal float
-    for underflow; the cut is minus that bound. It is inf or nan, and
-    culls nothing, when the bound overflows or the root box is not finite.
-    """
-    n = len(dirs)
-    starts = np.arange(0, n, _PACKET)
-    owner = np.arange(n) // _PACKET
-    packet = np.arange(len(starts))
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        k = np.argmax(np.abs(np.add.reduceat(dirs, starts)), axis=1)
-        dk = dirs[np.arange(n), k[owner]]
-        s = np.sign(dk[starts])
-        ok = np.isfinite(dirs).all(axis=1) & (dk * s[owner] > 0)
-        ratio = dirs / np.abs(dk)[:, None]
-        # The widening dwarfs the rounding of each ratio, so every exact
-        # ratio lies inside [lo, hi].
-        lo = np.minimum.reduceat(ratio, starts)
-        hi = np.maximum.reduceat(ratio, starts)
-        lo -= 1e-9 * (1.0 + np.abs(lo))
-        hi += 1e-9 * (1.0 + np.abs(hi))
-        bounded = np.logical_and.reduceat(ok, starts) \
-            & np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
-        # Plane 0 is s x_k >= 0. For the other axes i, planes 1-4 are
-        # x_i - lo_i s x_k >= 0 and -x_i + hi_i s x_k >= 0.
-        other = (k[:, None] + (1, 1, 2, 2)) % 3                          # (packets, 4)
-        bound = np.stack([lo, -hi], axis=2).reshape(-1, 6)[
-            packet[:, None], 2 * other + (0, 1, 0, 1)]                   # lo_i, -hi_i, ...
-        planes = np.zeros((3, 5, len(starts)))
-        planes[k, 0, packet] = s
-        planes[other, (1, 2, 3, 4), packet[:, None]] = (1.0, -1.0, 1.0, -1.0)
-        planes[k[:, None], (1, 2, 3, 4), packet[:, None]] = -bound * s[:, None]
-        size = np.maximum(np.abs(root_lo), np.abs(root_hi)).sum()
-        cut = -(1e-12 * (np.abs(planes).sum(axis=0) * size) + np.finfo(np.float64).tiny)
-    return planes, cut, bounded
-
-
-def _meets_frustum(lo, hi, planes, cut):
-    """Conservative box-frustum test: False only when the box [lo, hi]
-    lies wholly outside one plane of its packet's cone.
-
-    lo and hi are (3, P), planes (3, 5, P) and cut (5, P). The corner of
-    a box farthest along an inward normal n has n . c = sum over axes of
-    max(n lo, n hi); the box is outside when that is below the cut. A box
-    whose n . c overflows or is nan is kept.
+    All arguments are (3, P). Rounding is monotone, so each ray's
+    lo * inv_d lies between lo * inv_lo and lo * inv_hi, and likewise for
+    hi; the least and greatest of the four products bound every ray's
+    near and far on that axis. A nan product (0 * inf, or a nan
+    direction) means some ray leaves that axis free, so the axis is made
+    unconstrained rather than skipped.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        reach = np.maximum(planes * lo[:, None], planes * hi[:, None])
-        reach = reach[0] + reach[1] + reach[2]                           # (5, P)
-    return ~((reach < cut) & (reach > -np.inf)).any(axis=0)
+        t = np.stack([lo * inv_lo, lo * inv_hi, hi * inv_lo, hi * inv_hi])
+        free = np.isnan(t).any(axis=0)
+        near = np.where(free, -np.inf, t.min(axis=0))
+        far = np.where(free, np.inf, t.max(axis=0))
+    enter = near.max(axis=0)
+    leave = far.min(axis=0)
+    return (enter <= leave) & (leave >= 0.0)

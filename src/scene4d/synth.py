@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyScene, QueryInvalid
+from .errors import EmptyScene, InputError, QueryInvalid
 from .geometry import (SE3, CameraParams, DepthMap, PointMap,
                        axis_angle_rotation, pixel_directions, project_many,
                        quat_to_rotation, se3_apply, se3_compose, se3_invert)
@@ -169,27 +169,31 @@ class SceneSpec:
 
     @staticmethod
     def from_dict(d) -> "SceneSpec":
-        n = int(d["n_frames"])
-        if "camera_path" in d:
-            cams = [_camera_from_dict(c) for c in d["camera_path"]]
-        else:
-            cams = [_camera_from_dict(d["camera"])] * n
-        objects = []
-        for o in d.get("objects", []):
-            verts, faces = _shape_from_dict(o["shape"])
-            objects.append(SceneObject(verts, faces, _motion_from_spec(o["motion"], n)))
-        bg = d.get("background")
-        background = _shape_from_dict(bg) if bg else None
-        return SceneSpec(
-            objects=objects,
-            background=background,
-            camera_path=cams,
-            resolution=(int(d["resolution"][0]), int(d["resolution"][1])),
-            n_frames=n,
-            seed=int(d["seed"]),
-            n_queries=int(d.get("n_queries", DEFAULT_N_QUERIES)),
-            dynamic_delta=float(d.get("dynamic_delta", DEFAULT_DYNAMIC_DELTA)),
-        )
+        """Parse the scene JSON; a missing field raises InputError."""
+        try:
+            n = int(d["n_frames"])
+            if "camera_path" in d:
+                cams = [_camera_from_dict(c) for c in d["camera_path"]]
+            else:
+                cams = [_camera_from_dict(d["camera"])] * n
+            objects = []
+            for o in d.get("objects", []):
+                verts, faces = _shape_from_dict(o["shape"])
+                objects.append(SceneObject(verts, faces, _motion_from_spec(o["motion"], n)))
+            bg = d.get("background")
+            background = _shape_from_dict(bg) if bg else None
+            return SceneSpec(
+                objects=objects,
+                background=background,
+                camera_path=cams,
+                resolution=(int(d["resolution"][0]), int(d["resolution"][1])),
+                n_frames=n,
+                seed=int(d["seed"]),
+                n_queries=int(d.get("n_queries", DEFAULT_N_QUERIES)),
+                dynamic_delta=float(d.get("dynamic_delta", DEFAULT_DYNAMIC_DELTA)),
+            )
+        except KeyError as e:
+            raise InputError(f"scene spec: missing field {e}") from e
 
     def to_dict(self) -> dict:
         """Normalized form: explicit meshes, per-frame R/t, full camera path."""
@@ -218,6 +222,8 @@ class SceneSpec:
 
 
 def _camera_from_dict(c) -> CameraParams:
+    if not isinstance(c, dict) or not {"q", "t", "fov"} <= c.keys():
+        raise InputError("a camera must be a JSON object with q, t and fov")
     return CameraParams(q=np.asarray(c["q"], dtype=np.float64),
                         t=np.asarray(c["t"], dtype=np.float64),
                         fov=(float(c["fov"][0]), float(c["fov"][1])))

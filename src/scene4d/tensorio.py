@@ -276,8 +276,14 @@ def write_cameras(path, cameras: list[CameraParams]) -> None:
 
 
 def read_cameras(path) -> list[CameraParams]:
-    with open(path) as f:
-        data = json.load(f)
+    """A JSON list of cameras; anything else raises InputError."""
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except ValueError as e:  # invalid JSON or bad bytes
+        raise InputError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(data, list):
+        raise InputError(f"{path}: expected a JSON list of cameras")
     return [_camera_from_dict(c) for c in data]
 
 

@@ -57,10 +57,6 @@ class ModelConfig:
         if min(self.n_agg_tokens, self.n_reg_tokens, self.n_cam_tokens) < 1:
             raise ValueError("token counts must be >= 1")
 
-    def seq_length(self, n_patches: int) -> int:
-        extra = self.n_agg_tokens if self.fusion == "concatenate" else 0
-        return self.n_cam_tokens + self.n_reg_tokens + extra + n_patches
-
 
 @dataclass
 class LayerWeights:

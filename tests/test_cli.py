@@ -243,3 +243,55 @@ def test_repeated_invocations_byte_identical(tmp_path, scene_file, capsys):
         chunks.append(out)
         outs.append("".join(chunks))
     assert outs[0] == outs[1]
+
+
+def _cameras(tmp_path, text):
+    p = tmp_path / "cameras.json"
+    p.write_text(text)
+    return ["eval-pose", "--pred", str(p), "--gt", str(p)]
+
+
+def _scene(tmp_path, **fields):
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps({k: v for k, v in {**SCENE, **fields}.items() if v is not None}))
+    return ["gen", "--spec", str(p), "--out", str(tmp_path / "d")]
+
+
+def _config(tmp_path, command):
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps({"bogus": 1}))
+    if command == "loss-check":
+        return ["loss-check", "--config", str(p), "--trials", "1"]
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_tensor(frames / "frame_0000.ct4", np.zeros((16, 16, 3)))
+    return ["forward", "--frames", str(frames), "--target", "0", "--config", str(p)]
+
+
+def _short_ply(tmp_path):
+    p = tmp_path / "short.ply"
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                 "property float y\nproperty float z\nend_header\n0 0 0\n")
+    return ["eval-recon", "--pred", str(p), "--gt", str(p)]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (lambda d: _cameras(d, "[{}]"), "InputError"),
+    (lambda d: _cameras(d, "[{"), "InputError"),
+    (lambda d: _cameras(d, json.dumps({"q": [1, 0, 0, 0], "t": [0, 0, 0],
+                                       "fov": [1, 1]})), "InputError"),
+    (lambda d: _scene(d, camera={"q": [1, 0, 0, 0], "t": [0, 0, 0]}), "InputError"),
+    (lambda d: _scene(d, n_frames=None), "InputError"),
+    (lambda d: _config(d, "loss-check"), "InputError"),
+    (lambda d: _config(d, "forward"), "InputError"),
+    (_short_ply, "MalformedHeader"),
+], ids=["camera-without-keys", "cameras-invalid-json", "cameras-not-a-list",
+        "scene-camera-without-fov", "scene-without-n_frames", "loss-config-unknown-key",
+        "model-config-unknown-key", "ply-short-body"])
+def test_unusable_json_and_ply_inputs_exit_two(tmp_path, argv, error):
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv(tmp_path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["type"] == error
+    assert proc.stderr == ""

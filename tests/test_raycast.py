@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import demo_scene, identity_camera, random_camera
 from scene4d import synth
 from scene4d.geometry import intrinsics, pixel_directions
-from scene4d.raycast import _PACKET, _packet_frustums, raycast, raycast_batch
+from scene4d.raycast import _PACKET, _crosses, _meets_interval, raycast, raycast_batch
 from scene4d.rng import SplitMix64
 from scene4d.synth import SceneObject, SceneSpec, plane_mesh, spin_path
 
@@ -41,7 +41,7 @@ def brute_force_raycast_batch(origin, directions, triangles):
     e2 = tris[:, 2] - tris[:, 0]
     pvec = np.cross(dirs[:, None, :], e2[None, :, :])       # (n, m, 3)
     det = np.einsum("mk,nmk->nm", e1, pvec)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_det = np.where(np.abs(det) >= _DET_EPS, 1.0 / det, 0.0)
     tvec = origin[None, :] - tris[:, 0]                      # (m, 3)
     b1 = np.einsum("mk,nmk->nm", tvec, pvec) * inv_det
@@ -311,26 +311,56 @@ def test_packets_bitwise_equal_brute_force_on_pinhole_batches(case):
     assert_bitwise_equal(got, want)
 
 
-def test_packet_frustum_bounds_only_one_signed_finite_packets():
-    # A zero, nan, inf or sign-flipped ray leaves its packet without a
-    # cone; every other packet's cone holds each of its rays.
-    dirs = camera_rays(9) @ random_camera(SplitMix64(3)).rotation   # 5 full packets, 1 short
-    assert len(dirs) % _PACKET
-    dirs[[3, 20, 40, 60]] = [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
-                             [0.0, np.inf, 1.0], -dirs[60]]
+def _packet_bounds(dirs):
+    """Each _PACKET-ray packet's (3, packets) [min, max] of 1/d, as the
+    kernel builds them, and each ray's (3, n) 1/d."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_d = (1.0 / dirs).T
+    starts = np.arange(0, len(dirs), _PACKET)
+    return np.minimum.reduceat(inv_d, starts, axis=1), \
+        np.maximum.reduceat(inv_d, starts, axis=1), inv_d
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinhole_batches(), st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                   min_size=3, max_size=3), st.booleans())
+def test_interval_test_drops_only_boxes_every_ray_drops(case, faces, degenerate):
+    # Boxes around, beside and on the origin (a face at 0 makes 0 * inf
+    # products for zero direction components), optionally with a nan or
+    # infinite corner.
+    origin, dirs, _ = case
+    lo = np.array([min(a, b) for a, b in faces], dtype=np.float64)
+    hi = np.array([max(a, b) for a, b in faces], dtype=np.float64) + 0.5
+    if degenerate:
+        lo[0], hi[1] = np.nan, np.inf
+    inv_lo, inv_hi, inv_d = _packet_bounds(dirs)
+    n_packets = inv_lo.shape[1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        planes, cut, bounded = _packet_frustums(dirs, -np.ones((3, 1)), np.ones((3, 1)))
-    assert planes.shape == (3, 5, 6) and cut.shape == (5, 6)
-    assert bounded.tolist() == [False, False, False, False, True, True]
-    for p in (4, 5):
-        rays = dirs[p * _PACKET:(p + 1) * _PACKET]
-        assert (rays @ planes[:, :, p] > 0).all()
+        meets = _meets_interval(np.repeat(lo[:, None], n_packets, 1),
+                                np.repeat(hi[:, None], n_packets, 1), inv_lo, inv_hi)
+        crosses = _crosses(np.repeat(lo[:, None], len(dirs), 1),
+                           np.repeat(hi[:, None], len(dirs), 1), inv_d)
+    owner = np.arange(len(dirs)) // _PACKET
+    assert not (crosses & ~meets[owner]).any()
+
+
+def test_interval_test_keeps_box_when_each_ray_frees_another_axis():
+    # The origin lies on three faces of the box, and each ray is zero on a
+    # different axis: every ray's own slab test leaves that axis free
+    # (0 * inf) and keeps the box, so the packet must keep it too.
+    dirs = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    inv_lo, inv_hi, inv_d = _packet_bounds(dirs)
+    lo, hi = np.zeros((3, 1)), np.ones((3, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _crosses(np.repeat(lo, 3, 1), np.repeat(hi, 3, 1), inv_d).all()
+        assert _meets_interval(lo, hi, inv_lo, inv_hi).tolist() == [True]
 
 
 @pytest.mark.parametrize("hemisphere", [False, True], ids=["sphere", "hemisphere"])
 def test_memory_flat_for_incoherent_rays(hemisphere):
-    # Random directions make wide packet frustums that keep most of the
+    # Random directions make wide packet bounds that keep most of the
     # tree; such packets must fall back to the per-ray walk instead of
     # expanding every surviving leaf to all their rays.
     verts, faces = jittered_sphere(9, 64, 33, [0.0, 0.0, 3.0], 1.6)
