@@ -117,23 +117,27 @@ def cmd_aggregate_oracle(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    maps = [synth.oracle_aggregate(dataset, i, args.target)
-            for i in range(dataset.n_frames)]
-    for i, pm in enumerate(maps):
-        packed = np.concatenate([pm.points, pm.valid[..., None].astype(np.float64)], axis=-1)
-        tensorio.write_tensor(out / f"aggregated_{i:04d}.ct4", packed)
-    cloud = synth.complete_cloud(maps)
+    def warped_to_target():
+        # warped, written and reduced to its valid points one map at a time
+        for i in range(dataset.n_frames):
+            pm = synth.oracle_aggregate(dataset, i, args.target)
+            tensorio.write_tensor(out / f"aggregated_{i:04d}.ct4", np.concatenate(
+                [pm.points, pm.valid[..., None].astype(np.float64)], axis=-1))
+            yield pm
+
+    cloud = synth.complete_cloud(warped_to_target())
     tensorio.write_ply(out / "complete_cloud.ply", cloud)
+    points_complete = len(cloud)
+    del cloud
 
     tracks_written = None
     if args.tracks_out:
-        per_target = [synth.oracle_aggregate(dataset, 0, a)
-                      for a in range(dataset.n_frames)]
         queries = dataset.trajectories.query_pixels
         if queries is None:
             queries = synth.recover_query_pixels(dataset)
         if len(queries) == 0:
             raise InputError("dataset has no query pixels for track extraction")
+        per_target = (synth.oracle_aggregate(dataset, 0, a) for a in range(dataset.n_frames))
         traj = synth.tracks_from_aggregation(per_target, queries,
                                              dataset.spec.dynamic_delta)
         tensorio.write_trajectories(args.tracks_out, traj)
@@ -144,7 +148,7 @@ def cmd_aggregate_oracle(args) -> int:
         "target": args.target,
         "frames": dataset.n_frames,
         "out": args.out,
-        "points_complete": int(len(cloud)),
+        "points_complete": points_complete,
         "points_target_frame": int(dataset.depths[args.target].valid.sum()),
     }
     if tracks_written is not None:

@@ -20,6 +20,7 @@ uncovered pixel in packed attachment arrays.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,8 @@ class SceneSpec:
 
     @staticmethod
     def from_dict(d) -> "SceneSpec":
-        """Parse the scene JSON; a missing field raises InputError."""
+        """Parse the scene JSON; a missing field or one of the wrong type or
+        shape raises InputError."""
         try:
             n = int(d["n_frames"])
             if "camera_path" in d:
@@ -194,6 +196,8 @@ class SceneSpec:
             )
         except KeyError as e:
             raise InputError(f"scene spec: missing field {e}") from e
+        except (IndexError, TypeError, ValueError) as e:  # a field of the wrong type or shape
+            raise InputError(f"scene spec: unusable field ({e})") from e
 
     def to_dict(self) -> dict:
         """Normalized form: explicit meshes, per-frame R/t, full camera path."""
@@ -221,12 +225,22 @@ class SceneSpec:
         }
 
 
+def _numbers(c: dict, key: str, n: int) -> list:
+    """Camera field `key` as a list of `n` JSON numbers, else InputError."""
+    v = c[key]
+    if not (isinstance(v, (list, tuple)) and len(v) == n
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
+        raise InputError(f"camera field {key!r} must be a list of {n} numbers")
+    return v
+
+
 def _camera_from_dict(c) -> CameraParams:
     if not isinstance(c, dict) or not {"q", "t", "fov"} <= c.keys():
         raise InputError("a camera must be a JSON object with q, t and fov")
-    return CameraParams(q=np.asarray(c["q"], dtype=np.float64),
-                        t=np.asarray(c["t"], dtype=np.float64),
-                        fov=(float(c["fov"][0]), float(c["fov"][1])))
+    fov = _numbers(c, "fov", 2)
+    return CameraParams(q=np.asarray(_numbers(c, "q", 4), dtype=np.float64),
+                        t=np.asarray(_numbers(c, "t", 3), dtype=np.float64),
+                        fov=(float(fov[0]), float(fov[1])))
 
 
 def _camera_to_dict(c: CameraParams) -> dict:
@@ -501,8 +515,12 @@ def oracle_aggregate(dataset: SequenceDataset, i: int, a: int) -> PointMap:
     return PointMap(points=out, valid=src.valid.copy())
 
 
-def complete_cloud(maps: list[PointMap]) -> np.ndarray:
-    """Union of all valid points, frame-major then row-major -> (n, 3)."""
+def complete_cloud(maps: Iterable[PointMap]) -> np.ndarray:
+    """Union of all valid points, frame-major then row-major -> (n, 3).
+
+    `maps` may be any iterable, such as a generator that warps one frame at
+    a time: only each map's valid points are kept.
+    """
     parts = [m.cloud() for m in maps]
     if not parts:
         return np.zeros((0, 3))
@@ -529,21 +547,27 @@ def recover_query_pixels(dataset: SequenceDataset) -> np.ndarray:
     return np.stack([iu, iv], axis=1)
 
 
-def tracks_from_aggregation(maps_per_target: list[PointMap], query_pixels,
+def tracks_from_aggregation(maps_per_target: Iterable[PointMap], query_pixels,
                             dynamic_delta: float = DEFAULT_DYNAMIC_DELTA) -> TrajectorySet:
     """Read per-target aggregated maps of one source frame as 3D tracks.
 
-    maps_per_target[a] must be the source frame's map warped to target a
-    (so entry 0 is P^0, entry 1 is P^1, ...). The track of query pixel
-    (u, v) places its position at time a at maps_per_target[a][v, u].
+    maps_per_target yields the source frame's map warped to each target a
+    in order (so entry 0 is P^0, entry 1 is P^1, ...); it may be a
+    generator, since only the query pixels of each map are kept. The track
+    of query pixel (u, v) places its position at time a at map a's [v, u].
     """
     queries = np.asarray(query_pixels, dtype=np.int64).reshape(-1, 2)
     u, v = queries[:, 0], queries[:, 1]
-    invalid = np.flatnonzero(~maps_per_target[0].valid[v, u])
+    maps = iter(maps_per_target)
+    first = next(maps)
+    invalid = np.flatnonzero(~first.valid[v, u])
     if len(invalid):
         k = invalid[0]
         raise QueryInvalid(f"query pixel ({u[k]}, {v[k]}) invalid in the source frame")
-    positions = np.stack([pm.points[v, u] for pm in maps_per_target], axis=1)  # (M, N, 3)
+    rows = [first.points[v, u]]
+    del first
+    rows += [pm.points[v, u] for pm in maps]
+    positions = np.stack(rows, axis=1)  # (M, N, 3)
     return TrajectorySet(positions=positions, visible=np.ones(positions.shape[:2], dtype=bool),
                          dynamic=classify_dynamic(positions, 0, dynamic_delta),
                          query_pixels=queries)

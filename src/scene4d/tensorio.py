@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -46,44 +47,56 @@ _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 
 # tensor container
 
 def write_tensor(path, arr: np.ndarray) -> None:
+    """Write `arr` as .ct4. A big-endian or non-contiguous array is converted
+    to the little-endian row-major payload; any other is written from its
+    own buffer, without a copy."""
     arr = np.asarray(arr)
-    if arr.dtype not in _CODES:
+    code = _CODES.get(arr.dtype.newbyteorder("="))
+    if code is None:
         raise ValueError(f"unsupported tensor dtype {arr.dtype} (use f32, f64 or u8)")
     if arr.size == 0:
         raise ValueError("refusing to write a tensor with a zero dimension")
-    code = _CODES[arr.dtype]
-    payload = np.ascontiguousarray(arr).astype(_DTYPES[code], copy=False).tobytes()
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<BB", VERSION, code))
-        f.write(struct.pack("<I", arr.ndim))
+        f.write(struct.pack("<BBI", VERSION, code, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(payload)
+        f.write(np.ascontiguousarray(arr, dtype=_DTYPES[code]))
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a .ct4 file into a fresh array.
+
+    The file size is checked against the header's dims before the array is
+    allocated, and the payload is read straight into it, so no other
+    payload-sized buffer exists and a header promising more bytes than the
+    file holds allocates nothing.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
-        raise BadMagic(f"{path}: expected magic {MAGIC!r}")
-    if len(data) < 10:
-        raise TruncatedPayload(f"{path}: header truncated")
-    version, code = struct.unpack_from("<BB", data, 4)
-    if version != VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}")
-    if code not in _DTYPES:
-        raise UnsupportedVersion(f"{path}: unknown dtype code {code}")
-    (ndim,) = struct.unpack_from("<I", data, 6)
-    header_end = 10 + 8 * ndim
-    if len(data) < header_end:
-        raise TruncatedPayload(f"{path}: dims truncated")
-    dims = struct.unpack_from(f"<{ndim}Q", data, 10)
-    dtype = _DTYPES[code]
-    expected = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
-    payload = data[header_end:]
-    if len(payload) != expected:
-        raise TruncatedPayload(f"{path}: payload {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(10)
+        if head[:4] != MAGIC:
+            raise BadMagic(f"{path}: expected magic {MAGIC!r}")
+        if len(head) < 10:
+            raise TruncatedPayload(f"{path}: header truncated")
+        version, code, ndim = struct.unpack_from("<BBI", head, 4)
+        if version != VERSION:
+            raise UnsupportedVersion(f"{path}: version {version}")
+        if code not in _DTYPES:
+            raise UnsupportedVersion(f"{path}: unknown dtype code {code}")
+        header_end = 10 + 8 * ndim
+        if size < header_end:
+            raise TruncatedPayload(f"{path}: dims truncated")
+        dims = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+        dtype = _DTYPES[code]
+        expected = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
+        if size - header_end != expected:
+            raise TruncatedPayload(f"{path}: payload {size - header_end} bytes, "
+                                   f"expected {expected}")
+        arr = np.empty(dims, dtype=dtype)
+        got = f.readinto(arr)
+    if got != expected:  # the file shrank after the size check
+        raise TruncatedPayload(f"{path}: payload {got} bytes, expected {expected}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +106,14 @@ def write_ply(path, cloud: np.ndarray, normals: np.ndarray | None = None) -> Non
     cloud = np.asarray(cloud, dtype=np.float32).reshape(-1, 3)
     if not np.all(np.isfinite(cloud)):
         raise ValueError("cloud coordinates must be finite")
-    cols = [cloud]
+    rows = cloud
     props = ["x", "y", "z"]
     if normals is not None:
         normals = np.asarray(normals, dtype=np.float32).reshape(-1, 3)
         if len(normals) != len(cloud):
             raise ValueError("normals must match the cloud length")
-        cols.append(normals)
+        rows = np.concatenate([cloud, normals], axis=1)
         props += ["nx", "ny", "nz"]
-    rows = np.concatenate(cols, axis=1)
     with open(path, "w") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {len(cloud)}\n")
@@ -271,8 +283,7 @@ def read_trajectories(path) -> TrajectorySet:
 
 def write_cameras(path, cameras: list[CameraParams]) -> None:
     with open(path, "w") as f:
-        json.dump([_camera_to_dict(c) for c in cameras], f, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps([_camera_to_dict(c) for c in cameras], sort_keys=True) + "\n")
 
 
 def read_cameras(path) -> list[CameraParams]:
@@ -320,8 +331,7 @@ def save_dataset(dataset: SequenceDataset, out_dir) -> None:
     write_trajectories(out / "trajectories.csv", dataset.trajectories)
     if dataset.spec is not None:
         with open(out / "scene.json", "w") as f:
-            json.dump(dataset.spec.to_dict(), f, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(dataset.spec.to_dict(), sort_keys=True) + "\n")
 
 
 def load_depth_dir(dirpath) -> list[DepthMap]:

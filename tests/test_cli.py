@@ -280,13 +280,24 @@ def _short_ply(tmp_path):
     (lambda d: _cameras(d, "[{"), "InputError"),
     (lambda d: _cameras(d, json.dumps({"q": [1, 0, 0, 0], "t": [0, 0, 0],
                                        "fov": [1, 1]})), "InputError"),
+    (lambda d: _cameras(d, json.dumps([{"q": [1, 0, 0], "t": [0, 0, 0],
+                                        "fov": [1, 1]}] * 2)), "InputError"),
+    (lambda d: _cameras(d, json.dumps([{"q": [1, 0, 0, 0], "t": [0, 0],
+                                        "fov": [1, 1]}] * 2)), "InputError"),
+    (lambda d: _cameras(d, json.dumps([{"q": [1, 0, 0, 0], "t": [0, 0, 0],
+                                        "fov": 1}] * 2)), "InputError"),
     (lambda d: _scene(d, camera={"q": [1, 0, 0, 0], "t": [0, 0, 0]}), "InputError"),
+    (lambda d: _scene(d, camera={"q": [1, 0, 0, 0], "t": [0, 0, 0],
+                                 "fov": [1, "wide"]}), "InputError"),
     (lambda d: _scene(d, n_frames=None), "InputError"),
+    (lambda d: _scene(d, resolution="ab"), "InputError"),
     (lambda d: _config(d, "loss-check"), "InputError"),
     (lambda d: _config(d, "forward"), "InputError"),
     (_short_ply, "MalformedHeader"),
 ], ids=["camera-without-keys", "cameras-invalid-json", "cameras-not-a-list",
-        "scene-camera-without-fov", "scene-without-n_frames", "loss-config-unknown-key",
+        "camera-q-three-numbers", "camera-t-two-numbers", "camera-fov-a-number",
+        "scene-camera-without-fov", "scene-camera-fov-not-numbers", "scene-without-n_frames",
+        "scene-resolution-a-string", "loss-config-unknown-key",
         "model-config-unknown-key", "ply-short-body"])
 def test_unusable_json_and_ply_inputs_exit_two(tmp_path, argv, error):
     proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv(tmp_path),

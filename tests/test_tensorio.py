@@ -2,11 +2,13 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import demo_scene
 from scene4d.errors import (BadMagic, InputError, MalformedHeader,
@@ -82,6 +84,67 @@ def test_tensor_overflowing_dims_are_truncated_payload(tmp_path):
 def test_tensor_rejects_zero_dim(tmp_path):
     with pytest.raises(ValueError):
         write_tensor(tmp_path / "t.ct4", np.zeros((0, 3)))
+
+
+_CT4_DTYPES = st.sampled_from(["<f4", ">f4", "<f8", ">f8", "u1"])
+
+
+@st.composite
+def _ct4_arrays(draw):
+    """f32/f64/u8 arrays of either byte order, 0-d to 3-d, some of them
+    strided views (every other element, transposed or reversed)."""
+    dtype = np.dtype(draw(_CT4_DTYPES))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5))
+    base = draw(hnp.arrays(dtype, tuple(2 * n for n in shape)))
+    view = base[(*(slice(None, None, 2) for _ in shape), ...)]
+    return draw(st.sampled_from([view, view.T, np.flip(view), base]))
+
+
+def _bits(arr: np.ndarray) -> bytes:
+    """Native-order bytes of the values, so NaN payloads and -0.0 count."""
+    return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("=")).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ct4_arrays())
+def test_tensor_roundtrip_bitwise_any_layout(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("ct4") / "t.ct4"
+    write_tensor(path, arr)
+    back = read_tensor(path)
+    assert back.shape == arr.shape
+    assert back.dtype == arr.dtype.newbyteorder("<")
+    assert back.flags.c_contiguous and back.flags.writeable
+    assert _bits(back) == _bits(arr)
+    assert path.stat().st_size == 10 + 8 * arr.ndim + arr.nbytes
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ct4_arrays(), st.integers(-64, 64).filter(bool))
+def test_tensor_short_or_long_payload_is_truncated(tmp_path_factory, arr, delta):
+    path = tmp_path_factory.mktemp("ct4") / "t.ct4"
+    write_tensor(path, arr)
+    data = path.read_bytes()
+    header = 10 + 8 * arr.ndim
+    data = data[:max(header, len(data) + delta)] if delta < 0 else data + b"\x00" * delta
+    path.write_bytes(data)
+    with pytest.raises(TruncatedPayload):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_tensor_huge_dims_allocate_nothing(tmp_path, ndim):
+    # every dim 2^40: the size check must fail before any array is made
+    path = tmp_path / "t.ct4"
+    path.write_bytes(b"C4RT" + struct.pack(f"<BBI{ndim}Q", 1, 1, ndim, *[2**40] * ndim)
+                     + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayload):
+            read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
