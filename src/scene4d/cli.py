@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,15 +42,28 @@ def _load_json(path):
         raise InputError(f"{path}: invalid JSON ({e})") from e
 
 
+# JSON values each settings field type takes: a float field also takes an
+# integer; a bool (a Python int) is taken only by a bool field
+_SETTING_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+
+
 def _settings(cls, path) -> dict:
     """The JSON object of `cls` field settings at `path` ({} if None); a
-    non-object or a key that is not a field of `cls` raises InputError."""
+    non-object, a key that is not a field of `cls` or a value that is not
+    of its field's type raises InputError."""
     d = _load_json(path) if path else {}
     if not isinstance(d, dict):
         raise InputError(f"{path}: expected a JSON object of settings")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise InputError(f"{path}: unknown settings {unknown}")
+    types = get_type_hints(cls)
+    for key, value in d.items():
+        want = types[key]
+        if isinstance(value, bool) != (want is bool) \
+                or not isinstance(value, _SETTING_TYPES[want]):
+            raise InputError(f"{path}: setting {key!r} must be a {want.__name__}, "
+                             f"not {json.dumps(value)}")
     return d
 
 
@@ -219,21 +233,21 @@ def cmd_forward(args) -> int:
     paths = sorted(frame_dir.glob("*.ct4"))
     if not paths:
         raise InputError(f"{args.frames}: no .ct4 frames")
-    images = [tensorio.read_tensor(p) for p in paths]
     cfg_dict = _settings(transformer.ModelConfig, args.config)
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     config = transformer.ModelConfig(**cfg_dict)
-    if not (0 <= args.target < len(images)):
-        raise InputError(f"target {args.target} outside 0..{len(images) - 1}")
+    if not (0 <= args.target < len(paths)):
+        raise InputError(f"target {args.target} outside 0..{len(paths) - 1}")
     model = transformer.AggregationFormer(config)
-    result = model.forward(images, args.target)
+    # the trunk reads, patchifies and drops one frame at a time
+    result = model.forward((tensorio.read_tensor(p) for p in paths), args.target)
     cams = model.head_camera(result.cam_features)
     if args.dump:
         tensorio.write_tensor(args.dump, result.patch_features)
     _emit({
         "command": "forward",
-        "frames": len(images),
+        "frames": len(paths),
         "target": args.target,
         "K": int(result.patch_features.shape[1]),
         "dim": config.dim,

@@ -5,9 +5,16 @@ aggregation tokens | patch tokens] (the aggregation block is folded into
 the patch tokens under "add" fusion). The target frame gets its own
 aggregation token set, every other frame shares a second set; frame 0
 gets its own registration set, the rest share another. Layers alternate
-frame-restricted and global self-attention, frame scope first. Attention
-holds one (L, L) score buffer per layer, reused for every (sequence, head)
-pair, and equals the dense (B, heads, L, L) softmax bitwise; memory still
+frame-restricted and global self-attention, frame scope first. Frames
+are read one at a time: each is patchified and dropped before the next
+arrives, so an iterable of frames never has more than one alive.
+
+Attention holds one (L, L) score buffer per layer, reused for every
+(sequence, head) pair. Both of its gemm calls (scores, then weighted
+values) run over the whole buffer, since splitting gemm's rows changes its
+rounding; only the softmax passes between them run over blocks of
+_SOFTMAX_ROWS whole rows, so each block stays in cache for all of them.
+The result equals the dense (B, heads, L, L) softmax bitwise; memory still
 grows as L^2, so a global layer is quadratic in the frame count.
 
 There is no temporal position encoding: frame identity enters only through
@@ -31,6 +38,7 @@ from .rng import SplitMix64, derive_seed
 _DENSE_HEAD_TAG = 0xD5
 _INIT_STD = 0.02
 _LN_EPS = 1e-6
+_SOFTMAX_ROWS = 128  # rows per softmax block: 128 x 2120 float64 is 2.2 MB
 
 
 @dataclass
@@ -219,10 +227,14 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, n_heads: int, stats=None) -
     """Multi-head self-attention over a batch of sequences (B, L, C).
 
     One (L, L) float64 score buffer is reused for every (sequence, head)
-    pair. Each pair makes the same gemm call (same M, N, K) that numpy's
-    stacked matmul makes, and every softmax step works on whole contiguous
-    rows, so the result equals the dense (B, heads, L, L) kernel bitwise.
-    Rows are not split into blocks: splitting M changes gemm's rounding.
+    pair. Each pair makes the same two gemm calls (same M, N, K) that
+    numpy's stacked matmul makes, q @ k.T into the whole buffer and then
+    buffer @ v; their rows are never split, because splitting M changes
+    gemm's rounding. The softmax passes between them (scale, max subtract,
+    exp, normalise, row sums) are elementwise or reduce along whole rows,
+    so they run block by block over _SOFTMAX_ROWS contiguous rows while the
+    block sits in cache, with the same bits as over the whole buffer. The
+    result equals the dense (B, heads, L, L) kernel bitwise.
     If `stats` is a list, the (B, heads, L) softmax row sums are appended
     to it flattened.
     """
@@ -238,12 +250,14 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, n_heads: int, stats=None) -
     for i in range(b):
         for j in range(n_heads):
             np.matmul(q[i, j], k[i, j].T, out=w)
-            w /= scale
-            w -= w.max(axis=-1, keepdims=True)
-            np.exp(w, out=w)
-            w /= w.sum(axis=-1, keepdims=True)
-            if sums is not None:
-                sums[i, j] = w.sum(axis=-1)
+            for r in range(0, l, _SOFTMAX_ROWS):
+                blk = w[r:r + _SOFTMAX_ROWS]
+                blk /= scale
+                blk -= blk.max(axis=-1, keepdims=True)
+                np.exp(blk, out=blk)
+                blk /= blk.sum(axis=-1, keepdims=True)
+                if sums is not None:
+                    blk.sum(axis=-1, out=sums[i, j, r:r + _SOFTMAX_ROWS])
             np.matmul(w, v[i, j], out=out[i, j])
     if sums is not None:
         stats.append(sums.reshape(-1))
@@ -283,23 +297,34 @@ class AggregationFormer:
         self.config = config
         self.bank = TokenBank(config)
 
+    def _patch_tokens(self, images) -> list[np.ndarray]:
+        """Patch tokens of each frame of the iterable `images`, which are
+        converted, checked against the first frame's shape and patchified
+        one at a time; no frame outlives its own patchify call here."""
+        patches, shape = [], None
+        for im in images:
+            im = np.asarray(im, dtype=np.float64)
+            shape = im.shape if shape is None else shape
+            if im.shape != shape:
+                raise ShapeMismatch("all frames must share one resolution")
+            patches.append(patchify(im, self.bank))
+            del im  # before the iterable makes the next frame
+        return patches
+
     def forward(self, images, target: int, collect_stats: bool = False) -> ForwardResult:
+        """Run the trunk over `images`, any iterable of (H, W, 3) frames;
+        a generator is consumed one frame at a time."""
         cfg = self.config
-        imgs = [np.asarray(im, dtype=np.float64) for im in images]
-        if any(im.shape != imgs[0].shape for im in imgs):
-            raise ShapeMismatch("all frames must share one resolution")
-        patches = [patchify(im, self.bank) for im in imgs]
-        frames = assemble(patches, target, self.bank)
+        frames = assemble(self._patch_tokens(images), target, self.bank)
         stats = [] if collect_stats else None
         for li, lw in enumerate(self.bank.layers):
             scope = "frame" if li % 2 == 0 else "global"
             frames = attention_layer(frames, lw, scope, cfg.n_heads, stats)
 
-        k = patches[0].shape[0]
         n_prefix = cfg.n_cam_tokens + cfg.n_reg_tokens \
             + (cfg.n_agg_tokens if cfg.fusion == "concatenate" else 0)
         cam = np.stack([f.tokens[:cfg.n_cam_tokens] for f in frames])
-        patch = np.stack([f.tokens[n_prefix:n_prefix + k] for f in frames])
+        patch = np.stack([f.tokens[n_prefix:] for f in frames])
         return ForwardResult(frames=frames, cam_features=cam,
                              patch_features=patch, softmax_row_sums=stats)
 

@@ -257,9 +257,9 @@ def _scene(tmp_path, **fields):
     return ["gen", "--spec", str(p), "--out", str(tmp_path / "d")]
 
 
-def _config(tmp_path, command):
+def _config(tmp_path, command, settings=None):
     p = tmp_path / "config.json"
-    p.write_text(json.dumps({"bogus": 1}))
+    p.write_text(json.dumps({"bogus": 1} if settings is None else settings))
     if command == "loss-check":
         return ["loss-check", "--config", str(p), "--trials", "1"]
     frames = tmp_path / "frames"
@@ -306,3 +306,90 @@ def test_unusable_json_and_ply_inputs_exit_two(tmp_path, argv, error):
     assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout)["error"]["type"] == error
     assert proc.stderr == ""
+
+
+def _frames(tmp_path, *arrays):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for t, a in enumerate(arrays):
+        write_tensor(frames / f"frame_{t:04d}.ct4", a)
+    return frames
+
+
+def _not_a_tensor(tmp_path):
+    frames = _frames(tmp_path, np.zeros((16, 16, 3)))
+    (frames / "frame_0001.ct4").write_text("ply\nformat ascii 1.0\n")
+    return frames
+
+
+def _truncated_tensor(tmp_path):
+    frames = _frames(tmp_path, np.zeros((16, 16, 3)), np.zeros((16, 16, 3)))
+    raw = (frames / "frame_0001.ct4").read_bytes()
+    (frames / "frame_0001.ct4").write_bytes(raw[:-8])
+    return frames
+
+
+@pytest.mark.parametrize("frames,code,error", [
+    (_not_a_tensor, 1, "BadMagic"),
+    (_truncated_tensor, 1, "TruncatedPayload"),
+    (lambda d: _frames(d, np.zeros((16, 16))), 1, "ShapeMismatch"),
+    (lambda d: _frames(d, np.zeros((16, 16, 3)), np.zeros((32, 32, 3))), 1, "ShapeMismatch"),
+    (lambda d: _frames(d), 2, "InputError"),
+], ids=["not-a-ct4-file", "truncated-ct4", "frame-without-channels", "mixed-sizes",
+        "empty-directory"])
+def test_forward_bad_frames_exit_codes(tmp_path, frames, code, error):
+    argv = ["forward", "--frames", str(frames(tmp_path)), "--target", "0"]
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["type"] == error
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("forward", {"dim": "x"}),
+    ("forward", {"dim": True}),
+    ("forward", {"dim": 64.0}),
+    ("forward", {"fusion": 1}),
+    ("forward", {"seed": None}),
+    ("loss-check", {"alpha": "x"}),
+    ("loss-check", {"beta": False}),
+    ("loss-check", {"grad_term": 1}),
+    ("loss-check", {"weight_mode": ["focal"]}),
+], ids=["dim-a-string", "dim-a-bool", "dim-a-float", "fusion-a-number", "seed-null",
+        "alpha-a-string", "beta-a-bool", "grad_term-a-number", "weight_mode-a-list"])
+def test_config_value_of_wrong_type_exits_two(tmp_path, command, settings):
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli"]
+                          + _config(tmp_path, command, settings),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "InputError" and repr(next(iter(settings))) in error["message"]
+    assert proc.stderr == ""
+
+
+def test_config_takes_an_integer_for_a_float(tmp_path, capsys):
+    code, out = _run(capsys, *_config(tmp_path, "loss-check", {"alpha": 0, "huber_eps": 2}))
+    assert code == 0
+    assert json.loads(out)["command"] == "loss-check"
+
+
+@pytest.mark.parametrize("flags,code,error", [
+    (["--config", "{cfg}"], 2, "InputError"),
+    (["--config", "{bad_cfg}"], 1, "ValueError"),
+    (["--target", "2"], 2, "InputError"),
+], ids=["config-value", "model-config", "target"])
+def test_forward_checks_settings_before_reading_frames(tmp_path, capsys, flags, code, error):
+    # the frames are read lazily by the trunk, after every check of the
+    # flags, so a bad flag is reported even when a frame is unreadable
+    frames = _not_a_tensor(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"dim": "x"}))
+    (tmp_path / "bad_cfg.json").write_text(json.dumps({"dim": 30}))
+    flags = [f.format(cfg=tmp_path / "cfg.json", bad_cfg=tmp_path / "bad_cfg.json")
+             for f in flags]
+    argv = ["forward", "--frames", str(frames), "--target", "0"] + flags
+    got, out = _run(capsys, *argv)
+    assert got == code
+    assert json.loads(out)["error"]["type"] == error

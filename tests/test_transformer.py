@@ -3,7 +3,13 @@ equivariance, head contracts. Weights are random but seeded; every check
 is numeric, none requires training."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,6 +215,93 @@ def test_self_attention_bitwise_equals_dense(case, with_stats):
         assert np.array_equal(stats[0], ref_stats[0])
 
 
+def _assert_equals_dense(case, with_stats):
+    seed, b, l, n_heads, d, scale = case
+    rng = SplitMix64(seed)
+    lw = _attention_weights(rng, n_heads * d)
+    x = rng.normal_array(b * l * n_heads * d, 0.0, scale).reshape(b, l, n_heads * d)
+    stats, ref_stats = ([], []) if with_stats else (None, None)
+    out = _self_attention(x, lw, n_heads, stats)
+    ref = dense_self_attention(x, lw, n_heads, ref_stats)
+    assert out.shape == ref.shape == (b, l, n_heads * d)
+    assert np.array_equal(out, ref), case
+    if with_stats:
+        assert stats[0].shape == ref_stats[0].shape == (b * n_heads * l,)
+        assert np.array_equal(stats[0], ref_stats[0]), case
+
+
+ROWS = transformer._SOFTMAX_ROWS
+block_cases = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 2),
+                        st.integers(1, 3 * ROWS + 1), st.integers(1, 4), st.integers(1, 9),
+                        st.sampled_from([0.1, 1.0, 8.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_cases, st.one_of(st.just(ROWS), st.integers(1, ROWS)), st.booleans())
+@example((0, 1, ROWS, 4, 16, 1.0), ROWS, True)
+@example((1, 1, ROWS + 1, 2, 8, 8.0), ROWS, True)
+@example((2, 2, 2 * ROWS + 1, 1, 5, 0.1), ROWS, True)
+@example((3, 1, 3 * ROWS, 4, 16, 1.0), ROWS, False)
+@example((4, 1, 3 * ROWS + 1, 3, 7, 8.0), 1, True)
+@example((5, 2, 200, 2, 9, 1.0), 7, True)
+def test_self_attention_bitwise_equals_dense_across_row_blocks(case, rows, with_stats):
+    # several softmax blocks per (L, L) buffer, and a last block shorter
+    # than the others, at the module's block size and at smaller ones
+    with mock.patch.object(transformer, "_SOFTMAX_ROWS", rows):
+        _assert_equals_dense(case, with_stats)
+
+
+def multi_block_check() -> int:
+    """Multi-block equality cases run in a child process; returns how many."""
+    cases = [(l, 1 + l % 2, l, n_heads, d, scale)
+             for l in (ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3, 3 * ROWS)
+             for n_heads, d in ((1, 5), (4, 16)) for scale in (0.1, 8.0)]
+    for case in cases:
+        _assert_equals_dense(case, True)
+    return len(cases)
+
+
+def _simd_found() -> list[str]:
+    """numpy's enabled SIMD dispatch targets above its baseline."""
+    return np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+
+
+# the Haswell and Sandybridge kernels need an x86 CPU with AVX2 and FMA3
+_AVX2 = platform.machine().lower() in ("x86_64", "amd64") \
+    and bool({"X86_V3", "AVX2"} & set(_simd_found()))
+_NO_SIMD = "NPY_DISABLE_CPU_FEATURES"
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"},
+                 marks=pytest.mark.skipif(not _AVX2, reason="needs AVX2 and FMA3")),
+    pytest.param({"OPENBLAS_CORETYPE": "Sandybridge"},
+                 marks=pytest.mark.skipif(not _AVX2, reason="needs AVX2 and FMA3")),
+    {_NO_SIMD: " ".join(_simd_found())},
+], ids=["blas-1-thread", "blas-2-threads", "haswell-kernel", "sandybridge-kernel",
+        "numpy-baseline-loops"])
+def test_self_attention_bitwise_equals_dense_under_other_kernels(env):
+    # The blocked softmax and the dense kernel make the same gemm calls, so
+    # they agree under any BLAS kernel or thread count; with every numpy
+    # SIMD dispatch target (AVX2, FMA3, AVX-512 loops) turned off, too.
+    # The settings go to the child process only. numpy ignores, with no
+    # more than an ImportWarning, a feature name it does not dispatch on, so
+    # the child checks that no dispatch target is left.
+    src = Path(transformer.__file__).resolve().parents[1]
+    child = "import test_transformer as t\n"
+    if _NO_SIMD in env:
+        child += "assert t._simd_found() == [], t._simd_found()\n"
+    child += "print(t.multi_block_check())\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
+        env={**os.environ, **env,
+             "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), str(src)])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "20\n"
+
+
 def _bench_frames(n=8, size=256):
     return _images(n, size, size, seed=21)
 
@@ -252,6 +345,35 @@ def test_global_attention_layer_memory_bound():
 
 # ---------------------------------------------------------------------------
 # forward
+
+def test_forward_holds_one_frame_at_a_time():
+    # 8 frames of 256^2 from a generator, as `forward` reads them from disk
+    import scipy.special  # noqa: F401  (the GELU's; its import is not under test)
+    model = AggregationFormer(ModelConfig())
+    n, size = 8, 256
+
+    def frames():
+        rng = SplitMix64(21)
+        for _ in range(n):
+            yield rng.uniform_array(size * size * 3).reshape(size, size, 3)
+
+    tracemalloc.start()
+    try:
+        res = model.forward(frames(), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    length = sum(f.tokens.shape[0] for f in res.frames)
+    assert length == 2120
+    scores = length * length * 8
+    # beside its scores a global layer holds about 10 (L, dim) arrays: its
+    # input tokens, their stack and layer norm, q, k, v, the head outputs,
+    # their merged copy, its projection and the softmax row vectors
+    tokens = 10 * length * model.config.dim * 8
+    frame = size * size * 3 * 8
+    # all 8 frames held through the trunk would alone be 8 frames
+    assert peak - scores - tokens < 3 * frame
+
 
 def test_forward_deterministic(model):
     imgs = _images(3, seed=12)
