@@ -6,8 +6,8 @@ the patch tokens under "add" fusion). The target frame gets its own
 aggregation token set, every other frame shares a second set; frame 0
 gets its own registration set, the rest share another. Layers alternate
 frame-restricted and global self-attention, frame scope first. Frames
-are read one at a time: each is patchified and dropped before the next
-arrives, so an iterable of frames never has more than one alive.
+are taken one at a time: each is patchified and dropped before the next
+is drawn, so frames from a generator are alive one at a time.
 
 Attention holds one (L, L) score buffer per layer, reused for every
 (sequence, head) pair. Both of its gemm calls (scores, then weighted
