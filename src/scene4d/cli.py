@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -67,6 +68,15 @@ def _settings(cls, path) -> dict:
     return d
 
 
+def _config(cls, path, **overrides):
+    """`cls` built from the settings at `path` and then `overrides`; a
+    value the class rejects (its ValueError) raises InputError."""
+    try:
+        return cls(**{**_settings(cls, path), **overrides})
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
+
+
 def _require(path, kind="file"):
     p = Path(path)
     if kind == "file" and not p.is_file():
@@ -83,8 +93,9 @@ def cmd_gen(args) -> int:
     spec = synth.SceneSpec.from_dict(_load_json(args.spec))
     if args.seed is not None:
         spec.seed = args.seed
-    dataset = synth.generate(spec)
-    tensorio.save_dataset(dataset, args.out)
+    # each frame's files are written as it is rendered, then it is dropped
+    dataset = synth.generate(spec, partial(tensorio.save_frame, args.out))
+    tensorio.save_sequence(dataset, args.out)
     _emit({
         "command": "gen",
         "out": args.out,
@@ -123,7 +134,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_aggregate_oracle(args) -> int:
-    dataset = tensorio.load_dataset(_require(args.data, "dir"))
+    # depth maps in memory; each frame's point map and object ids are read when warped
+    dataset = tensorio.open_dataset(_require(args.data, "dir"))
     if dataset.spec is None:
         raise InputError(f"{args.data}: scene.json missing, no motion ground truth")
     if not (0 <= args.target < dataset.n_frames):
@@ -139,7 +151,8 @@ def cmd_aggregate_oracle(args) -> int:
                 [pm.points, pm.valid[..., None].astype(np.float64)], axis=-1))
             yield pm
 
-    cloud = synth.complete_cloud(warped_to_target())
+    cloud = synth.complete_cloud(warped_to_target(),
+                                 sum(int(np.count_nonzero(d.valid)) for d in dataset.depths))
     tensorio.write_ply(out / "complete_cloud.ply", cloud)
     points_complete = len(cloud)
     del cloud
@@ -221,7 +234,7 @@ def cmd_eval_pose(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
-    cfg = losses.LossConfig(**_settings(losses.LossConfig, args.config))
+    cfg = _config(losses.LossConfig, args.config)
     errors = losses.gradient_check_suite(args.seed, trials=args.trials, h=args.h, cfg=cfg)
     _emit({"command": "loss-check", "seed": args.seed, "trials": args.trials,
            "h": args.h, "max_relative_error": errors})
@@ -233,10 +246,8 @@ def cmd_forward(args) -> int:
     paths = sorted(frame_dir.glob("*.ct4"))
     if not paths:
         raise InputError(f"{args.frames}: no .ct4 frames")
-    cfg_dict = _settings(transformer.ModelConfig, args.config)
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    config = transformer.ModelConfig(**cfg_dict)
+    config = _config(transformer.ModelConfig, args.config,
+                     **({} if args.seed is None else {"seed": args.seed}))
     if not (0 <= args.target < len(paths)):
         raise InputError(f"target {args.target} outside 0..{len(paths) - 1}")
     model = transformer.AggregationFormer(config)

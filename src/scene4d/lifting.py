@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FaceOutOfRange
-from .geometry import CameraParams, DepthMap, pixel_directions
+from .geometry import CameraParams, DepthMap, pixel_direction
 from .raycast import raycast_batch, triangle_soup
 
 DEPTH_AGREEMENT_TOL = 1e-3   # meters; attachment must match the depth map
@@ -86,7 +86,7 @@ def attach_pixel(pixel, depth: DepthMap, cam: CameraParams, meshes) -> SurfaceAt
     u, v = int(pixel[0]), int(pixel[1])
     if not depth.valid[v, u]:
         raise ValueError("pixel is invalid in the depth map")
-    direction = pixel_directions(cam, *depth.values.shape)[v, u] @ cam.rotation
+    direction = pixel_direction(cam, *depth.values.shape, u, v) @ cam.rotation
 
     soup = triangle_soup(meshes, range(len(meshes)))
     t, idx, bary = raycast_batch(cam.center(), direction[None, :], soup.tris)

@@ -20,12 +20,13 @@ uncovered pixel in packed attachment arrays.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyScene, InputError, QueryInvalid
+from .errors import EmptyScene, FovOutOfRange, InputError, QueryInvalid, ZeroQuaternion
 from .geometry import (SE3, CameraParams, DepthMap, PointMap,
                        axis_angle_rotation, pixel_directions, project_many,
                        quat_to_rotation, se3_apply, se3_compose, se3_invert)
@@ -113,6 +114,8 @@ def _motion_from_spec(m, n_frames: int) -> list[SE3]:
             else:
                 out.append(SE3(quat_to_rotation(e["q"]), e["t"]))
         return out
+    if not isinstance(m, dict):
+        raise TypeError("a motion must be a list or a JSON object")
     kind = m.get("kind", "static")
     if kind == "static":
         return [SE3.identity() for _ in range(n_frames)]
@@ -160,6 +163,12 @@ class SceneSpec:
     dynamic_delta: float = DEFAULT_DYNAMIC_DELTA
 
     def __post_init__(self):
+        # checked here, not when a frame first needs them, so that `gen`
+        # fails before it has written any frame
+        if self.n_queries < 0:
+            raise ValueError("n_queries must be >= 0")
+        if not self.dynamic_delta > 0:
+            raise ValueError("dynamic_delta must be positive")
         if len(self.camera_path) != self.n_frames:
             raise ValueError("camera_path must have n_frames entries")
         for obj in self.objects:
@@ -196,7 +205,8 @@ class SceneSpec:
             )
         except KeyError as e:
             raise InputError(f"scene spec: missing field {e}") from e
-        except (IndexError, TypeError, ValueError) as e:  # a field of the wrong type or shape
+        except (IndexError, TypeError, ValueError, OverflowError) as e:
+            # a field of the wrong type or shape, or a number no int or index holds
             raise InputError(f"scene spec: unusable field ({e})") from e
 
     def to_dict(self) -> dict:
@@ -226,21 +236,28 @@ class SceneSpec:
 
 
 def _numbers(c: dict, key: str, n: int) -> list:
-    """Camera field `key` as a list of `n` JSON numbers, else InputError."""
+    """Camera field `key` as a list of `n` finite JSON numbers (NaN,
+    Infinity and integers beyond the float range excluded), else InputError."""
     v = c[key]
     if not (isinstance(v, (list, tuple)) and len(v) == n
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        raise InputError(f"camera field {key!r} must be a list of {n} numbers")
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and abs(x) <= sys.float_info.max for x in v)):
+        raise InputError(f"camera field {key!r} must be a list of {n} finite numbers")
     return v
 
 
 def _camera_from_dict(c) -> CameraParams:
+    """A camera JSON object; a non-unit `q` or a `fov` outside (0, pi)
+    raises InputError, like any other unusable field."""
     if not isinstance(c, dict) or not {"q", "t", "fov"} <= c.keys():
         raise InputError("a camera must be a JSON object with q, t and fov")
     fov = _numbers(c, "fov", 2)
-    return CameraParams(q=np.asarray(_numbers(c, "q", 4), dtype=np.float64),
-                        t=np.asarray(_numbers(c, "t", 3), dtype=np.float64),
-                        fov=(float(fov[0]), float(fov[1])))
+    try:
+        return CameraParams(q=np.asarray(_numbers(c, "q", 4), dtype=np.float64),
+                            t=np.asarray(_numbers(c, "t", 3), dtype=np.float64),
+                            fov=(float(fov[0]), float(fov[1])))
+    except (ZeroQuaternion, FovOutOfRange) as e:
+        raise InputError(f"camera: {e}") from e
 
 
 def _camera_to_dict(c: CameraParams) -> dict:
@@ -275,11 +292,15 @@ class TrajectorySet:
 
 @dataclass
 class FrameAttachments:
-    """Packed per-pixel surface attachments for one frame."""
+    """Packed per-pixel surface attachments for one frame.
 
-    object_id: np.ndarray   # (H, W) int64, NO_ATTACHMENT_ID where uncovered
-    face_id: np.ndarray     # (H, W) int64
-    bary: np.ndarray        # (H, W, 3)
+    `face_id` and `bary` are None where only the object ids were read
+    (`tensorio.open_dataset`).
+    """
+
+    object_id: np.ndarray                # (H, W) int64, NO_ATTACHMENT_ID where uncovered
+    face_id: np.ndarray | None = None    # (H, W) int64
+    bary: np.ndarray | None = None       # (H, W, 3)
 
     def get(self, u: int, v: int) -> SurfaceAttachment | None:
         oid = int(self.object_id[v, u])
@@ -291,14 +312,19 @@ class FrameAttachments:
 
 @dataclass
 class SequenceDataset:
-    """Everything the generator knows about one sequence."""
+    """Everything the generator knows about one sequence.
+
+    `pointmaps` and `attachments` may be lists or sequences that read each
+    frame from disk when indexed, and `dynamic_mask` None where the masks
+    were not read (`tensorio.open_dataset`).
+    """
 
     depths: list[DepthMap]
     cameras: list[CameraParams]
-    pointmaps: list[PointMap]
-    attachments: list[FrameAttachments]
+    pointmaps: Sequence[PointMap]
+    attachments: Sequence[FrameAttachments]
     trajectories: TrajectorySet
-    dynamic_mask: np.ndarray              # (N, H, W) bool
+    dynamic_mask: np.ndarray | None       # (N, H, W) bool
     spec: SceneSpec | None = None         # motion ground truth for the oracle
 
     @property
@@ -428,56 +454,71 @@ def _lookup_pixels(points: np.ndarray, cam: CameraParams, depth: DepthMap):
     return iu, iv, inside, visible
 
 
-def generate(spec: SceneSpec) -> SequenceDataset:
+def generate(spec: SceneSpec, write_frame=None) -> SequenceDataset:
     """Render every frame and derive trajectories, labels and masks.
 
     Deterministic: the only randomness is the splitmix64 query sampler
     seeded from spec.seed (draw order: one sample_indices call over the
     row-major valid pixels of frame 0).
+
+    Frames are rendered one at a time. Frame 0 gives the query tracks;
+    each frame then fills its visibility column and dynamic mask as it is
+    rendered. With `write_frame`, each finished frame is passed to
+    `write_frame(t, depth, attachments, pointmap, dynamic_mask)` and
+    dropped, so the returned dataset's `pointmaps` and `attachments` are
+    empty and about one frame's attachments and point map are alive at a
+    time. Leading frames without a hit are held back until the first hit,
+    so a scene with none raises EmptyScene before any frame is written.
     """
     h, w = spec.resolution
-    depths, atts, pmaps = [], [], []
-    for t in range(spec.n_frames):
-        d, a, p = _render(spec, t)
-        depths.append(d)
-        atts.append(a)
-        pmaps.append(p)
+    n = spec.n_frames
+    dmask = np.zeros((n, h, w), dtype=bool)
+    depths = []
+    held = []     # (t, depth, attachments, pointmap) not handed to write_frame
+    any_hit = False
+    for t in range(n):
+        frame = _render(spec, t)
+        depth, att = frame[0], frame[1]
+        if t == 0:
+            # query pixels over frame 0
+            vs, us = np.nonzero(depth.valid)     # row-major
+            rng = SplitMix64(spec.seed)
+            m = min(spec.n_queries, len(us))
+            picked = rng.sample_indices(len(us), m) if len(us) else []
+            q_u = us[picked]
+            q_v = vs[picked]
+            oid, base = _base_points(spec, att, q_v, q_u)
+            positions = _positions_over_time(spec, oid, base)    # (M, N, 3)
+            visible = np.zeros((m, n), dtype=bool)
 
-    if not any(np.any(d.valid) for d in depths):
+        # visibility by reprojection against the rendered depth
+        visible[:, t] = _lookup_pixels(positions[:, t, :], spec.camera_path[t], depth)[3]
+
+        # per-pixel dynamic mask, reference frame = own frame
+        pv, pu = np.nonzero(att.object_id >= 0)
+        if len(pv):
+            o, b = _base_points(spec, att, pv, pu)
+            dmask[t, pv, pu] = classify_dynamic(_positions_over_time(spec, o, b), t,
+                                                spec.dynamic_delta)
+
+        depths.append(depth)
+        held.append((t, *frame))
+        del frame, att  # only `held` may keep this frame while the next renders
+        any_hit = any_hit or bool(np.any(depth.valid))
+        if write_frame is not None and any_hit:
+            for s, *parts in held:
+                write_frame(s, *parts, dmask[s])
+            held.clear()
+
+    if not any_hit:
         raise EmptyScene("no pixel of any frame is covered by geometry")
-
-    # query pixels over frame 0
-    valid0 = depths[0].valid
-    vs, us = np.nonzero(valid0)              # row-major
-    rng = SplitMix64(spec.seed)
-    m = min(spec.n_queries, len(us))
-    picked = rng.sample_indices(len(us), m) if len(us) else []
-    q_u = us[picked]
-    q_v = vs[picked]
-
-    oid, base = _base_points(spec, atts[0], q_v, q_u)
-    positions = _positions_over_time(spec, oid, base)    # (M, N, 3)
-
-    # visibility by reprojection against the rendered depth
-    visible = np.zeros((m, spec.n_frames), dtype=bool)
-    for t in range(spec.n_frames):
-        visible[:, t] = _lookup_pixels(positions[:, t, :], spec.camera_path[t], depths[t])[3]
-
-    # per-pixel dynamic masks, reference frame = own frame
-    dmask = np.zeros((spec.n_frames, h, w), dtype=bool)
-    for t in range(spec.n_frames):
-        pv, pu = np.nonzero(atts[t].object_id >= 0)
-        if not len(pv):
-            continue
-        o, b = _base_points(spec, atts[t], pv, pu)
-        dmask[t, pv, pu] = classify_dynamic(_positions_over_time(spec, o, b), t,
-                                            spec.dynamic_delta)
 
     traj = TrajectorySet(positions=positions, visible=visible,
                          dynamic=classify_dynamic(positions, 0, spec.dynamic_delta),
                          query_pixels=np.stack([q_u, q_v], axis=1))
     return SequenceDataset(depths=depths, cameras=list(spec.camera_path),
-                           pointmaps=pmaps, attachments=atts,
+                           pointmaps=[p for *_, p in held],
+                           attachments=[a for _, _, a, _ in held],
                            trajectories=traj, dynamic_mask=dmask, spec=spec)
 
 
@@ -515,16 +556,29 @@ def oracle_aggregate(dataset: SequenceDataset, i: int, a: int) -> PointMap:
     return PointMap(points=out, valid=src.valid.copy())
 
 
-def complete_cloud(maps: Iterable[PointMap]) -> np.ndarray:
+def complete_cloud(maps: Iterable[PointMap], n_points: int | None = None) -> np.ndarray:
     """Union of all valid points, frame-major then row-major -> (n, 3).
 
     `maps` may be any iterable, such as a generator that warps one frame at
-    a time: only each map's valid points are kept.
+    a time: only each map's valid points are kept. Given `n_points`, the
+    maps' total valid count, the cloud is allocated once and each map's
+    points are copied straight into it, so no per-map part and no second
+    copy of the cloud exist; a different total raises ValueError.
     """
-    parts = [m.cloud() for m in maps]
-    if not parts:
-        return np.zeros((0, 3))
-    return np.concatenate(parts, axis=0)
+    if n_points is None:
+        parts = [m.cloud() for m in maps]
+        return np.concatenate(parts, axis=0) if parts else np.zeros((0, 3))
+    cloud = np.empty((n_points, 3))
+    k = 0
+    for m in maps:
+        n = int(np.count_nonzero(m.valid))
+        if k + n > n_points:
+            raise ValueError(f"maps hold more than the {n_points} valid points promised")
+        np.compress(m.valid.ravel(), m.points.reshape(-1, 3), axis=0, out=cloud[k:k + n])
+        k += n
+    if k != n_points:
+        raise ValueError(f"maps hold {k} valid points, {n_points} promised")
+    return cloud
 
 
 def recover_query_pixels(dataset: SequenceDataset) -> np.ndarray:

@@ -17,6 +17,10 @@ Dataset directory layout (one sequence):
 
 Validity is carried by the depth files: a pixel is valid iff its stored
 depth is > 0 (the renderer never emits a zero depth for a hit).
+
+`save_frame` writes one frame's four files, so a generator can write each
+frame as it renders it; `load_dataset` reads a whole directory and
+`open_dataset` reads each frame's files only when that frame is indexed.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 import os
 import struct
 import warnings
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -316,22 +321,36 @@ def _unpack_attachments(arr: np.ndarray) -> FrameAttachments:
                             bary=arr[..., 2:].copy())
 
 
-def save_dataset(dataset: SequenceDataset, out_dir) -> None:
+def save_frame(out_dir, t: int, depth: DepthMap, attachments: FrameAttachments,
+               pointmap: PointMap, dynamic_mask: np.ndarray) -> None:
+    """Write frame t's four .ct4 files into `out_dir`, creating it if needed.
+
+    Its signature is `generate`'s `write_frame` after `out_dir`.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for t in range(dataset.n_frames):
-        d = dataset.depths[t]
-        write_tensor(out / f"depth_{t:04d}.ct4", np.where(d.valid, d.values, 0.0))
-        write_tensor(out / f"pointmap_{t:04d}.ct4", dataset.pointmaps[t].points)
-        write_tensor(out / f"dynamic_mask_{t:04d}.ct4",
-                     dataset.dynamic_mask[t].astype(np.uint8))
-        write_tensor(out / f"attachments_{t:04d}.ct4",
-                     _pack_attachments(dataset.attachments[t]))
+    write_tensor(out / f"depth_{t:04d}.ct4", np.where(depth.valid, depth.values, 0.0))
+    write_tensor(out / f"pointmap_{t:04d}.ct4", pointmap.points)
+    write_tensor(out / f"dynamic_mask_{t:04d}.ct4", dynamic_mask.astype(np.uint8))
+    write_tensor(out / f"attachments_{t:04d}.ct4", _pack_attachments(attachments))
+
+
+def save_sequence(dataset: SequenceDataset, out_dir) -> None:
+    """Write the per-sequence files: cameras.json, trajectories.csv and,
+    when the dataset carries its spec, scene.json."""
+    out = Path(out_dir)
     write_cameras(out / "cameras.json", dataset.cameras)
     write_trajectories(out / "trajectories.csv", dataset.trajectories)
     if dataset.spec is not None:
         with open(out / "scene.json", "w") as f:
             f.write(json.dumps(dataset.spec.to_dict(), sort_keys=True) + "\n")
+
+
+def save_dataset(dataset: SequenceDataset, out_dir) -> None:
+    for t in range(dataset.n_frames):
+        save_frame(out_dir, t, dataset.depths[t], dataset.attachments[t],
+                   dataset.pointmaps[t], dataset.dynamic_mask[t])
+    save_sequence(dataset, out_dir)
 
 
 def load_depth_dir(dirpath) -> list[DepthMap]:
@@ -346,25 +365,80 @@ def load_depth_dir(dirpath) -> list[DepthMap]:
     return out
 
 
-def load_dataset(dirpath) -> SequenceDataset:
-    root = Path(dirpath)
-    depths = load_depth_dir(root)
-    n = len(depths)
-    pointmaps = []
-    attachments = []
-    dmask = []
-    for t in range(n):
-        pts = read_tensor(root / f"pointmap_{t:04d}.ct4")
-        pointmaps.append(PointMap(points=pts, valid=depths[t].valid.copy()))
-        attachments.append(_unpack_attachments(read_tensor(root / f"attachments_{t:04d}.ct4")))
-        dmask.append(read_tensor(root / f"dynamic_mask_{t:04d}.ct4").astype(bool))
-    cameras = read_cameras(root / "cameras.json")
-    traj = read_trajectories(root / "trajectories.csv")
-    spec = None
+def _read_pointmap(root: Path, t: int, depth: DepthMap) -> PointMap:
+    return PointMap(points=read_tensor(root / f"pointmap_{t:04d}.ct4"),
+                    valid=depth.valid.copy())
+
+
+def _read_sequence(root: Path) -> dict:
+    """The per-sequence fields of a dataset directory: cameras,
+    trajectories and spec (None without scene.json)."""
+    out = {"cameras": read_cameras(root / "cameras.json"),
+           "trajectories": read_trajectories(root / "trajectories.csv"), "spec": None}
     scene_path = root / "scene.json"
     if scene_path.exists():
         with open(scene_path) as f:
-            spec = SceneSpec.from_dict(json.load(f))
-    return SequenceDataset(depths=depths, cameras=cameras, pointmaps=pointmaps,
-                           attachments=attachments, trajectories=traj,
-                           dynamic_mask=np.stack(dmask), spec=spec)
+            out["spec"] = SceneSpec.from_dict(json.load(f))
+    return out
+
+
+def load_dataset(dirpath) -> SequenceDataset:
+    root = Path(dirpath)
+    depths = load_depth_dir(root)
+    pointmaps = []
+    attachments = []
+    dmask = []
+    for t, depth in enumerate(depths):
+        pointmaps.append(_read_pointmap(root, t, depth))
+        attachments.append(_unpack_attachments(read_tensor(root / f"attachments_{t:04d}.ct4")))
+        dmask.append(read_tensor(root / f"dynamic_mask_{t:04d}.ct4").astype(bool))
+    return SequenceDataset(depths=depths, pointmaps=pointmaps, attachments=attachments,
+                           dynamic_mask=np.stack(dmask), **_read_sequence(root))
+
+
+class _FrameFiles(Sequence):
+    """Per-frame values of a dataset directory, each read when indexed.
+
+    Only the last frame read is kept, so indexing the same frame again,
+    as repeated warps of one source frame do, reads nothing.
+    """
+
+    def __init__(self, n: int, read):
+        self._n = n
+        self._read = read
+        self._last = None  # (t, value)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, t):
+        t = range(self._n)[t]
+        if self._last is None or self._last[0] != t:
+            self._last = None  # drop the kept frame before reading the next
+            self._last = (t, self._read(t))
+        return self._last[1]
+
+
+def open_dataset(dirpath) -> SequenceDataset:
+    """A dataset directory with at most one frame's point map and object
+    ids in memory: what `aggregate-oracle` needs.
+
+    Depth maps, cameras, trajectories and the spec are loaded at once.
+    `pointmaps[t]` and `attachments[t]` read frame t's file when indexed
+    (see `_FrameFiles`), and an attachment holds only its object ids:
+    `face_id` and `bary` are None. The dynamic masks are not read
+    (`dynamic_mask` is None).
+    """
+    root = Path(dirpath)
+    depths = load_depth_dir(root)
+    n = len(depths)
+
+    def object_ids(t):
+        packed = read_tensor(root / f"attachments_{t:04d}.ct4")
+        return FrameAttachments(object_id=packed[..., 0].astype(np.int64))
+
+    return SequenceDataset(
+        depths=depths,
+        pointmaps=_FrameFiles(n, lambda t: _read_pointmap(root, t, depths[t])),
+        attachments=_FrameFiles(n, object_ids), dynamic_mask=None,
+        **_read_sequence(root))

@@ -54,6 +54,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.dim, self.n_heads, self.patch) < 1:
+            raise ValueError("dim, n_heads and patch must be >= 1")
         if self.dim % self.n_heads != 0:
             raise ValueError("dim must be divisible by n_heads")
         if self.dim % 4 != 0:

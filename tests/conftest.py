@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from scene4d.geometry import CameraParams
 from scene4d.synth import (SceneObject, SceneSpec, box_mesh, plane_mesh,
@@ -64,3 +65,27 @@ def random_camera(rng) -> CameraParams:
     t = np.array([rng.uniform() * 6 - 3 for _ in range(3)])
     fov = (0.3 + rng.uniform() * 2.3, 0.3 + rng.uniform() * 2.3)
     return CameraParams(q=q, t=t, fov=fov)
+
+
+# ---------------------------------------------------------------------------
+# JSON values for the loaders' property tests
+
+# Numbers include what json.load accepts beyond standard JSON (NaN,
+# Infinity) and integers no float holds. Every other number is small:
+# a loader may build a list of n_frames entries before checking anything.
+JSON_NUMBERS = (st.integers(-2, 8) | st.floats(-8, 8)
+                | st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 2**63, 10**400]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+def json_or(valid):
+    """A field's valid JSON value, lists of numbers of nearby lengths, or any JSON value."""
+    return st.just(valid) | st.lists(JSON_NUMBERS, min_size=2, max_size=5) | JSON_VALUES
+
+
+JSON_CAMERAS = st.fixed_dictionaries({}, optional={
+    "q": json_or([1, 0, 0, 0]), "t": json_or([0, 0, 0]), "fov": json_or([1, 1])}) | JSON_VALUES

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in-process through cli.main."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -8,9 +9,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import JSON_VALUES
+from scene4d import cli
 from scene4d.cli import main
+from scene4d.errors import InputError
+from scene4d.losses import LossConfig
 from scene4d.tensorio import read_tensor, write_tensor
+from scene4d.transformer import ModelConfig
 
 SCENE = {
     "resolution": [48, 48],
@@ -291,14 +299,30 @@ def _short_ply(tmp_path):
                                  "fov": [1, "wide"]}), "InputError"),
     (lambda d: _scene(d, n_frames=None), "InputError"),
     (lambda d: _scene(d, resolution="ab"), "InputError"),
+    (lambda d: _scene(d, n_frames=float("inf")), "InputError"),
+    (lambda d: _scene(d, dynamic_delta=-1), "InputError"),
+    (lambda d: _scene(d, n_queries=-3), "InputError"),
+    (lambda d: _cameras(d, json.dumps([{"q": [2, 0, 0, 0], "t": [0, 0, 0],
+                                        "fov": [1, 1]}] * 2)), "InputError"),
+    (lambda d: _cameras(d, json.dumps([{"q": [1, 0, 0, 0], "t": [0, 0, 0],
+                                        "fov": [1, 4]}] * 2)), "InputError"),
+    (lambda d: _cameras(d, json.dumps([{"q": [1, 0, 0, 0], "t": [float("nan"), 0, 0],
+                                        "fov": [1, 1]}] * 2)), "InputError"),
     (lambda d: _config(d, "loss-check"), "InputError"),
     (lambda d: _config(d, "forward"), "InputError"),
+    (lambda d: _config(d, "forward", {"n_heads": 0}), "InputError"),
+    (lambda d: _config(d, "forward", {"patch": 0}), "InputError"),
+    (lambda d: _config(d, "forward", {"dim": -4}), "InputError"),
+    (lambda d: _config(d, "loss-check", {"alpha": -1}), "InputError"),
     (_short_ply, "MalformedHeader"),
 ], ids=["camera-without-keys", "cameras-invalid-json", "cameras-not-a-list",
         "camera-q-three-numbers", "camera-t-two-numbers", "camera-fov-a-number",
         "scene-camera-without-fov", "scene-camera-fov-not-numbers", "scene-without-n_frames",
-        "scene-resolution-a-string", "loss-config-unknown-key",
-        "model-config-unknown-key", "ply-short-body"])
+        "scene-resolution-a-string", "scene-n_frames-infinite", "scene-dynamic_delta-negative",
+        "scene-n_queries-negative", "camera-q-not-unit", "camera-fov-over-pi",
+        "camera-t-nan", "loss-config-unknown-key",
+        "model-config-unknown-key", "model-config-n_heads-zero", "model-config-patch-zero",
+        "model-config-dim-negative", "loss-config-alpha-negative", "ply-short-body"])
 def test_unusable_json_and_ply_inputs_exit_two(tmp_path, argv, error):
     proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv(tmp_path),
                           capture_output=True, text=True)
@@ -370,6 +394,26 @@ def test_config_value_of_wrong_type_exits_two(tmp_path, command, settings):
     assert proc.stderr == ""
 
 
+_SETTINGS = {cls: st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(cls)] + ["bogus"]),
+    JSON_VALUES | st.sampled_from(["focal", "add", "offset"]), max_size=4)
+    for cls in (LossConfig, ModelConfig)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([LossConfig, ModelConfig]).flatmap(
+    lambda cls: st.tuples(st.just(cls), _SETTINGS[cls] | JSON_VALUES)))
+def test_fuzz_config_parses_or_raises_input_error(tmp_path_factory, case):
+    cls, value = case
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(value))
+    try:
+        config = cli._config(cls, path)
+    except InputError:
+        return
+    assert isinstance(config, cls) and isinstance(value, dict)
+
+
 def test_config_takes_an_integer_for_a_float(tmp_path, capsys):
     code, out = _run(capsys, *_config(tmp_path, "loss-check", {"alpha": 0, "huber_eps": 2}))
     assert code == 0
@@ -378,7 +422,7 @@ def test_config_takes_an_integer_for_a_float(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags,code,error", [
     (["--config", "{cfg}"], 2, "InputError"),
-    (["--config", "{bad_cfg}"], 1, "ValueError"),
+    (["--config", "{bad_cfg}"], 2, "InputError"),
     (["--target", "2"], 2, "InputError"),
 ], ids=["config-value", "model-config", "target"])
 def test_forward_checks_settings_before_reading_frames(tmp_path, capsys, flags, code, error):

@@ -1,7 +1,8 @@
-"""The one pinhole path: `geometry.pixel_directions` builds every pixel ray,
-`project` is a one-point `project_many`, and `synth._lookup_pixels` is the
-one projection-to-pixel lookup. Each is checked bitwise against the forms
-it replaced, which are kept here verbatim as references."""
+"""The one pinhole path: `geometry.pixel_directions` builds every pixel ray
+(`pixel_direction` one of them, bitwise the grid's element), `project` is
+a one-point `project_many`, and `synth._lookup_pixels` is the one
+projection-to-pixel lookup. Each is checked bitwise against the forms it
+replaced, which are kept here verbatim as references."""
 
 import warnings
 
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from conftest import demo_scene, identity_camera, random_camera
 from scene4d import synth
 from scene4d.errors import QueryInvalid
-from scene4d.geometry import (CameraParams, DepthMap, intrinsics, pixel_directions,
-                              project, project_many, unproject)
+from scene4d.geometry import (CameraParams, DepthMap, intrinsics, pixel_direction,
+                              pixel_directions, project, project_many, unproject)
 from scene4d.lifting import DEPTH_AGREEMENT_TOL, SurfaceAttachment, attach_pixel
 from scene4d.raycast import raycast_batch, triangle_soup
 from scene4d.rng import SplitMix64
@@ -137,6 +138,7 @@ def test_rays_bitwise_equal_references(case):
         u, v = rng.randbelow(w), rng.randbelow(h)
         _, ref = reference_pixel_ray((u, v), (h, w), cam)
         assert _same(dirs[v, u] @ R, ref)
+        assert _same(pixel_direction(cam, h, w, u, v), dirs[v, u])
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,20 +1,24 @@
-"""The oracle's aggregation streams its warped maps: `aggregate-oracle`
-holds one warped map at a time, and the synth helpers it feeds give the
-same arrays from a generator as from a list."""
+"""The producer commands stream their frames: `gen` writes each frame as
+it renders it and `aggregate-oracle` holds one warped map at a time, and
+the synth helpers it feeds give the same arrays from a generator as from
+a list."""
 
 import contextlib
 import dataclasses
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import demo_scene
-from scene4d import cli
-from scene4d.synth import complete_cloud, oracle_aggregate, tracks_from_aggregation
-from scene4d.tensorio import load_dataset
+from conftest import demo_scene, identity_camera
+from scene4d import cli, tensorio
+from scene4d.synth import (SceneObject, SceneSpec, complete_cloud, generate, oracle_aggregate,
+                           plane_mesh, render_frame, tracks_from_aggregation, translation_path)
+from scene4d.tensorio import load_dataset, save_dataset
 
 
 def _array_bytes(obj) -> int:
@@ -62,6 +66,24 @@ def test_aggregate_oracle_holds_one_warped_map_at_a_time(dataset_dir, tmp_path):
     assert peak - dataset_bytes - 2 * cloud_bytes < 4 * map_bytes
 
 
+def test_aggregate_oracle_reads_each_frame_once(dataset_dir, tmp_path, monkeypatch):
+    reads = []
+    read = tensorio.read_tensor
+    monkeypatch.setattr(tensorio, "read_tensor", lambda p: reads.append(p.name) or read(p))
+    argv = ["aggregate-oracle", "--data", str(dataset_dir), "--target", "3",
+            "--out", str(tmp_path / "agg"), "--tracks-out", str(tmp_path / "tracks.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    # every depth map and point map, the object ids of every frame but the
+    # target (which is not warped), and frame 0 once more for all 7 track
+    # warps; no dynamic mask
+    frames = [f"{t:04d}" for t in range(8)]
+    assert sorted(reads) == sorted([f"depth_{t}.ct4" for t in frames]
+                                   + [f"pointmap_{t}.ct4" for t in frames + ["0000"]]
+                                   + [f"attachments_{t}.ct4" for t in frames + ["0000"]
+                                      if t != "0003"])
+
+
 def test_complete_cloud_same_from_list_or_generator(demo_dataset):
     n = demo_dataset.n_frames
     maps = [oracle_aggregate(demo_dataset, i, 3) for i in range(n)]
@@ -85,3 +107,78 @@ def test_tracks_same_from_list_or_generator(demo_dataset):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), field
     assert from_list.positions.shape == (len(queries), n, 3)
+
+
+def test_gen_holds_about_one_frame(tmp_path):
+    spec = demo_scene(n_frames=8, resolution=(64, 64))
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(spec.to_dict()))
+    dataset = generate(spec)
+    frame_bytes = sum(_array_bytes(x) for x in (
+        dataset.depths[0], dataset.attachments[0], dataset.pointmaps[0],
+        dataset.dynamic_mask[0]))
+    traj_bytes = _array_bytes(dataset.trajectories)
+    del dataset
+
+    tracemalloc.start()
+    try:
+        render_peak = 0
+        for t in range(spec.n_frames):
+            tracemalloc.reset_peak()
+            render_frame(spec, t)
+            render_peak = max(render_peak, tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["gen", "--spec", str(scene), "--out", str(tmp_path / "data")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # Rendering one frame needs `render_peak` (at 64x64 the ray kernel's
+    # chunk buffers are most of it). Beyond that, the 8 depth maps and
+    # masks come to about one frame and the frame being written to one
+    # more; keeping every frame's point map and attachments would add 7.
+    assert peak - render_peak - traj_bytes < 3 * frame_bytes
+
+
+def _leading_miss_scene(n_frames=4, start_z=-5.0):
+    """A square that slides along the view axis from behind the camera:
+    frames whose square lies behind the camera plane see nothing."""
+    v, f = plane_mesh([0, 0, start_z], [4, 0, 0], [0, 4, 0])
+    return SceneSpec(objects=[SceneObject(v, f, translation_path([0, 0, 5.0], n_frames))],
+                     background=None, camera_path=[identity_camera()] * n_frames,
+                     resolution=(8, 8), n_frames=n_frames, seed=0)
+
+
+def _files(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_gen_writes_leading_empty_frames_once_a_frame_hits(tmp_path):
+    spec = _leading_miss_scene()
+    dataset = generate(spec)
+    assert [bool(d.valid.any()) for d in dataset.depths] == [False, False, True, True]
+    save_dataset(dataset, tmp_path / "library")
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(spec.to_dict()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--spec", str(scene), "--out", str(tmp_path / "cli")]) == 0
+    files = _files(tmp_path / "cli")
+    assert len(files) == 4 * spec.n_frames + 3
+    assert files == _files(tmp_path / "library")
+
+
+def test_gen_empty_scene_exits_one_and_writes_nothing(tmp_path):
+    # the square never gets in front of the camera
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(_leading_miss_scene(n_frames=2, start_z=-10.0).to_dict()))
+    out = tmp_path / "data"
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli", "gen", "--spec", str(scene),
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "EmptyScene"
+    assert proc.stderr == ""
+    # all-miss frames are held back until the first hit, so no file and
+    # not even the directory is left behind
+    assert not out.exists()

@@ -1,10 +1,15 @@
 """Raycasting, rendering, dataset generation and the aggregation oracle."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import demo_scene, identity_camera, spinning_box_scene
-from scene4d.errors import EmptyScene, QueryInvalid
+from conftest import (JSON_NUMBERS, JSON_VALUES, demo_scene, identity_camera,
+                      spinning_box_scene)
+from scene4d.errors import EmptyScene, InputError, QueryInvalid
 from scene4d.geometry import unproject
 from scene4d.raycast import raycast, raycast_batch
 from scene4d.rng import SplitMix64
@@ -342,3 +347,64 @@ def test_tracks_static_query_constant(demo_dataset):
     assert static.any()
     pos = traj.positions[static]
     assert np.max(np.abs(pos - pos[:, :1, :])) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# scene JSON
+
+_SCENE_JSON = {
+    "resolution": [4, 4], "n_frames": 2, "seed": 1, "n_queries": 8, "dynamic_delta": 0.1,
+    "camera": {"q": [1, 0, 0, 0], "t": [0, 0, 0], "fov": [1, 1]},
+    "camera_path": [{"q": [1, 0, 0, 0], "t": [0, 0, 0], "fov": [1, 1]}] * 2,
+    "background": {"type": "plane", "center": [0, 2, 8], "u_axis": [9, 0, 0],
+                   "v_axis": [0, 0, 9]},
+    "objects": [
+        {"shape": {"type": "box", "center": [1, 0, 5], "size": [1, 1, 1]},
+         "motion": {"kind": "spin", "axis": [0, 1, 0], "pivot": [1, 0, 5],
+                    "radians_per_frame": 0.4}},
+        {"shape": {"type": "mesh", "vertices": [[0, 0, 5], [1, 0, 5], [0, 1, 5]],
+                   "faces": [[0, 1, 2]]},
+         "motion": [{"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0]},
+                    {"q": [1, 0, 0, 0], "t": [0.1, 0, 0]}]},
+        {"shape": {"type": "box", "center": [-1, 0, 6], "size": [1, 1, 1]},
+         "motion": {"kind": "translate", "velocity": [0.2, 0, 0]}},
+    ],
+}
+
+
+def _slots(value):
+    """Every (container, key) of a nested JSON value."""
+    keys = value.keys() if isinstance(value, dict) else \
+        range(len(value)) if isinstance(value, list) else ()
+    for k in keys:
+        yield value, k
+        yield from _slots(value[k])
+
+
+@st.composite
+def _mutated_scenes(draw):
+    """The valid scene above with one to three fields replaced by any JSON
+    value (lists of numbers of nearby lengths among them) or deleted."""
+    scene = json.loads(json.dumps(_SCENE_JSON))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(scene))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(st.lists(JSON_NUMBERS, min_size=2, max_size=5) | JSON_VALUES)
+    return scene
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_scenes() | JSON_VALUES)
+def test_fuzz_scene_from_dict_parses_or_raises_input_error(d):
+    try:
+        with np.errstate(all="ignore"):  # as the CLI runs it: inf * 0 in a motion path
+            spec = SceneSpec.from_dict(d)
+    except InputError:
+        return
+    assert len(spec.camera_path) == spec.n_frames
+    assert all(len(o.motion) == spec.n_frames for o in spec.objects)

@@ -1,6 +1,7 @@
 """File formats: tensor container, PLY, trajectory CSV, dataset round-trips."""
 
 import hashlib
+import json
 import struct
 import tracemalloc
 
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import demo_scene
+from conftest import JSON_CAMERAS, JSON_VALUES, demo_scene
 from scene4d.errors import (BadMagic, InputError, MalformedHeader,
                             TruncatedPayload, UnsupportedVersion)
 from scene4d.rng import SplitMix64
 from scene4d.synth import TrajectorySet, generate
-from scene4d.tensorio import (load_dataset, read_cameras, read_ply,
+from scene4d.tensorio import (load_dataset, open_dataset, read_cameras, read_ply,
                               read_tensor, read_trajectories, save_dataset,
                               write_cameras, write_ply, write_tensor,
                               write_trajectories)
@@ -256,6 +257,24 @@ def test_dataset_roundtrip(tmp_path):
     assert back.spec.n_frames == 3
 
 
+def test_open_dataset_reads_each_frame_when_indexed(tmp_path):
+    ds = generate(demo_scene(n_frames=3, resolution=(16, 16), n_queries=20))
+    save_dataset(ds, tmp_path / "d")
+    full, lazy = load_dataset(tmp_path / "d"), open_dataset(tmp_path / "d")
+    assert len(lazy.pointmaps) == len(lazy.attachments) == 3 and lazy.dynamic_mask is None
+    for t in (0, 2, 2, -3, 1):
+        assert np.array_equal(lazy.pointmaps[t].points, full.pointmaps[t].points)
+        assert np.array_equal(lazy.pointmaps[t].valid, full.pointmaps[t].valid)
+        assert np.array_equal(lazy.attachments[t].object_id, full.attachments[t].object_id)
+    assert lazy.pointmaps[1] is lazy.pointmaps[1]  # the last frame read is kept
+    with pytest.raises(IndexError):
+        lazy.pointmaps[3]
+    assert lazy.spec.to_dict() == full.spec.to_dict()
+    assert np.array_equal(lazy.trajectories.positions, full.trajectories.positions)
+    assert [c.fov for c in lazy.cameras] == [c.fov for c in full.cameras]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(lazy.depths, full.depths))
+
+
 def test_dataset_serialization_deterministic(tmp_path):
     spec = demo_scene(n_frames=2, resolution=(16, 16), seed=5, n_queries=20)
     save_dataset(generate(spec), tmp_path / "a")
@@ -398,6 +417,21 @@ def test_fuzz_read_ply_parses_or_raises_typed_error(tmp_path_factory, text):
         return
     assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 3
     assert normals is None or normals.shape == pts.shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(JSON_CAMERAS, max_size=3).map(json.dumps) | JSON_VALUES.map(json.dumps)
+       | st.text(max_size=40))
+def test_fuzz_read_cameras_parses_or_raises_input_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cameras") / "cameras.json"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        cams = read_cameras(path)
+    except InputError:
+        return
+    for c in cams:
+        assert np.all(np.isfinite(c.q)) and np.all(np.isfinite(c.t))
+        assert all(0 < f < np.pi for f in c.fov)
 
 
 def _csv(rows):
