@@ -147,12 +147,18 @@ def cmd_aggregate_oracle(args) -> int:
         # warped, written and reduced to its valid points one map at a time
         for i in range(dataset.n_frames):
             pm = synth.oracle_aggregate(dataset, i, args.target)
-            tensorio.write_tensor(out / f"aggregated_{i:04d}.ct4", np.concatenate(
-                [pm.points, pm.valid[..., None].astype(np.float64)], axis=-1))
+            xyzv = np.empty(pm.valid.shape + (4,))
+            xyzv[..., :3] = pm.points
+            xyzv[..., 3] = pm.valid
+            tensorio.write_tensor(out / f"aggregated_{i:04d}.ct4", xyzv)
+            del xyzv
             yield pm
+            del pm  # not kept while the next map is warped
 
+    # the PLY stores float32, so the cloud is cast as each map is copied in
+    n_valid = sum(int(np.count_nonzero(d.valid)) for d in dataset.depths)
     cloud = synth.complete_cloud(warped_to_target(),
-                                 sum(int(np.count_nonzero(d.valid)) for d in dataset.depths))
+                                 out=np.empty((n_valid, 3), dtype=np.float32))
     tensorio.write_ply(out / "complete_cloud.ply", cloud)
     points_complete = len(cloud)
     del cloud

@@ -47,6 +47,10 @@ class LossConfig:
     grad_term: bool = True
 
     def __post_init__(self):
+        # NaN would pass every range check below
+        if not np.all(np.isfinite([self.alpha, self.beta, self.gamma, self.lam,
+                                   self.huber_eps, self.dynamic_weight])):
+            raise ValueError("alpha, beta, gamma, lam, huber_eps, dynamic_weight must be finite")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("alpha, beta, gamma must be non-negative")
         if self.lam <= 0 or self.huber_eps <= 0:

@@ -40,6 +40,7 @@ NO_ATTACHMENT_ID = -2
 VISIBILITY_DEPTH_TOL = 1e-4  # meters, reprojection-vs-rendered-depth test
 DEFAULT_N_QUERIES = 512
 DEFAULT_DYNAMIC_DELTA = 0.03
+_PIXEL_BLOCK = 4096  # pixels whose hits _render gathers together
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +82,13 @@ def _shape_from_dict(d):
     if kind == "plane":
         return plane_mesh(d["center"], d["u_axis"], d["v_axis"])
     if kind == "mesh":
-        return (np.asarray(d["vertices"], dtype=np.float64),
-                np.asarray(d["faces"], dtype=np.int64))
+        verts = np.asarray(d["vertices"], dtype=np.float64)
+        faces = d["faces"]
+        # checked as JSON: the int64 cast below would truncate 1.5 and take true as 1
+        if verts.ndim != 2 or verts.shape[1] != 3 or any(len(f) != 3 for f in faces) \
+                or not {type(i) for f in faces for i in f} <= {int}:
+            raise ValueError("a mesh needs [x, y, z] vertices and integer triple faces")
+        return verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     raise ValueError(f"unknown shape type {kind!r}")
 
 
@@ -167,13 +173,27 @@ class SceneSpec:
         # fails before it has written any frame
         if self.n_queries < 0:
             raise ValueError("n_queries must be >= 0")
-        if not self.dynamic_delta > 0:
-            raise ValueError("dynamic_delta must be positive")
+        if not 0 < self.dynamic_delta < np.inf:
+            raise ValueError("dynamic_delta must be positive and finite")
         if len(self.camera_path) != self.n_frames:
             raise ValueError("camera_path must have n_frames entries")
+        # a NaN vertex or motion would render silently (its triangle is never
+        # hit), and a face index past the vertices fails only when rendered
+        meshes = [(obj.vertices, obj.faces) for obj in self.objects]
+        if self.background is not None:
+            meshes.append(self.background)
+        for verts, faces in meshes:
+            verts, faces = np.asarray(verts), np.asarray(faces)
+            if not np.all(np.isfinite(verts)):
+                raise ValueError("mesh vertices must be finite")
+            if faces.size and not (faces.min() >= 0 and faces.max() < len(verts)):
+                raise ValueError(f"a face index is outside its mesh's 0..{len(verts) - 1}")
         for obj in self.objects:
             if len(obj.motion) != self.n_frames:
                 raise ValueError("object motion must have n_frames entries")
+            if not all(np.all(np.isfinite(m.rotation)) and np.all(np.isfinite(m.translation))
+                       for m in obj.motion):
+                raise ValueError("object motion values must be finite")
 
     # -- JSON schema ----------------------------------------------------
 
@@ -361,20 +381,24 @@ def _render(spec: SceneSpec, frame: int):
 
     soup = _soup(spec, frame)
     t, idx, bary = raycast_batch(cam.center(), dirs, soup.tris)
+    del dirs
     hit = idx >= 0
 
     depth = np.where(hit, t, 0.0).reshape(h, w)
     valid = hit.reshape(h, w)
 
-    object_id = np.full(len(dirs), NO_ATTACHMENT_ID, dtype=np.int64)
-    face_id = np.full(len(dirs), -1, dtype=np.int64)
-    object_id[hit] = soup.owner[idx[hit]]
-    face_id[hit] = soup.face[idx[hit]]
-
-    points = np.zeros((len(dirs), 3))
-    if np.any(hit):
-        corners = soup.tris[idx[hit]]                   # (k, 3, 3)
-        points[hit] = np.einsum("kc,kcd->kd", bary[hit], corners)
+    object_id = np.full(h * w, NO_ATTACHMENT_ID, dtype=np.int64)
+    face_id = np.full(h * w, -1, dtype=np.int64)
+    points = np.zeros((h * w, 3))
+    # the hits are gathered and combined one block of pixels at a time; each
+    # hit point is its own einsum row, so the blocks give the bits of one pass
+    for s in range(0, h * w, _PIXEL_BLOCK):
+        blk = slice(s, s + _PIXEL_BLOCK)
+        sel = hit[blk]
+        tri = idx[blk][sel]
+        object_id[blk][sel] = soup.owner[tri]
+        face_id[blk][sel] = soup.face[tri]
+        points[blk][sel] = np.einsum("kc,kcd->kd", bary[blk][sel], soup.tris[tri])
 
     att = FrameAttachments(object_id=object_id.reshape(h, w),
                            face_id=face_id.reshape(h, w),
@@ -454,6 +478,28 @@ def _lookup_pixels(points: np.ndarray, cam: CameraParams, depth: DepthMap):
     return iu, iv, inside, visible
 
 
+def _query_tracks(spec: SceneSpec, depth: DepthMap, att: FrameAttachments):
+    """Frame 0's sampled query pixels and their world tracks ->
+    (q_u, q_v, (M, N, 3) positions)."""
+    vs, us = np.nonzero(depth.valid)     # row-major
+    rng = SplitMix64(spec.seed)
+    m = min(spec.n_queries, len(us))
+    picked = rng.sample_indices(len(us), m) if len(us) else []
+    q_u = us[picked]
+    q_v = vs[picked]
+    oid, base = _base_points(spec, att, q_v, q_u)
+    return q_u, q_v, _positions_over_time(spec, oid, base)
+
+
+def _mark_dynamic(spec: SceneSpec, att: FrameAttachments, t: int, out: np.ndarray) -> None:
+    """Set frame t's (H, W) dynamic mask `out`, with frame t as reference."""
+    pv, pu = np.nonzero(att.object_id >= 0)
+    if len(pv):
+        o, b = _base_points(spec, att, pv, pu)
+        out[pv, pu] = classify_dynamic(_positions_over_time(spec, o, b), t,
+                                       spec.dynamic_delta)
+
+
 def generate(spec: SceneSpec, write_frame=None) -> SequenceDataset:
     """Render every frame and derive trajectories, labels and masks.
 
@@ -466,9 +512,10 @@ def generate(spec: SceneSpec, write_frame=None) -> SequenceDataset:
     rendered. With `write_frame`, each finished frame is passed to
     `write_frame(t, depth, attachments, pointmap, dynamic_mask)` and
     dropped, so the returned dataset's `pointmaps` and `attachments` are
-    empty and about one frame's attachments and point map are alive at a
-    time. Leading frames without a hit are held back until the first hit,
-    so a scene with none raises EmptyScene before any frame is written.
+    empty and no written frame's attachments or point map is alive while
+    the next frame renders. Leading frames without a hit are held back
+    until the first hit, so a scene with none raises EmptyScene before any
+    frame is written.
     """
     h, w = spec.resolution
     n = spec.n_frames
@@ -480,26 +527,12 @@ def generate(spec: SceneSpec, write_frame=None) -> SequenceDataset:
         frame = _render(spec, t)
         depth, att = frame[0], frame[1]
         if t == 0:
-            # query pixels over frame 0
-            vs, us = np.nonzero(depth.valid)     # row-major
-            rng = SplitMix64(spec.seed)
-            m = min(spec.n_queries, len(us))
-            picked = rng.sample_indices(len(us), m) if len(us) else []
-            q_u = us[picked]
-            q_v = vs[picked]
-            oid, base = _base_points(spec, att, q_v, q_u)
-            positions = _positions_over_time(spec, oid, base)    # (M, N, 3)
-            visible = np.zeros((m, n), dtype=bool)
+            q_u, q_v, positions = _query_tracks(spec, depth, att)
+            visible = np.zeros((len(q_u), n), dtype=bool)
 
         # visibility by reprojection against the rendered depth
         visible[:, t] = _lookup_pixels(positions[:, t, :], spec.camera_path[t], depth)[3]
-
-        # per-pixel dynamic mask, reference frame = own frame
-        pv, pu = np.nonzero(att.object_id >= 0)
-        if len(pv):
-            o, b = _base_points(spec, att, pv, pu)
-            dmask[t, pv, pu] = classify_dynamic(_positions_over_time(spec, o, b), t,
-                                                spec.dynamic_delta)
+        _mark_dynamic(spec, att, t, dmask[t])
 
         depths.append(depth)
         held.append((t, *frame))
@@ -509,6 +542,7 @@ def generate(spec: SceneSpec, write_frame=None) -> SequenceDataset:
             for s, *parts in held:
                 write_frame(s, *parts, dmask[s])
             held.clear()
+            del parts  # the loop variable would keep the last frame written
 
     if not any_hit:
         raise EmptyScene("no pixel of any frame is covered by geometry")
@@ -545,8 +579,8 @@ def oracle_aggregate(dataset: SequenceDataset, i: int, a: int) -> PointMap:
     if i == a:
         return PointMap(points=src.points.copy(), valid=src.valid.copy())
 
+    att = dataset.attachments[i]  # a read's buffers are freed before the copy exists
     out = src.points.copy()
-    att = dataset.attachments[i]
     for o in range(len(dataset.spec.objects)):
         sel = (att.object_id == o) & src.valid
         if not np.any(sel):
@@ -556,29 +590,36 @@ def oracle_aggregate(dataset: SequenceDataset, i: int, a: int) -> PointMap:
     return PointMap(points=out, valid=src.valid.copy())
 
 
-def complete_cloud(maps: Iterable[PointMap], n_points: int | None = None) -> np.ndarray:
+def complete_cloud(maps: Iterable[PointMap], out: np.ndarray | None = None) -> np.ndarray:
     """Union of all valid points, frame-major then row-major -> (n, 3).
 
     `maps` may be any iterable, such as a generator that warps one frame at
-    a time: only each map's valid points are kept. Given `n_points`, the
-    maps' total valid count, the cloud is allocated once and each map's
-    points are copied straight into it, so no per-map part and no second
-    copy of the cloud exist; a different total raises ValueError.
+    a time: only each map's valid points are kept, and no map is held
+    while the next one is made. Given `out`, an (n, 3) array of the maps'
+    total valid count n, each map's points are cast to `out`'s dtype and
+    copied straight into it, so no per-map part and no second copy of the
+    cloud exist, and `out` is returned; a different count raises
+    ValueError.
     """
-    if n_points is None:
-        parts = [m.cloud() for m in maps]
+    if out is None:
+        parts = []
+        for m in maps:
+            parts.append(m.cloud())
+            del m
         return np.concatenate(parts, axis=0) if parts else np.zeros((0, 3))
-    cloud = np.empty((n_points, 3))
+    if out.ndim != 2 or out.shape[1] != 3:
+        raise ValueError(f"out must have shape (n, 3), not {out.shape}")
     k = 0
     for m in maps:
         n = int(np.count_nonzero(m.valid))
-        if k + n > n_points:
-            raise ValueError(f"maps hold more than the {n_points} valid points promised")
-        np.compress(m.valid.ravel(), m.points.reshape(-1, 3), axis=0, out=cloud[k:k + n])
+        if k + n > len(out):
+            raise ValueError(f"maps hold more than the {len(out)} valid points of out")
+        np.compress(m.valid.ravel(), m.points.reshape(-1, 3), axis=0, out=out[k:k + n])
         k += n
-    if k != n_points:
-        raise ValueError(f"maps hold {k} valid points, {n_points} promised")
-    return cloud
+        del m
+    if k != len(out):
+        raise ValueError(f"maps hold {k} valid points, out has {len(out)} rows")
+    return out
 
 
 def recover_query_pixels(dataset: SequenceDataset) -> np.ndarray:
@@ -620,7 +661,9 @@ def tracks_from_aggregation(maps_per_target: Iterable[PointMap], query_pixels,
         raise QueryInvalid(f"query pixel ({u[k]}, {v[k]}) invalid in the source frame")
     rows = [first.points[v, u]]
     del first
-    rows += [pm.points[v, u] for pm in maps]
+    for pm in maps:
+        rows.append(pm.points[v, u])
+        del pm  # not kept while the next map is made
     positions = np.stack(rows, axis=1)  # (M, N, 3)
     return TrajectorySet(positions=positions, visible=np.ones(positions.shape[:2], dtype=bool),
                          dynamic=classify_dynamic(positions, 0, dynamic_delta),

@@ -437,3 +437,53 @@ def test_forward_checks_settings_before_reading_frames(tmp_path, capsys, flags, 
     got, out = _run(capsys, *argv)
     assert got == code
     assert json.loads(out)["error"]["type"] == error
+
+
+_TRIANGLE = [[0, 0, 5], [1, 0, 5], [0, 1, 5]]
+
+
+def _mesh_scene(tmp_path, vertices=_TRIANGLE, faces=((0, 1, 2),), motion=None):
+    obj = {"shape": {"type": "mesh", "vertices": vertices, "faces": faces},
+           "motion": motion or {"kind": "static"}}
+    return _scene(tmp_path, objects=[obj])
+
+
+def _exits_two_with_one_json_line(argv):
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "InputError"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("faces", [[[0, 1, 9]], [[0, -1, 2]], [[0, 1, 1.5]], [[0, 1]],
+                                   [[0, 1, True]], [0, 1, 2]],
+                         ids=["index-past-the-end", "index-negative", "index-a-float",
+                              "a-pair", "index-a-bool", "not-nested"])
+def test_mesh_faces_not_vertex_index_triples_exit_two(tmp_path, faces):
+    _exits_two_with_one_json_line(_mesh_scene(tmp_path, faces=faces))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: _config(d, "loss-check", {"alpha": NAN}),
+    lambda d: _config(d, "loss-check", {"dynamic_weight": INF}),
+    lambda d: _mesh_scene(d, vertices=[[0, 0, 5], [1, NAN, 5], [0, 1, 5]]),
+    lambda d: _scene(d, background={"type": "plane", "center": [0, 2.5, 8],
+                                    "u_axis": [INF, 0, 0], "v_axis": [0, 0, 8]}),
+    lambda d: _scene(d, objects=[{"shape": {"type": "box", "center": [0, 0, 5],
+                                            "size": [1, NAN, 1]},
+                                  "motion": {"kind": "static"}}]),
+    lambda d: _mesh_scene(d, motion={"kind": "translate", "velocity": [NAN, 0, 0]}),
+    lambda d: _mesh_scene(d, motion={"kind": "spin", "axis": [0, 1, 0], "pivot": [0, 0, 5],
+                                     "radians_per_frame": NAN}),
+    lambda d: _mesh_scene(d, motion=[{"q": [1, 0, 0, 0], "t": [0, 0, INF]}] * 5),
+    lambda d: _scene(d, dynamic_delta=INF),
+], ids=["loss-alpha-nan", "loss-dynamic_weight-inf", "mesh-vertex-nan", "plane-axis-inf",
+        "box-size-nan", "translate-velocity-nan", "spin-rate-nan", "explicit-t-inf",
+        "dynamic_delta-inf"])
+def test_non_finite_numbers_exit_two(tmp_path, argv):
+    _exits_two_with_one_json_line(argv(tmp_path))

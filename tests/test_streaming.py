@@ -10,12 +10,13 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import demo_scene, identity_camera
-from scene4d import cli, tensorio
+from scene4d import cli, synth, tensorio
 from scene4d.synth import (SceneObject, SceneSpec, complete_cloud, generate, oracle_aggregate,
                            plane_mesh, render_frame, tracks_from_aggregation, translation_path)
 from scene4d.tensorio import load_dataset, save_dataset
@@ -182,3 +183,84 @@ def test_gen_empty_scene_exits_one_and_writes_nothing(tmp_path):
     # all-miss frames are held back until the first hit, so no file and
     # not even the directory is left behind
     assert not out.exists()
+
+
+def test_gen_keeps_no_written_frame_alive_while_the_next_renders(tmp_path, monkeypatch):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(demo_scene(n_frames=4, resolution=(32, 32)).to_dict()))
+    written = []  # weak references to every frame handed to save_frame
+    save, render = tensorio.save_frame, synth._render
+
+    def save_frame(out_dir, t, depth, attachments, pointmap, dynamic_mask):
+        # the depth map stays in the dataset; the attachments and point map must not
+        written.extend(weakref.ref(x) for x in (attachments, attachments.object_id,
+                                                attachments.face_id, attachments.bary,
+                                                pointmap, pointmap.points))
+        save(out_dir, t, depth, attachments, pointmap, dynamic_mask)
+
+    renders = []
+
+    def checked_render(spec, frame):
+        renders.append(frame)
+        assert all(ref() is None for ref in written), f"a written frame is alive at {frame}"
+        return render(spec, frame)
+
+    monkeypatch.setattr(tensorio, "save_frame", save_frame)
+    monkeypatch.setattr(synth, "_render", checked_render)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--spec", str(scene), "--out", str(tmp_path / "data")]) == 0
+    assert renders == [0, 1, 2, 3]
+    assert len(written) == 6 * 4
+
+
+def test_aggregate_oracle_keeps_one_warped_map_and_writes_a_float32_cloud(
+        dataset_dir, tmp_path, monkeypatch):
+    dataset = load_dataset(dataset_dir)
+    expected = complete_cloud(oracle_aggregate(dataset, i, 3) for i in range(8))
+    del dataset
+
+    warped = []  # weak references to every map oracle_aggregate returned
+    aggregate, write_ply = synth.oracle_aggregate, tensorio.write_ply
+
+    def checked_aggregate(dataset, i, a):
+        alive = sum(ref() is not None for ref in warped)
+        assert alive == 0, f"{alive} earlier map(s) alive while warping frame {i} to {a}"
+        pm = aggregate(dataset, i, a)
+        warped.extend((weakref.ref(pm), weakref.ref(pm.points)))
+        return pm
+
+    clouds = []
+
+    def kept_write_ply(path, cloud, normals=None):
+        clouds.append(cloud.copy())
+        write_ply(path, cloud, normals)
+
+    monkeypatch.setattr(synth, "oracle_aggregate", checked_aggregate)
+    monkeypatch.setattr(tensorio, "write_ply", kept_write_ply)
+    argv = ["aggregate-oracle", "--data", str(dataset_dir), "--target", "3",
+            "--out", str(tmp_path / "agg"), "--tracks-out", str(tmp_path / "tracks.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    # 8 warps for the cloud and 8 for the tracks
+    assert len(warped) == 2 * 16
+    (cloud,) = clouds
+    assert cloud.dtype == np.float32 and cloud.shape == expected.shape
+    assert cloud.tobytes() == expected.astype(np.float32).tobytes()
+
+
+def test_complete_cloud_fills_out_in_place(demo_dataset):
+    n = demo_dataset.n_frames
+    expected = complete_cloud(oracle_aggregate(demo_dataset, i, 2) for i in range(n))
+    for dtype in (np.float64, np.float32):
+        out = np.full((len(expected), 3), np.nan, dtype=dtype)
+        got = complete_cloud((oracle_aggregate(demo_dataset, i, 2) for i in range(n)), out=out)
+        assert got is out
+        assert out.tobytes() == expected.astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("rows", [-1, 1])
+def test_complete_cloud_wrong_length_out_raises(demo_dataset, rows):
+    maps = [oracle_aggregate(demo_dataset, i, 2) for i in range(demo_dataset.n_frames)]
+    n = sum(int(m.valid.sum()) for m in maps)
+    with pytest.raises(ValueError):
+        complete_cloud(maps, out=np.empty((n + rows, 3)))
