@@ -62,7 +62,8 @@ def _settings(cls, path) -> dict:
     for key, value in d.items():
         want = types[key]
         if isinstance(value, bool) != (want is bool) \
-                or not isinstance(value, _SETTING_TYPES[want]):
+                or not isinstance(value, _SETTING_TYPES[want]) \
+                or want is float and abs(value) > sys.float_info.max:  # an integer beyond floats
             raise InputError(f"{path}: setting {key!r} must be a {want.__name__}, "
                              f"not {json.dumps(value)}")
     return d
@@ -113,7 +114,8 @@ def cmd_lift(args) -> int:
     spec = synth.SceneSpec.from_dict(_load_json(args.scene))
     if args.seed is not None:
         spec.seed = args.seed
-    dataset = synth.generate(spec)
+    # each frame is dropped once rendered, as in `gen`; only the tracks are kept
+    dataset = synth.generate(spec, lambda *frame: None)
     tensorio.write_trajectories(args.out, dataset.trajectories)
     _emit({
         "command": "lift",
@@ -165,9 +167,7 @@ def cmd_aggregate_oracle(args) -> int:
 
     tracks_written = None
     if args.tracks_out:
-        queries = dataset.trajectories.query_pixels
-        if queries is None:
-            queries = synth.recover_query_pixels(dataset)
+        queries = synth.recover_query_pixels(dataset)  # the CSV stores no pixels
         if len(queries) == 0:
             raise InputError("dataset has no query pixels for track extraction")
         per_target = (synth.oracle_aggregate(dataset, 0, a) for a in range(dataset.n_frames))

@@ -186,6 +186,29 @@ def _residual_weight(cfg: LossConfig, e: np.ndarray,
     return np.ones_like(e)
 
 
+def _uncertain_mean(data, diff, sigma, valid, alpha, compute_grads, data_grad) -> LossValue:
+    """Mean over valid pixels of sigma * data + sigma * ||diff|| - alpha * ln(sigma),
+    and its gradients: the tail of point_loss and depth_loss.
+
+    data is the (..., H, W) data-term norm, diff the (..., H, W, 2C) spatial
+    gradient of the masked residual (None: no such term), and data_grad(scale)
+    the data term's gradient of the mean, called only for compute_grads.
+    """
+    n2 = 0.0 if diff is None else np.sqrt(np.sum(diff * diff, axis=-1))
+    log_sig = np.where(valid, np.log(np.where(valid, sigma, 1.0)), 0.0)
+    per_pixel = sigma * data + sigma * n2 - alpha * log_sig
+    value, scale = _valid_mean(per_pixel, valid)  # keeps input precision
+    if not compute_grads:
+        return LossValue(value, None, None)
+    grad_pred = data_grad(scale)
+    if diff is not None:
+        coef2 = np.where(valid & (n2 > 0), sigma / np.where(n2 > 0, n2, 1.0), 0.0) * scale
+        grad_pred = grad_pred + _grad_term_adjoint(
+            coef2, diff, diff.shape[-1] // 2).reshape(grad_pred.shape)
+    grad_sigma = np.where(valid, (data + n2 - alpha / np.where(valid, sigma, 1.0)) * scale, 0.0)
+    return LossValue(value, grad_pred, grad_sigma)
+
+
 def point_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
                valid: np.ndarray, dynamic_mask: np.ndarray | None = None,
                cfg: LossConfig | None = None,
@@ -227,32 +250,14 @@ def point_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
 
     we = w * e
     n1 = np.sqrt(np.sum(we * we, axis=-1))             # per-pixel weighted norm
-    if cfg.grad_term:
-        # forward differencing is linear, so one pass over the masked
-        # residual equals the difference of the two gradient fields
-        diff = spatial_gradient(e, valid)
-        n2 = np.sqrt(np.sum(diff * diff, axis=-1))
-    else:
-        diff = None
-        n2 = 0.0
+    # forward differencing is linear, so one pass over the masked residual
+    # equals the difference of the two gradient fields
+    diff = spatial_gradient(e, valid) if cfg.grad_term else None
 
-    log_sig = np.where(valid, np.log(np.where(valid, sigma, 1.0)), 0.0)
-    per_pixel = sigma * n1 + sigma * n2 - cfg.alpha * log_sig
-    value, scale = _valid_mean(per_pixel, valid)  # keeps input precision
-
-    if not compute_grads:
-        return LossValue(value, None, None)
-
-    safe1 = np.where(n1 > 0, n1, 1.0)
-    coef1 = np.where(valid & (n1 > 0), sigma / safe1, 0.0) * scale
-    grad_pred = coef1[..., None] * (w * w * e)
-    if cfg.grad_term:
-        n2a = np.where(np.asarray(n2) > 0, n2, 1.0)
-        coef2 = np.where(valid & (np.asarray(n2) > 0), sigma / n2a, 0.0) * scale
-        grad_pred = grad_pred + _grad_term_adjoint(coef2, diff, 3)
-    n2v = n2 if cfg.grad_term else np.zeros_like(n1)
-    grad_sigma = np.where(valid, (n1 + n2v - cfg.alpha / np.where(valid, sigma, 1.0)) * scale, 0.0)
-    return LossValue(value, grad_pred, grad_sigma)
+    def data_grad(scale):
+        coef1 = np.where(valid & (n1 > 0), sigma / np.where(n1 > 0, n1, 1.0), 0.0) * scale
+        return coef1[..., None] * (w * w * e)
+    return _uncertain_mean(n1, diff, sigma, valid, cfg.alpha, compute_grads, data_grad)
 
 
 def depth_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
@@ -275,21 +280,9 @@ def depth_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
 
     with np.errstate(invalid="ignore"):
         e = np.where(valid, pred - gt, 0.0)
-    diff = spatial_gradient(e[..., None], valid)       # (..., H, W, 2)
-    n2 = np.sqrt(np.sum(diff * diff, axis=-1))
-    log_sig = np.where(valid, np.log(np.where(valid, sigma, 1.0)), 0.0)
-    per_pixel = sigma * np.abs(e) + sigma * n2 - alpha * log_sig
-    value, scale = _valid_mean(per_pixel, valid)
-
-    if not compute_grads:
-        return LossValue(value, None, None)
-
-    grad_pred = np.where(valid, sigma * np.sign(e), 0.0) * scale
-    n2a = np.where(n2 > 0, n2, 1.0)
-    coef2 = np.where(valid & (n2 > 0), sigma / n2a, 0.0) * scale
-    grad_pred = grad_pred + _grad_term_adjoint(coef2, diff, 1)[..., 0]
-    grad_sigma = np.where(valid, (np.abs(e) + n2 - alpha / np.where(valid, sigma, 1.0)) * scale, 0.0)
-    return LossValue(value, grad_pred, grad_sigma)
+    return _uncertain_mean(np.abs(e), spatial_gradient(e[..., None], valid), sigma, valid,
+                           alpha, compute_grads,
+                           lambda scale: np.where(valid, sigma * np.sign(e), 0.0) * scale)
 
 
 def camera_loss(pred_g: np.ndarray, gt_g: np.ndarray, huber_eps: float = 1.0):
@@ -412,48 +405,48 @@ def _random_point_instance(rng: SplitMix64, h: int = 8, w: int = 8):
     return pred, gt, sigma, valid, dyn
 
 
-def check_point_loss_gradients(cfg: LossConfig, seed: int, trials: int = 100,
-                               h: float = 1e-5, size: int = 8) -> float:
-    """Max relative FD error of point_loss gradients over random instances."""
+def _worst_fd_error(seed: int, trials: int, h: float, instance) -> float:
+    """Max relative FD error of a loss's pred and sigma gradients over
+    `trials` random instances.
+
+    instance(rng) draws one and returns (pred, sigma, loss, held):
+    loss(pred, sigma, **kw) calls the loss on the instance, and `held`
+    holds what the perturbed calls must keep fixed (the detached weight).
+    """
     rng = SplitMix64(seed)
     worst = 0.0
     for _ in range(trials):
-        pred, gt, sigma, valid, dyn = _random_point_instance(rng, size, size)
-        center = point_loss(pred, gt, sigma, valid, dyn, cfg)
-        # freeze the detached weight at the center point
-        w0 = _residual_weight(cfg, np.where(valid[..., None], pred - gt, 0.0), dyn)
-
-        def value_fn(arrs):
-            return point_loss(arrs["pred"], gt, arrs["sigma"], valid, dyn, cfg,
-                              frozen_weight=w0, compute_grads=False).value
-
-        err = finite_diff_check(value_fn, {"pred": pred, "sigma": sigma},
-                                {"pred": center.grad_points, "sigma": center.grad_sigma}, h,
-                                batched=True)
+        pred, sigma, loss, held = instance(rng)
+        center = loss(pred, sigma)
+        err = finite_diff_check(
+            lambda arrs: loss(arrs["pred"], arrs["sigma"], **held, compute_grads=False).value,
+            {"pred": pred, "sigma": sigma},
+            {"pred": center.grad_points, "sigma": center.grad_sigma}, h, batched=True)
         worst = max(worst, err)
     return worst
+
+
+def check_point_loss_gradients(cfg: LossConfig, seed: int, trials: int = 100,
+                               h: float = 1e-5, size: int = 8) -> float:
+    """Max relative FD error of point_loss gradients over random instances."""
+    def instance(rng):
+        pred, gt, sigma, valid, dyn = _random_point_instance(rng, size, size)
+        # freeze the detached weight at the center point
+        w0 = _residual_weight(cfg, np.where(valid[..., None], pred - gt, 0.0), dyn)
+        return (pred, sigma, lambda p, s, **kw: point_loss(p, gt, s, valid, dyn, cfg, **kw),
+                {"frozen_weight": w0})
+    return _worst_fd_error(seed, trials, h, instance)
 
 
 def check_depth_loss_gradients(seed: int, alpha: float = 0.1, trials: int = 100,
                                h: float = 1e-5, size: int = 8) -> float:
-    rng = SplitMix64(seed)
-    worst = 0.0
-    for _ in range(trials):
+    def instance(rng):
         gt = _uniform_array(rng, (size, size), 0.5, 3.0)
         pred = gt + _signed_residual(rng, (size, size))
         sigma = _uniform_array(rng, (size, size), 0.3, 2.0)
         valid = _uniform_array(rng, (size, size), 0.0, 1.0) > 0.15
-        center = depth_loss(pred, gt, sigma, valid, alpha)
-
-        def value_fn(arrs):
-            return depth_loss(arrs["pred"], gt, arrs["sigma"], valid, alpha,
-                              compute_grads=False).value
-
-        err = finite_diff_check(value_fn, {"pred": pred, "sigma": sigma},
-                                {"pred": center.grad_points, "sigma": center.grad_sigma}, h,
-                                batched=True)
-        worst = max(worst, err)
-    return worst
+        return pred, sigma, lambda p, s, **kw: depth_loss(p, gt, s, valid, alpha, **kw), {}
+    return _worst_fd_error(seed, trials, h, instance)
 
 
 def check_camera_loss_gradients(seed: int, huber_eps: float = 1.0,

@@ -132,26 +132,28 @@ def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS,
     return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
-def _normal_agreement(n_pred, n_gt, idx_pg, idx_gp):
-    """(mean, median) |cos| between each point's normal and its nearest
-    neighbor's in the other cloud, both directions pooled."""
-    fwd = np.abs(np.sum(n_pred * n_gt[idx_pg], axis=1))
-    bwd = np.abs(np.sum(n_gt * n_pred[idx_gp], axis=1))
+def _matched(p: np.ndarray, g: np.ndarray, k: int):
+    """(acc, comp, nc_mean, nc_median) of two clouds from one KD-tree each.
+
+    Each direction's nearest-neighbor query gives its distances (acc from
+    p to g, comp from g to p) and the matches whose normals nc compares by
+    |cos|, both directions pooled.
+    """
+    tree_p, tree_g = cKDTree(p), cKDTree(g)
+    n_p = estimate_normals(p, k, tree_p)
+    n_g = estimate_normals(g, k, tree_g)
+    acc, idx_pg = tree_g.query(p, k=1)
+    comp, idx_gp = tree_p.query(g, k=1)
+    fwd = np.abs(np.sum(n_p * n_g[idx_pg], axis=1))
+    bwd = np.abs(np.sum(n_g * n_p[idx_gp], axis=1))
     vals = np.minimum(np.concatenate([fwd, bwd]), 1.0)
-    return float(vals.mean()), float(np.median(vals))
+    return acc, comp, float(vals.mean()), float(np.median(vals))
 
 
 def normal_consistency(pred: np.ndarray, gt: np.ndarray,
                        k: int = DEFAULT_NC_NEIGHBORS):
     """Bidirectional |cos| agreement between estimated normals -> (mean, median)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    tree_p, tree_g = cKDTree(pred), cKDTree(gt)
-    n_pred = estimate_normals(pred, k, tree_p)
-    n_gt = estimate_normals(gt, k, tree_g)
-    _, idx_pg = tree_g.query(pred, k=1)
-    _, idx_gp = tree_p.query(gt, k=1)
-    return _normal_agreement(n_pred, n_gt, idx_pg, idx_gp)
+    return _matched(np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64), k)[2:]
 
 
 def recon_metrics(pred: np.ndarray, gt: np.ndarray,
@@ -160,20 +162,14 @@ def recon_metrics(pred: np.ndarray, gt: np.ndarray,
     """Full reconstruction protocol on mutually downsampled clouds.
 
     One KD-tree per cloud serves accuracy, completion and both normal
-    steps: each direction's nearest-neighbor query gives the distances
-    and the matches that normal consistency compares.
+    steps (see `_matched`).
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("both clouds must be nonempty")
-    p = downsample_random(pred, n_max, seed)
-    g = downsample_random(gt, n_max, seed)
-    tree_p, tree_g = cKDTree(p), cKDTree(g)
-    acc, idx_pg = tree_g.query(p, k=1)
-    comp, idx_gp = tree_p.query(g, k=1)
-    nc_mean, nc_median = _normal_agreement(estimate_normals(p, k, tree_p),
-                                           estimate_normals(g, k, tree_g), idx_pg, idx_gp)
+    acc, comp, nc_mean, nc_median = _matched(downsample_random(pred, n_max, seed),
+                                             downsample_random(gt, n_max, seed), k)
     return ReconMetrics(
         acc_mean=float(acc.mean()), acc_median=float(np.median(acc)),
         comp_mean=float(comp.mean()), comp_median=float(np.median(comp)),

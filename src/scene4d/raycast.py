@@ -31,21 +31,19 @@ _PACKET consecutive rays walk the tree together, testing boxes against
 the packet's [min, max] of 1/d per axis. Rounding is monotone, so a box
 the packet drops is one every ray's own slab test drops (see
 `_meets_interval`); a zero, non-finite or sign-mixed direction only
-widens an interval. A pair the full test accepts has its ray inside the
-padded leaf box by a margin the argument above already provides, so the
-ray's slab test, and so its packet, keeps that leaf and every ancestor
-(each contains the leaf); the ray then takes the slab test against the
-leaf alone. Packets that keep more than 2 x (tree levels) nodes at some
-level (incoherent directions) walk the tree ray by ray. The result does
-not depend on the ray order; coherent order only lets more be culled.
+widens an interval. By the argument above, a ray of an accepted pair
+passes the slab test of that pair's leaf and of every ancestor, so its
+packet keeps them all; each ray of a packet is then pair-tested against
+every leaf the packet kept. Packets that keep more than 2 x (tree levels)
+nodes at some level (incoherent directions) walk the tree ray by ray. The
+result does not depend on the ray order; coherent order only lets more be
+culled.
 
 Memory: rays are processed _RAY_CHUNK at a time. A packet keeps at most
-2 x (tree levels) nodes per level, its (ray, leaf) candidates are
-expanded _PAIR_BLOCK at a time, and the (ray, leaf) pairs that survive
-are tested _PAIR_BLOCK at a time. Working memory is therefore set by
-those constants and the number of leaf boxes a ray crosses, not by the
-triangle count (the brute-force form needed rays x triangles x 3 floats
-per temporary).
+2 x (tree levels) nodes per level, and (ray, leaf) pairs are tested
+_PAIR_BLOCK at a time. Working memory is therefore set by those constants
+and the number of leaf boxes a packet keeps, not by the triangle count
+(the brute-force form needed rays x triangles x 3 floats per temporary).
 """
 
 from __future__ import annotations
@@ -163,9 +161,9 @@ def _cast_chunk(dirs, levels, terms, leaf_tri):
     list of blocks; ray indices are local to the chunk.
 
     Packets of _PACKET consecutive rays walk the tree with the slab test
-    on their [min, max] of 1/d; the rays of a packet then take the slab
-    test against its surviving leaves only. Rays of packets that keep more
-    than 2 x (tree levels) nodes at some level walk the tree alone.
+    on their [min, max] of 1/d; every ray of a packet is then pair-tested
+    against each leaf the packet kept. Rays of packets that keep more than
+    2 x (tree levels) nodes at some level walk the tree alone.
     """
     with np.errstate(divide="ignore", over="ignore"):
         inv_d = (1.0 / dirs).T
@@ -179,13 +177,10 @@ def _cast_chunk(dirs, levels, terms, leaf_tri):
     ray, lone_leaf, _ = _walk(levels, lambda lo, hi, r: _crosses(lo, hi, inv_d[:, r]), lone)
     found = [_pair_test(dirs, terms, leaf_tri, ray[s:s + _PAIR_BLOCK], lone_leaf[s:s + _PAIR_BLOCK])
              for s in range(0, len(ray), _PAIR_BLOCK)]
-    leaf_lo, leaf_hi = levels[0]
     step = _PAIR_BLOCK // _PACKET
     for s in range(0, len(packet), step):
         ray, keep = _packet_rays(packet[s:s + step], len(dirs))
-        lf = np.repeat(leaf[s:s + step], _PACKET)[keep]
-        keep = _crosses(leaf_lo[:, lf], leaf_hi[:, lf], inv_d[:, ray])
-        found.append(_pair_test(dirs, terms, leaf_tri, ray[keep], lf[keep]))
+        found.append(_pair_test(dirs, terms, leaf_tri, ray, np.repeat(leaf[s:s + step], _PACKET)[keep]))
     return found
 
 

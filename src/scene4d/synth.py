@@ -117,6 +117,8 @@ def _motion_from_spec(m, n_frames: int) -> list[SE3]:
         for e in m:
             if "R" in e:
                 out.append(SE3(np.asarray(e["R"], dtype=np.float64), e["t"]))
+            elif abs(np.linalg.norm(e["q"]) - 1.0) > 1e-9:  # a camera's q tolerance
+                raise ValueError("a motion q must have unit norm")
             else:
                 out.append(SE3(quat_to_rotation(e["q"]), e["t"]))
         return out
@@ -191,9 +193,13 @@ class SceneSpec:
         for obj in self.objects:
             if len(obj.motion) != self.n_frames:
                 raise ValueError("object motion must have n_frames entries")
-            if not all(np.all(np.isfinite(m.rotation)) and np.all(np.isfinite(m.translation))
-                       for m in obj.motion):
-                raise ValueError("object motion values must be finite")
+            # the oracle's warp and the dynamic labels assume rigid motion; a
+            # non-finite R fails the R^T R = I test, as NaN compares false
+            if not all(np.all(np.isfinite(m.translation))
+                       and np.abs(m.rotation.T @ m.rotation - np.eye(3)).max() <= 1e-9
+                       and np.linalg.det(m.rotation) > 0 for m in obj.motion):
+                raise ValueError("object motions must have a finite t and a rotation R "
+                                 "(R^T R = I, det R > 0)")
 
     # -- JSON schema ----------------------------------------------------
 
@@ -359,8 +365,11 @@ class SequenceDataset:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _soup(spec: SceneSpec, frame: int) -> TriangleSoup:
-    meshes = [(obj.vertices_at(frame), obj.faces) for obj in spec.objects]
+def _soup(spec: SceneSpec, frame: int | None) -> TriangleSoup:
+    """The objects' triangles at `frame` (at their base placement for None),
+    in object order, then the background's."""
+    meshes = [(obj.vertices if frame is None else obj.vertices_at(frame), obj.faces)
+              for obj in spec.objects]
     owners = list(range(len(spec.objects)))
     if spec.background is not None:
         meshes.append(spec.background)
@@ -419,24 +428,12 @@ def render_frame(spec: SceneSpec, frame: int):
 # generation
 
 def _base_points(spec: SceneSpec, att: FrameAttachments, pix_v, pix_u):
-    """Base-placement surface points for attached pixels (per-object)."""
+    """Base-placement surface points for attached pixels."""
     oid = att.object_id[pix_v, pix_u]
-    fid = att.face_id[pix_v, pix_u]
-    bary = att.bary[pix_v, pix_u]
-    base = np.zeros((len(oid), 3))
-    for o in range(len(spec.objects)):
-        sel = oid == o
-        if not np.any(sel):
-            continue
-        corners = spec.objects[o].vertices[spec.objects[o].faces[fid[sel]]]
-        base[sel] = np.einsum("kc,kcd->kd", bary[sel], corners)
-    if spec.background is not None:
-        sel = oid == BACKGROUND_ID
-        if np.any(sel):
-            bv, bf = spec.background
-            corners = np.asarray(bv)[np.asarray(bf)[fid[sel]]]
-            base[sel] = np.einsum("kc,kcd->kd", bary[sel], corners)
-    return oid, base
+    # object o's faces start at starts[o], the background's (id -1, last) at starts[-1]
+    starts = np.cumsum([0] + [len(obj.faces) for obj in spec.objects])
+    corners = _soup(spec, None).tris[starts[oid] + att.face_id[pix_v, pix_u]]
+    return oid, np.einsum("kc,kcd->kd", att.bary[pix_v, pix_u], corners)
 
 
 def _positions_over_time(spec: SceneSpec, oid: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -143,13 +143,18 @@ def _write_rows(f, template, rows):
         f.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
-def _checked_lines(f, max_lines, blank_error):
-    """The lines of `f`, at most `max_lines` (all if None); raises
-    `blank_error` at the first blank or whitespace-only one."""
-    for ln in itertools.islice(f, max_lines):
-        if ln.isspace():
-            raise blank_error
-        yield ln
+def _read_rows(f, max_rows, blank_error, **loadtxt):
+    """`np.loadtxt(..., comments=None, **loadtxt)` of the next lines of `f`,
+    at most `max_rows` (all if None); raises `blank_error` at the first
+    blank or whitespace-only line. An empty body gives an empty array."""
+    def lines():
+        for ln in itertools.islice(f, max_rows):
+            if ln.isspace():
+                raise blank_error
+            yield ln
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body only warns
+        return np.loadtxt(lines(), comments=None, **loadtxt)
 
 
 def _read_ply_header(f, path):
@@ -198,11 +203,8 @@ def read_ply(path):
     try:
         with open(path) as f:
             n_vertex, props = _read_ply_header(f, path)
-            lines = _checked_lines(f, n_vertex, MalformedHeader(
-                f"{path}: blank line among the {n_vertex} vertex rows"))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body only warns
-                vals = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+            vals = _read_rows(f, n_vertex, MalformedHeader(
+                f"{path}: blank line among the {n_vertex} vertex rows"), dtype=np.float64, ndmin=2)
     except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
         raise MalformedHeader(f"{path}: unreadable PLY data ({e})") from e
     if n_vertex == 0:
@@ -251,12 +253,8 @@ def read_trajectories(path) -> TrajectorySet:
         with open(path) as f:
             if f.readline().rstrip("\r\n").split(",") != _TRAJECTORY_HEADER:
                 raise InputError(f"{path}: unexpected trajectory CSV header")
-            lines = _checked_lines(f, None, InputError(
-                f"{path}: blank line in the trajectory rows"))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body only warns
-                rows = np.loadtxt(lines, dtype=_TRAJECTORY_DTYPE, delimiter=",",
-                                  comments=None, ndmin=1)
+            rows = _read_rows(f, None, InputError(f"{path}: blank line in the trajectory rows"),
+                              dtype=_TRAJECTORY_DTYPE, delimiter=",", ndmin=1)
     except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
         raise InputError(f"{path}: unreadable trajectory rows ({e})") from e
     if rows.size == 0:

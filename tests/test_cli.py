@@ -381,8 +381,10 @@ def test_forward_bad_frames_exit_codes(tmp_path, frames, code, error):
     ("loss-check", {"beta": False}),
     ("loss-check", {"grad_term": 1}),
     ("loss-check", {"weight_mode": ["focal"]}),
+    ("loss-check", {"alpha": 10**400}),
 ], ids=["dim-a-string", "dim-a-bool", "dim-a-float", "fusion-a-number", "seed-null",
-        "alpha-a-string", "beta-a-bool", "grad_term-a-number", "weight_mode-a-list"])
+        "alpha-a-string", "beta-a-bool", "grad_term-a-number", "weight_mode-a-list",
+        "alpha-an-integer-past-float"])
 def test_config_value_of_wrong_type_exits_two(tmp_path, command, settings):
     proc = subprocess.run([sys.executable, "-m", "scene4d.cli"]
                           + _config(tmp_path, command, settings),
@@ -487,3 +489,16 @@ NAN, INF = float("nan"), float("inf")
         "dynamic_delta-inf"])
 def test_non_finite_numbers_exit_two(tmp_path, argv):
     _exits_two_with_one_json_line(argv(tmp_path))
+
+
+@pytest.mark.parametrize("entry", [
+    {"R": [[3, 0, 0], [0, 3, 0], [0, 0, 3]], "t": [0, 0, 0]},
+    {"R": [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "t": [0, 0, 0]},
+    {"R": [[1, 0, 0], [0, 1, NAN], [0, 0, 1]], "t": [0, 0, 0]},
+    {"q": [2, 0, 0, 0], "t": [0, 0, 0]},
+    {"q": [1, 1e-4, 0, 0], "t": [0, 0, 0]},
+], ids=["R-scaled", "R-a-reflection", "R-nan", "q-scaled", "q-off-unit-norm"])
+def test_motion_that_is_not_rigid_exits_two(tmp_path, entry):
+    # frame 0 is the identity; the object would render scaled or mirrored in frame 1
+    motion = [{"q": [1, 0, 0, 0], "t": [0, 0, 0]}] + [entry] * 4
+    _exits_two_with_one_json_line(_mesh_scene(tmp_path, motion=motion))

@@ -18,7 +18,7 @@ import pytest
 from conftest import demo_scene, identity_camera
 from scene4d import cli, synth, tensorio
 from scene4d.synth import (SceneObject, SceneSpec, complete_cloud, generate, oracle_aggregate,
-                           plane_mesh, render_frame, tracks_from_aggregation, translation_path)
+                           plane_mesh, tracks_from_aggregation, translation_path)
 from scene4d.tensorio import load_dataset, save_dataset
 
 
@@ -110,7 +110,29 @@ def test_tracks_same_from_list_or_generator(demo_dataset):
     assert from_list.positions.shape == (len(queries), n, 3)
 
 
-def test_gen_holds_about_one_frame(tmp_path):
+# Run in a fresh interpreter, so what earlier tests leave behind to grow
+# inside the measured window (the interpreter's interned-string table, for
+# one) is not charged to the command; tracemalloc acts on the child only.
+_TRACED_RUN = """
+import contextlib, io, json, sys, tracemalloc
+from scene4d import cli
+from scene4d.synth import SceneSpec, render_frame
+with open(sys.argv[1]) as f:
+    spec = SceneSpec.from_dict(json.load(f))
+tracemalloc.start()
+render_peak = 0
+for t in range(spec.n_frames):
+    tracemalloc.reset_peak()
+    render_frame(spec, t)
+    render_peak = max(render_peak, tracemalloc.get_traced_memory()[1])
+tracemalloc.reset_peak()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+print(json.dumps([code, render_peak, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def _holds_about_one_frame(tmp_path, command, flag):
     spec = demo_scene(n_frames=8, resolution=(64, 64))
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(spec.to_dict()))
@@ -121,25 +143,26 @@ def test_gen_holds_about_one_frame(tmp_path):
     traj_bytes = _array_bytes(dataset.trajectories)
     del dataset
 
-    tracemalloc.start()
-    try:
-        render_peak = 0
-        for t in range(spec.n_frames):
-            tracemalloc.reset_peak()
-            render_frame(spec, t)
-            render_peak = max(render_peak, tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["gen", "--spec", str(scene), "--out", str(tmp_path / "data")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(scene), command, flag,
+                           str(scene), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, render_peak, peak = json.loads(proc.stdout)
     assert code == 0
     # Rendering one frame needs `render_peak` (at 64x64 the ray kernel's
     # chunk buffers are most of it). Beyond that, the 8 depth maps and
     # masks come to about one frame and the frame being written to one
     # more; keeping every frame's point map and attachments would add 7.
     assert peak - render_peak - traj_bytes < 3 * frame_bytes
+
+
+def test_gen_holds_about_one_frame(tmp_path):
+    _holds_about_one_frame(tmp_path, "gen", "--spec")
+
+
+def test_lift_holds_about_one_frame(tmp_path):
+    # lift writes only the trajectories, so no frame needs to be kept at all
+    _holds_about_one_frame(tmp_path, "lift", "--scene")
 
 
 def _leading_miss_scene(n_frames=4, start_z=-5.0):
