@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -94,18 +93,25 @@ def cmd_gen(args) -> int:
     spec = synth.SceneSpec.from_dict(_load_json(args.spec))
     if args.seed is not None:
         spec.seed = args.seed
-    # each frame's files are written as it is rendered, then it is dropped
-    dataset = synth.generate(spec, partial(tensorio.save_frame, args.out))
+    valid_points = 0
+
+    def write_frame(t, depth, *parts):
+        # each frame's files are written as it is rendered, then it is dropped
+        nonlocal valid_points
+        valid_points += int(np.count_nonzero(depth.valid))
+        tensorio.save_frame(args.out, t, depth, *parts)
+
+    dataset = synth.generate(spec, write_frame)
     tensorio.save_sequence(dataset, args.out)
     _emit({
         "command": "gen",
         "out": args.out,
         "frames": dataset.n_frames,
-        "resolution": list(dataset.resolution),
+        "resolution": list(spec.resolution),
         "seed": spec.seed,
         "tracks": dataset.trajectories.n_tracks,
         "dynamic_tracks": int(dataset.trajectories.dynamic.sum()),
-        "valid_points": int(sum(int(d.valid.sum()) for d in dataset.depths)),
+        "valid_points": valid_points,
     })
     return 0
 
@@ -136,7 +142,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_aggregate_oracle(args) -> int:
-    # depth maps in memory; each frame's point map and object ids are read when warped
+    # valid masks in memory; each frame's point map and object ids are read when warped
     dataset = tensorio.open_dataset(_require(args.data, "dir"))
     if dataset.spec is None:
         raise InputError(f"{args.data}: scene.json missing, no motion ground truth")
@@ -149,11 +155,8 @@ def cmd_aggregate_oracle(args) -> int:
         # warped, written and reduced to its valid points one map at a time
         for i in range(dataset.n_frames):
             pm = synth.oracle_aggregate(dataset, i, args.target)
-            xyzv = np.empty(pm.valid.shape + (4,))
-            xyzv[..., :3] = pm.points
-            xyzv[..., 3] = pm.valid
-            tensorio.write_tensor(out / f"aggregated_{i:04d}.ct4", xyzv)
-            del xyzv
+            # (H, W, 4): world xyz and a 0/1 validity channel
+            tensorio.write_channels(out / f"aggregated_{i:04d}.ct4", [pm.points, pm.valid])
             yield pm
             del pm  # not kept while the next map is warped
 
@@ -364,7 +367,9 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (InputError, FileNotFoundError) as e:
+    # a missing path, or a directory where a file is named or the reverse
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as e:
         _emit({"error": {"type": type(e).__name__, "message": str(e)}})
         return 2
     except (Scene4DError, ValueError, TypeError) as e:

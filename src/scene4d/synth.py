@@ -109,6 +109,12 @@ def spin_path(axis, pivot, radians_per_frame: float, n_frames: int) -> list[SE3]
     return path
 
 
+def _is_rotation(R: np.ndarray) -> bool:
+    """R^T R = I within 1e-9 and det R > 0; false for a non-finite R, as
+    NaN compares false."""
+    return bool(np.abs(R.T @ R - np.eye(3)).max() <= 1e-9 and np.linalg.det(R) > 0)
+
+
 def _motion_from_spec(m, n_frames: int) -> list[SE3]:
     if isinstance(m, list):
         if len(m) != n_frames:
@@ -117,10 +123,16 @@ def _motion_from_spec(m, n_frames: int) -> list[SE3]:
         for e in m:
             if "R" in e:
                 out.append(SE3(np.asarray(e["R"], dtype=np.float64), e["t"]))
-            elif abs(np.linalg.norm(e["q"]) - 1.0) > 1e-9:  # a camera's q tolerance
-                raise ValueError("a motion q must have unit norm")
-            else:
-                out.append(SE3(quat_to_rotation(e["q"]), e["t"]))
+                continue
+            # q is not normalised, so that a unit q gives the bits it always gave;
+            # within a camera's tolerance of unit norm its R can still fail _is_rotation
+            norm = np.linalg.norm(e["q"])
+            R = quat_to_rotation(e["q"])
+            if abs(norm - 1.0) > 1e-9 or not _is_rotation(R):
+                raise ValueError(f"a motion q must be of unit norm and give a rotation R "
+                                 f"(R^T R = I within 1e-9); q {e['q']} has norm "
+                                 f"{norm:.12g}")
+            out.append(SE3(R, e["t"]))
         return out
     if not isinstance(m, dict):
         raise TypeError("a motion must be a list or a JSON object")
@@ -193,11 +205,9 @@ class SceneSpec:
         for obj in self.objects:
             if len(obj.motion) != self.n_frames:
                 raise ValueError("object motion must have n_frames entries")
-            # the oracle's warp and the dynamic labels assume rigid motion; a
-            # non-finite R fails the R^T R = I test, as NaN compares false
-            if not all(np.all(np.isfinite(m.translation))
-                       and np.abs(m.rotation.T @ m.rotation - np.eye(3)).max() <= 1e-9
-                       and np.linalg.det(m.rotation) > 0 for m in obj.motion):
+            # the oracle's warp and the dynamic labels assume rigid motion
+            if not all(np.all(np.isfinite(m.translation)) and _is_rotation(m.rotation)
+                       for m in obj.motion):
                 raise ValueError("object motions must have a finite t and a rotation R "
                                  "(R^T R = I, det R > 0)")
 
@@ -341,8 +351,11 @@ class SequenceDataset:
     """Everything the generator knows about one sequence.
 
     `pointmaps` and `attachments` may be lists or sequences that read each
-    frame from disk when indexed, and `dynamic_mask` None where the masks
-    were not read (`tensorio.open_dataset`).
+    frame from disk when indexed, `depths` past frame 0 may keep only each
+    frame's `valid` mask and read its `values` when asked, and
+    `dynamic_mask` may be None where the masks were not read
+    (`tensorio.open_dataset`). A dataset from `generate` with
+    `write_frame` holds no frame at all. `n_frames` counts the cameras.
     """
 
     depths: list[DepthMap]
@@ -355,7 +368,7 @@ class SequenceDataset:
 
     @property
     def n_frames(self) -> int:
-        return len(self.depths)
+        return len(self.cameras)
 
     @property
     def resolution(self) -> tuple[int, int]:
@@ -427,12 +440,16 @@ def render_frame(spec: SceneSpec, frame: int):
 # ---------------------------------------------------------------------------
 # generation
 
-def _base_points(spec: SceneSpec, att: FrameAttachments, pix_v, pix_u):
-    """Base-placement surface points for attached pixels."""
+def _base_points(spec: SceneSpec, att: FrameAttachments, pix_v, pix_u,
+                 base_tris: np.ndarray | None = None):
+    """Base-placement surface points for attached pixels; `base_tris` is
+    `_soup(spec, None).tris`, built here if not given."""
+    if base_tris is None:
+        base_tris = _soup(spec, None).tris
     oid = att.object_id[pix_v, pix_u]
     # object o's faces start at starts[o], the background's (id -1, last) at starts[-1]
     starts = np.cumsum([0] + [len(obj.faces) for obj in spec.objects])
-    corners = _soup(spec, None).tris[starts[oid] + att.face_id[pix_v, pix_u]]
+    corners = base_tris[starts[oid] + att.face_id[pix_v, pix_u]]
     return oid, np.einsum("kc,kcd->kd", att.bary[pix_v, pix_u], corners)
 
 
@@ -450,6 +467,30 @@ def _positions_over_time(spec: SceneSpec, oid: np.ndarray, base: np.ndarray) -> 
         for t in range(n):
             out[sel, t, :] = se3_apply(spec.objects[o].motion[t], base[sel])
     return out
+
+
+def _moves_from(spec: SceneSpec, oid: np.ndarray, base: np.ndarray, t: int) -> np.ndarray:
+    """(P,) object ids >= 0 + (P, 3) base points -> (P,) bool: whether the
+    point ever moves more than dynamic_delta from its frame-t position.
+
+    The same booleans as `classify_dynamic(_positions_over_time(...), t,
+    ...)`, from the same `se3_apply` calls, norms and max, but with a
+    running max over the frames in place of the (P, N, 3) trajectories.
+    """
+    most = np.zeros(len(oid))
+    for o, obj in enumerate(spec.objects):
+        sel = oid == o
+        if not np.any(sel):
+            continue
+        b = base[sel]
+        at_t = se3_apply(obj.motion[t], b)
+        far = np.zeros(len(b))  # the frame-t term, |p_t - p_t|
+        for s in range(spec.n_frames):
+            if s != t:
+                np.maximum(far, np.linalg.norm(se3_apply(obj.motion[s], b) - at_t, axis=1),
+                           out=far)
+        most[sel] = far
+    return most > spec.dynamic_delta
 
 
 def _lookup_pixels(points: np.ndarray, cam: CameraParams, depth: DepthMap):
@@ -475,7 +516,8 @@ def _lookup_pixels(points: np.ndarray, cam: CameraParams, depth: DepthMap):
     return iu, iv, inside, visible
 
 
-def _query_tracks(spec: SceneSpec, depth: DepthMap, att: FrameAttachments):
+def _query_tracks(spec: SceneSpec, base_tris: np.ndarray, depth: DepthMap,
+                  att: FrameAttachments):
     """Frame 0's sampled query pixels and their world tracks ->
     (q_u, q_v, (M, N, 3) positions)."""
     vs, us = np.nonzero(depth.valid)     # row-major
@@ -484,17 +526,18 @@ def _query_tracks(spec: SceneSpec, depth: DepthMap, att: FrameAttachments):
     picked = rng.sample_indices(len(us), m) if len(us) else []
     q_u = us[picked]
     q_v = vs[picked]
-    oid, base = _base_points(spec, att, q_v, q_u)
+    oid, base = _base_points(spec, att, q_v, q_u, base_tris)
     return q_u, q_v, _positions_over_time(spec, oid, base)
 
 
-def _mark_dynamic(spec: SceneSpec, att: FrameAttachments, t: int, out: np.ndarray) -> None:
-    """Set frame t's (H, W) dynamic mask `out`, with frame t as reference."""
+def _dynamic_mask(spec: SceneSpec, base_tris: np.ndarray, att: FrameAttachments,
+                  t: int) -> np.ndarray:
+    """Frame t's (H, W) dynamic mask, with frame t as reference."""
+    mask = np.zeros(att.object_id.shape, dtype=bool)
     pv, pu = np.nonzero(att.object_id >= 0)
     if len(pv):
-        o, b = _base_points(spec, att, pv, pu)
-        out[pv, pu] = classify_dynamic(_positions_over_time(spec, o, b), t,
-                                       spec.dynamic_delta)
+        mask[pv, pu] = _moves_from(spec, *_base_points(spec, att, pv, pu, base_tris), t)
+    return mask
 
 
 def generate(spec: SceneSpec, write_frame=None) -> SequenceDataset:
@@ -508,38 +551,33 @@ def generate(spec: SceneSpec, write_frame=None) -> SequenceDataset:
     each frame then fills its visibility column and dynamic mask as it is
     rendered. With `write_frame`, each finished frame is passed to
     `write_frame(t, depth, attachments, pointmap, dynamic_mask)` and
-    dropped, so the returned dataset's `pointmaps` and `attachments` are
-    empty and no written frame's attachments or point map is alive while
-    the next frame renders. Leading frames without a hit are held back
+    dropped, so no written frame is alive while the next frame renders,
+    and the returned dataset holds only the cameras, trajectories and
+    spec: its `depths`, `pointmaps` and `attachments` are empty and
+    `dynamic_mask` is None. Leading frames without a hit are held back
     until the first hit, so a scene with none raises EmptyScene before any
     frame is written.
     """
-    h, w = spec.resolution
     n = spec.n_frames
-    dmask = np.zeros((n, h, w), dtype=bool)
-    depths = []
-    held = []     # (t, depth, attachments, pointmap) not handed to write_frame
+    base_tris = _soup(spec, None).tris  # built once, for every frame's base points
+    held = []     # (t, depth, attachments, pointmap, dynamic mask) not handed to write_frame
     any_hit = False
     for t in range(n):
-        frame = _render(spec, t)
-        depth, att = frame[0], frame[1]
+        depth, att, pointmap = _render(spec, t)
         if t == 0:
-            q_u, q_v, positions = _query_tracks(spec, depth, att)
+            q_u, q_v, positions = _query_tracks(spec, base_tris, depth, att)
             visible = np.zeros((len(q_u), n), dtype=bool)
 
         # visibility by reprojection against the rendered depth
         visible[:, t] = _lookup_pixels(positions[:, t, :], spec.camera_path[t], depth)[3]
-        _mark_dynamic(spec, att, t, dmask[t])
-
-        depths.append(depth)
-        held.append((t, *frame))
-        del frame, att  # only `held` may keep this frame while the next renders
         any_hit = any_hit or bool(np.any(depth.valid))
+        held.append((t, depth, att, pointmap, _dynamic_mask(spec, base_tris, att, t)))
+        del depth, att, pointmap  # only `held` may keep this frame while the next renders
         if write_frame is not None and any_hit:
-            for s, *parts in held:
-                write_frame(s, *parts, dmask[s])
+            for frame in held:
+                write_frame(*frame)
             held.clear()
-            del parts  # the loop variable would keep the last frame written
+            del frame  # the loop variable would keep the last frame written
 
     if not any_hit:
         raise EmptyScene("no pixel of any frame is covered by geometry")
@@ -547,10 +585,11 @@ def generate(spec: SceneSpec, write_frame=None) -> SequenceDataset:
     traj = TrajectorySet(positions=positions, visible=visible,
                          dynamic=classify_dynamic(positions, 0, spec.dynamic_delta),
                          query_pixels=np.stack([q_u, q_v], axis=1))
+    depths, attachments, pointmaps, masks = ([f[k] for f in held] for k in range(1, 5))
     return SequenceDataset(depths=depths, cameras=list(spec.camera_path),
-                           pointmaps=[p for *_, p in held],
-                           attachments=[a for _, _, a, _ in held],
-                           trajectories=traj, dynamic_mask=dmask, spec=spec)
+                           pointmaps=pointmaps, attachments=attachments,
+                           trajectories=traj,
+                           dynamic_mask=np.stack(masks) if masks else None, spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ MAGIC = b"C4RT"
 VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
+_BLOCK_PIXELS = 16384  # pixels per row block of the packed frame files
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +57,64 @@ def write_tensor(path, arr: np.ndarray) -> None:
     to the little-endian row-major payload; any other is written from its
     own buffer, without a copy."""
     arr = np.asarray(arr)
-    code = _CODES.get(arr.dtype.newbyteorder("="))
+    write_tensor_blocks(path, arr.shape, arr.dtype, [arr])
+
+
+def write_tensor_blocks(path, shape, dtype, blocks) -> None:
+    """Write a .ct4 tensor of `shape` and `dtype` whose payload is the
+    arrays of `blocks` in order, so the whole tensor need never exist.
+
+    Each block is a run of whole rows (its shape after the first axis is
+    the tensor's) and is converted to the payload's byte order and layout
+    as it is written; `blocks` may be a generator that builds one block at
+    a time. The file's bytes are those of `write_tensor` on the blocks
+    concatenated. Blocks of the wrong shape, or fewer or more elements
+    than `shape` holds, raise ValueError.
+    """
+    shape = tuple(int(n) for n in shape)
+    code = _CODES.get(np.dtype(dtype).newbyteorder("="))
     if code is None:
-        raise ValueError(f"unsupported tensor dtype {arr.dtype} (use f32, f64 or u8)")
-    if arr.size == 0:
+        raise ValueError(f"unsupported tensor dtype {dtype} (use f32, f64 or u8)")
+    size = math.prod(shape)
+    if size == 0:
         raise ValueError("refusing to write a tensor with a zero dimension")
+    written = 0
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<BBI", VERSION, code, arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(np.ascontiguousarray(arr, dtype=_DTYPES[code]))
+        f.write(struct.pack("<BBI", VERSION, code, len(shape)))
+        f.write(struct.pack(f"<{len(shape)}Q", *shape))
+        for block in blocks:
+            block = np.asarray(block)
+            if block.shape[1:] != shape[1:] or written + block.size > size:
+                raise ValueError(f"block of shape {block.shape} does not continue "
+                                 f"a tensor of shape {shape} at element {written}")
+            f.write(np.ascontiguousarray(block, dtype=_DTYPES[code]))
+            written += block.size
+    if written != size:
+        raise ValueError(f"blocks hold {written} elements, shape {shape} needs {size}")
+
+
+def write_channels(path, arrays) -> None:
+    """Write (H, W) and (H, W, k) arrays side by side as one (H, W, C)
+    f64 .ct4, C the total of their channels, a (H, W) array taking one.
+
+    The packed tensor is built and written one block of rows at a time
+    (`_BLOCK_PIXELS` pixels at most), so only one block of it exists.
+    """
+    h, w = arrays[0].shape[:2]
+    widths = [1 if a.ndim == 2 else a.shape[2] for a in arrays]
+    step = max(1, _BLOCK_PIXELS // w)
+
+    def blocks():
+        for start in range(0, h, step):
+            rows = slice(start, start + step)
+            block = np.empty(arrays[0][rows].shape[:2] + (sum(widths),))
+            c = 0
+            for a, k in zip(arrays, widths):
+                block[..., c:c + k] = a[rows].reshape(block.shape[:2] + (k,))
+                c += k
+            yield block
+    write_tensor_blocks(path, (h, w, sum(widths)), np.float64, blocks())
 
 
 def read_tensor(path) -> np.ndarray:
@@ -304,15 +353,6 @@ def read_cameras(path) -> list[CameraParams]:
 # ---------------------------------------------------------------------------
 # dataset directories
 
-def _pack_attachments(att: FrameAttachments) -> np.ndarray:
-    h, w = att.object_id.shape
-    out = np.zeros((h, w, 5))
-    out[..., 0] = att.object_id
-    out[..., 1] = att.face_id
-    out[..., 2:] = att.bary
-    return out
-
-
 def _unpack_attachments(arr: np.ndarray) -> FrameAttachments:
     return FrameAttachments(object_id=arr[..., 0].astype(np.int64),
                             face_id=arr[..., 1].astype(np.int64),
@@ -330,7 +370,8 @@ def save_frame(out_dir, t: int, depth: DepthMap, attachments: FrameAttachments,
     write_tensor(out / f"depth_{t:04d}.ct4", np.where(depth.valid, depth.values, 0.0))
     write_tensor(out / f"pointmap_{t:04d}.ct4", pointmap.points)
     write_tensor(out / f"dynamic_mask_{t:04d}.ct4", dynamic_mask.astype(np.uint8))
-    write_tensor(out / f"attachments_{t:04d}.ct4", _pack_attachments(attachments))
+    write_channels(out / f"attachments_{t:04d}.ct4",
+                   [attachments.object_id, attachments.face_id, attachments.bary])
 
 
 def save_sequence(dataset: SequenceDataset, out_dir) -> None:
@@ -351,16 +392,34 @@ def save_dataset(dataset: SequenceDataset, out_dir) -> None:
     save_sequence(dataset, out_dir)
 
 
-def load_depth_dir(dirpath) -> list[DepthMap]:
-    """All depth_%04d.ct4 files of a directory, in index order."""
+def _depth_paths(dirpath) -> list[Path]:
     paths = sorted(Path(dirpath).glob("depth_*.ct4"))
     if not paths:
         raise InputError(f"{dirpath}: no depth_*.ct4 files")
-    out = []
-    for p in paths:
-        vals = read_tensor(p)
-        out.append(DepthMap(values=vals, valid=vals > 0))
-    return out
+    return paths
+
+
+def _read_depth(path) -> DepthMap:
+    vals = read_tensor(path)
+    return DepthMap(values=vals, valid=vals > 0)
+
+
+def load_depth_dir(dirpath) -> list[DepthMap]:
+    """All depth_%04d.ct4 files of a directory, in index order."""
+    return [_read_depth(p) for p in _depth_paths(dirpath)]
+
+
+class _StoredDepth:
+    """A depth file's valid mask, kept in place of its `DepthMap`;
+    `values` reads the file again."""
+
+    def __init__(self, path: Path, valid: np.ndarray):
+        self.path = path
+        self.valid = valid
+
+    @property
+    def values(self) -> np.ndarray:
+        return read_tensor(self.path)
 
 
 def _read_pointmap(root: Path, t: int, depth: DepthMap) -> PointMap:
@@ -368,11 +427,13 @@ def _read_pointmap(root: Path, t: int, depth: DepthMap) -> PointMap:
                     valid=depth.valid.copy())
 
 
-def _read_sequence(root: Path) -> dict:
-    """The per-sequence fields of a dataset directory: cameras,
-    trajectories and spec (None without scene.json)."""
+def _read_sequence(root: Path, n: int) -> dict:
+    """The per-sequence fields of a dataset directory of `n` frames:
+    cameras, trajectories and spec (None without scene.json)."""
     out = {"cameras": read_cameras(root / "cameras.json"),
            "trajectories": read_trajectories(root / "trajectories.csv"), "spec": None}
+    if len(out["cameras"]) != n:
+        raise InputError(f"{root}: {len(out['cameras'])} cameras for {n} depth files")
     scene_path = root / "scene.json"
     if scene_path.exists():
         with open(scene_path) as f:
@@ -391,7 +452,7 @@ def load_dataset(dirpath) -> SequenceDataset:
         attachments.append(_unpack_attachments(read_tensor(root / f"attachments_{t:04d}.ct4")))
         dmask.append(read_tensor(root / f"dynamic_mask_{t:04d}.ct4").astype(bool))
     return SequenceDataset(depths=depths, pointmaps=pointmaps, attachments=attachments,
-                           dynamic_mask=np.stack(dmask), **_read_sequence(root))
+                           dynamic_mask=np.stack(dmask), **_read_sequence(root, len(depths)))
 
 
 class _FrameFiles(Sequence):
@@ -421,14 +482,18 @@ def open_dataset(dirpath) -> SequenceDataset:
     """A dataset directory with at most one frame's point map and object
     ids in memory: what `aggregate-oracle` needs.
 
-    Depth maps, cameras, trajectories and the spec are loaded at once.
-    `pointmaps[t]` and `attachments[t]` read frame t's file when indexed
-    (see `_FrameFiles`), and an attachment holds only its object ids:
-    `face_id` and `bary` are None. The dynamic masks are not read
-    (`dynamic_mask` is None).
+    Cameras, trajectories and the spec are loaded at once. Each depth file
+    is read once: frame 0's depth map is kept, and of every other frame
+    only its valid mask (its `values` read the file again). `pointmaps[t]`
+    and `attachments[t]` read frame t's file when indexed (see
+    `_FrameFiles`), and an attachment holds only its object ids: `face_id`
+    and `bary` are None. The dynamic masks are not read (`dynamic_mask` is
+    None).
     """
     root = Path(dirpath)
-    depths = load_depth_dir(root)
+    paths = _depth_paths(root)
+    depths = [_read_depth(paths[0])] + [_StoredDepth(p, _read_depth(p).valid)
+                                        for p in paths[1:]]
     n = len(depths)
 
     def object_ids(t):
@@ -439,4 +504,4 @@ def open_dataset(dirpath) -> SequenceDataset:
         depths=depths,
         pointmaps=_FrameFiles(n, lambda t: _read_pointmap(root, t, depths[t])),
         attachments=_FrameFiles(n, object_ids), dynamic_mask=None,
-        **_read_sequence(root))
+        **_read_sequence(root, n))

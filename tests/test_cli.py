@@ -1,8 +1,11 @@
 """End-to-end command-line checks, run in-process through cli.main."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import shutil
 import struct
 import subprocess
 import sys
@@ -502,3 +505,124 @@ def test_motion_that_is_not_rigid_exits_two(tmp_path, entry):
     # frame 0 is the identity; the object would render scaled or mirrored in frame 1
     motion = [{"q": [1, 0, 0, 0], "t": [0, 0, 0]}] + [entry] * 4
     _exits_two_with_one_json_line(_mesh_scene(tmp_path, motion=motion))
+
+
+def test_motion_q_that_gives_no_rotation_names_q(tmp_path):
+    # |q| is within the camera tolerance of 1, but the R it gives is not a
+    # rotation within 1e-9 (R^T R - I grows as about 4 (|q|^2 - 1))
+    entry = {"q": [0, 1.0000000009, 0, 0], "t": [0, 0, 10]}
+    motion = [{"q": [1, 0, 0, 0], "t": [0, 0, 0]}, entry] + [{"q": [1, 0, 0, 0], "t": [0, 0, 0]}] * 3
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli"]
+                          + _mesh_scene(tmp_path, motion=motion), capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr == ""
+    message = json.loads(proc.stdout)["error"]["message"]
+    assert "q [0, 1.0000000009, 0, 0] has norm 1.0000000009" in message
+
+
+# ---------------------------------------------------------------------------
+# every subcommand on garbage in place of its main input
+
+@pytest.fixture(scope="module")
+def garbage_base(tmp_path_factory):
+    """A small dataset from `gen`, its cloud and tracks from
+    `aggregate-oracle`, and two forward frames, to be copied and spoiled."""
+    root = tmp_path_factory.mktemp("garbage")
+    scene = root / "scene.json"
+    scene.write_text(json.dumps({**SCENE, "resolution": [16, 16], "n_frames": 3,
+                                 "n_queries": 8}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--spec", str(scene), "--out", str(root / "data")]) == 0
+        assert main(["aggregate-oracle", "--data", str(root / "data"), "--target", "1",
+                     "--out", str(root / "agg"), "--tracks-out", str(root / "tracks.csv")]) == 0
+    frames = root / "frames"
+    frames.mkdir()
+    for t in range(2):
+        write_tensor(frames / f"frame_{t:04d}.ct4", np.zeros((16, 16, 3)))
+    return root
+
+
+# (argv with {r} for the copied base directory, file to spoil, exit code
+# when that file is empty or random bytes); a directory always exits 2
+_MAIN_INPUTS = {
+    "gen": (["gen", "--spec", "{r}/scene.json", "--out", "{r}/out"], "scene.json", 2),
+    "lift": (["lift", "--scene", "{r}/scene.json", "--out", "{r}/t.csv"], "scene.json", 2),
+    "split": (["split", "--depth-dir", "{r}/data"], "data/depth_0000.ct4", 1),
+    "aggregate-oracle-depth": (["aggregate-oracle", "--data", "{r}/data", "--target", "0",
+                                "--out", "{r}/out"], "data/depth_0002.ct4", 1),
+    "aggregate-oracle-pointmap": (["aggregate-oracle", "--data", "{r}/data", "--target", "0",
+                                   "--out", "{r}/out"], "data/pointmap_0002.ct4", 1),
+    "eval-recon": (["eval-recon", "--pred", "{r}/agg/complete_cloud.ply",
+                    "--gt", "{r}/agg/complete_cloud.ply"], "agg/complete_cloud.ply", 2),
+    "eval-track": (["eval-track", "--pred", "{r}/tracks.csv", "--gt", "{r}/data/trajectories.csv",
+                    "--queries", "all"], "tracks.csv", 2),
+    "eval-depth": (["eval-depth", "--pred", "{r}/data", "--gt", "{r}/data"],
+                   "data/depth_0001.ct4", 1),
+    "eval-pose": (["eval-pose", "--pred", "{r}/data/cameras.json",
+                   "--gt", "{r}/data/cameras.json"], "data/cameras.json", 2),
+    "loss-check": (["loss-check", "--config", "{r}/config.json", "--trials", "1"],
+                   "config.json", 2),
+    "forward": (["forward", "--frames", "{r}/frames", "--target", "0"],
+                "frames/frame_0001.ct4", 1),
+}
+
+
+@pytest.mark.parametrize("garbage", ["directory", "empty", "random"])
+@pytest.mark.parametrize("command", sorted(_MAIN_INPUTS))
+def test_garbage_main_input_exits_by_contract(tmp_path, garbage_base, command, garbage):
+    argv, spoiled, code = _MAIN_INPUTS[command]
+    root = tmp_path / "r"
+    shutil.copytree(garbage_base, root)
+    path = root / spoiled
+    if path.exists():
+        path.unlink()
+    if garbage == "directory":
+        path.mkdir()
+        code = 2
+    else:
+        path.write_bytes(b"" if garbage == "empty"
+                         else np.random.default_rng(7).bytes(256))
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli"]
+                          + [a.format(r=root) for a in argv], capture_output=True, text=True)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert proc.stdout.count("\n") == 1
+    assert "error" in json.loads(proc.stdout)
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--spec", "{r}/scene.json", "--out", "{r}/scene.json"],
+    ["gen", "--spec", "{r}/scene.json", "--out", "{r}/scene.json/data"],
+    ["lift", "--scene", "{r}/scene.json", "--out", "{r}/data"],
+    ["aggregate-oracle", "--data", "{r}/data", "--target", "0", "--out", "{r}/tracks.csv"],
+    ["aggregate-oracle", "--data", "{r}/data", "--target", "0", "--out", "{r}/out",
+     "--tracks-out", "{r}/data"],
+    ["forward", "--frames", "{r}/frames", "--target", "0", "--dump", "{r}/data"],
+], ids=["gen-out-a-file", "gen-out-under-a-file", "lift-out-a-directory",
+        "aggregate-out-a-file", "tracks-out-a-directory", "forward-dump-a-directory"])
+def test_output_path_of_the_wrong_kind_exits_two(tmp_path, garbage_base, argv):
+    root = tmp_path / "r"
+    shutil.copytree(garbage_base, root)
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli"]
+                          + [a.format(r=root) for a in argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout.count("\n") == 1
+    assert "error" in json.loads(proc.stdout)
+    assert proc.stderr == ""
+
+
+def test_aggregate_oracle_camera_count_not_frame_count_exits_two(garbage_base, tmp_path):
+    root = tmp_path / "r"
+    shutil.copytree(garbage_base / "data", root)
+    cameras = json.loads((root / "cameras.json").read_text())
+    (root / "cameras.json").write_text(json.dumps(cameras[:-1]))
+    code, out = _run_quiet(["aggregate-oracle", "--data", str(root), "--target", "0",
+                            "--out", str(tmp_path / "agg")])
+    assert code == 2
+    assert "2 cameras for 3 depth files" in json.loads(out)["error"]["message"]
+
+
+def _run_quiet(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()

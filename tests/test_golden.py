@@ -4,8 +4,14 @@
 The SHA-256 of stdout (path-valued fields removed) and of every written
 file is pinned, so a change to the ray caster, the oracle or a writer
 cannot alter the bytes a dataset producer gets without this test failing.
-The digests were taken on CPython 3.11 with numpy 2.4 on x86-64 Linux; a
-platform whose libm or SIMD kernels round differently may need its own.
+The digests were taken on CPython 3.11 with numpy 2.4 on x86-64 Linux,
+with OpenBLAS's SkylakeX kernels. They move where libm or numpy's SIMD
+kernels round differently, and also with the OpenBLAS kernel: every `@`
+on (n, 3) x (3, 3) or 3 x 3 operands (in `geometry`, `synth.spin_path`
+and `synth._render`) is a gemm or gemv call, and kernels differ in FMA
+use and summation order. Under `OPENBLAS_CORETYPE=Haswell` the `[boxes]`
+case fails, and under `Sandybridge` both cases do. A machine with
+another libm, SIMD level or BLAS kernel may need its own digests.
 """
 
 import hashlib

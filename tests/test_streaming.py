@@ -156,6 +156,57 @@ def _holds_about_one_frame(tmp_path, command, flag):
     assert peak - render_peak - traj_bytes < 3 * frame_bytes
 
 
+# One command in a fresh interpreter under tracemalloc; prints its exit
+# code, traced peak and stdout.
+_TRACED_COMMAND = """
+import contextlib, io, json, sys, tracemalloc
+from scene4d import cli
+tracemalloc.start()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, tracemalloc.get_traced_memory()[1], out.getvalue()]))
+"""
+
+
+def _producer_peaks(tmp_path, n_frames):
+    """Traced peaks of `gen` and `aggregate-oracle --tracks-out` on the
+    64x64 demo scene of `n_frames` frames, and the complete cloud's size."""
+    root = tmp_path / f"n{n_frames}"
+    root.mkdir()
+    # 32 queries: the tracks are (queries x frames) outputs that grow with
+    # the frame count by nature, like the cloud, and are kept small here
+    (root / "scene.json").write_text(json.dumps(
+        demo_scene(n_frames=n_frames, resolution=(64, 64), n_queries=32).to_dict()))
+    peaks = []
+    for argv in (["gen", "--spec", str(root / "scene.json"), "--out", str(root / "data")],
+                 ["aggregate-oracle", "--data", str(root / "data"), "--target", "3",
+                  "--out", str(root / "agg"), "--tracks-out", str(root / "tracks.csv")]):
+        proc = subprocess.run([sys.executable, "-c", _TRACED_COMMAND, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, peak, stdout = json.loads(proc.stdout)
+        assert code == 0, stdout
+        peaks.append(peak)
+    return peaks, json.loads(stdout)["points_complete"]
+
+
+def test_producer_commands_stay_flat_in_the_frame_count(tmp_path):
+    dataset = generate(demo_scene(n_frames=1, resolution=(64, 64), n_queries=32))
+    frame_bytes = sum(_array_bytes(x) for x in (
+        dataset.depths[0], dataset.attachments[0], dataset.pointmaps[0],
+        dataset.dynamic_mask[0]))
+    del dataset
+    (gen4, agg4), points4 = _producer_peaks(tmp_path, 4)
+    (gen16, agg16), points16 = _producer_peaks(tmp_path, 16)
+    # 12 more frames must not cost a frame's arrays: keeping each frame's
+    # depth map (or mask, or a per-frame label block) would cost 12 of
+    # them. The float32 complete cloud is aggregate-oracle's output, so its
+    # 12 bytes per added point are allowed for.
+    assert gen16 - gen4 < frame_bytes
+    assert agg16 - agg4 - 12 * (points16 - points4) < frame_bytes
+
+
 def test_gen_holds_about_one_frame(tmp_path):
     _holds_about_one_frame(tmp_path, "gen", "--spec")
 
@@ -215,10 +266,10 @@ def test_gen_keeps_no_written_frame_alive_while_the_next_renders(tmp_path, monke
     save, render = tensorio.save_frame, synth._render
 
     def save_frame(out_dir, t, depth, attachments, pointmap, dynamic_mask):
-        # the depth map stays in the dataset; the attachments and point map must not
-        written.extend(weakref.ref(x) for x in (attachments, attachments.object_id,
-                                                attachments.face_id, attachments.bary,
-                                                pointmap, pointmap.points))
+        written.extend(weakref.ref(x) for x in (depth, depth.values, depth.valid, attachments,
+                                                attachments.object_id, attachments.face_id,
+                                                attachments.bary, pointmap, pointmap.points,
+                                                dynamic_mask))
         save(out_dir, t, depth, attachments, pointmap, dynamic_mask)
 
     renders = []
@@ -233,7 +284,7 @@ def test_gen_keeps_no_written_frame_alive_while_the_next_renders(tmp_path, monke
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["gen", "--spec", str(scene), "--out", str(tmp_path / "data")]) == 0
     assert renders == [0, 1, 2, 3]
-    assert len(written) == 6 * 4
+    assert len(written) == 10 * 4
 
 
 def test_aggregate_oracle_keeps_one_warped_map_and_writes_a_float32_cloud(

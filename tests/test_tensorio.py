@@ -14,12 +14,13 @@ from hypothesis.extra import numpy as hnp
 from conftest import JSON_CAMERAS, JSON_VALUES, demo_scene
 from scene4d.errors import (BadMagic, InputError, MalformedHeader,
                             TruncatedPayload, UnsupportedVersion)
+from scene4d import tensorio
 from scene4d.rng import SplitMix64
 from scene4d.synth import TrajectorySet, generate
 from scene4d.tensorio import (load_dataset, open_dataset, read_cameras, read_ply,
                               read_tensor, read_trajectories, save_dataset,
-                              write_cameras, write_ply, write_tensor,
-                              write_trajectories)
+                              write_cameras, write_channels, write_ply, write_tensor,
+                              write_tensor_blocks, write_trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +86,37 @@ def test_tensor_overflowing_dims_are_truncated_payload(tmp_path):
 def test_tensor_rejects_zero_dim(tmp_path):
     with pytest.raises(ValueError):
         write_tensor(tmp_path / "t.ct4", np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+def test_tensor_blocks_write_the_bytes_of_write_tensor(tmp_path, dtype, rows):
+    # 7 rows in blocks of 1, 3 (the last block short) or all 7
+    arr = (SplitMix64(2).uniform_array(7 * 5 * 2).reshape(7, 5, 2) * 100).astype(dtype)
+    write_tensor(tmp_path / "whole.ct4", arr)
+    write_tensor_blocks(tmp_path / "blocks.ct4", arr.shape, dtype,
+                        (arr[r:r + rows] for r in range(0, 7, rows)))
+    assert (tmp_path / "blocks.ct4").read_bytes() == (tmp_path / "whole.ct4").read_bytes()
+
+
+@pytest.mark.parametrize("blocks", [[np.zeros((2, 3))], [np.zeros((4, 3)), np.zeros((1, 3))],
+                                    [np.zeros((4, 2))]], ids=["short", "long", "ragged"])
+def test_tensor_blocks_that_do_not_fill_the_shape_raise(tmp_path, blocks):
+    with pytest.raises(ValueError):
+        write_tensor_blocks(tmp_path / "t.ct4", (4, 3), np.float64, blocks)
+
+
+@pytest.mark.parametrize("block_pixels", [5, 16, 1000])
+def test_write_channels_packs_like_concatenate(tmp_path, monkeypatch, block_pixels):
+    # blocks of 1 row (5 pixels is under one 8-wide row), 2 rows (not dividing 7) and all
+    monkeypatch.setattr(tensorio, "_BLOCK_PIXELS", block_pixels)
+    rng = np.random.default_rng(3)
+    ids = rng.integers(-2, 5, (7, 8))
+    xyz = rng.normal(size=(7, 8, 3))
+    write_channels(tmp_path / "packed.ct4", [ids, xyz, ids >= 0])
+    expected = np.concatenate([ids[..., None], xyz, (ids >= 0)[..., None]], axis=2)
+    write_tensor(tmp_path / "expected.ct4", expected.astype(np.float64))
+    assert (tmp_path / "packed.ct4").read_bytes() == (tmp_path / "expected.ct4").read_bytes()
 
 
 _CT4_DTYPES = st.sampled_from(["<f4", ">f4", "<f8", ">f8", "u1"])
