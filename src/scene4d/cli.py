@@ -222,14 +222,12 @@ def cmd_eval_track(args) -> int:
 
 
 def cmd_eval_depth(args) -> int:
-    pred = tensorio.load_depth_dir(_require(args.pred, "dir"))
-    gt = tensorio.load_depth_dir(_require(args.gt, "dir"))
+    pred = tensorio.load_depth_stack(_require(args.pred, "dir"))
+    gt = tensorio.load_depth_stack(_require(args.gt, "dir"))
     if len(pred) != len(gt):
         raise InputError("pred and gt directories hold different frame counts")
-    pv = np.stack([d.values for d in pred])
-    gv = np.stack([d.values for d in gt])
-    valid = np.stack([p.valid & g.valid for p, g in zip(pred, gt)])
-    m = metrics.depth_metrics(pv, gv, valid, apply_scaling=not args.no_scale)
+    m = metrics.depth_metrics(pred, gt, (pred > 0) & (gt > 0),
+                              apply_scaling=not args.no_scale)
     _emit({"command": "eval-depth", "scaled": not args.no_scale, **asdict(m)})
     return 0
 

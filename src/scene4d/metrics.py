@@ -24,6 +24,7 @@ from .synth import TrajectorySet
 APD_THRESHOLDS = (0.1, 0.3, 0.5, 1.0)  # meters
 DEFAULT_DOWNSAMPLE = 20_000
 DEFAULT_NC_NEIGHBORS = 16
+_NORMAL_BLOCK = 2048  # points per block of estimate_normals' (n, k, 3) arrays
 ALIGNMENTS = ("none", "median_scale", "sim3")
 
 
@@ -116,20 +117,27 @@ def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS,
 
     The k neighbors include the point itself. Sign is arbitrary; consumers
     use absolute dot products. `tree`, when given, must be a KD-tree built
-    on `cloud` by `cKDTree`; it saves building another.
+    on `cloud` by `cKDTree`; it saves building another. Points go through
+    in blocks of _NORMAL_BLOCK, so the (block, k, 3) neighbor arrays are
+    the largest temporaries; each point's normal is computed from its own
+    neighbors alone, with the same bits as over the whole cloud at once.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     if k < 3:
         raise ValueError("k must be >= 3")
     if len(cloud) < k:
         raise TooFewPoints(f"need at least k={k} points, got {len(cloud)}")
-    _, idx = (cKDTree(cloud) if tree is None else tree).query(cloud, k=k)
-    nbrs = cloud[idx]                              # (n, k, 3)
-    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
-    _, vecs = np.linalg.eigh(cov)
-    normals = vecs[:, :, 0]                        # smallest eigenvalue
-    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    tree = cKDTree(cloud) if tree is None else tree
+    normals = np.empty_like(cloud)
+    for start in range(0, len(cloud), _NORMAL_BLOCK):
+        _, idx = tree.query(cloud[start:start + _NORMAL_BLOCK], k=k)
+        nbrs = cloud[idx]                          # (block, k, 3)
+        centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered)
+        vecs = np.linalg.eigh(cov)[1][:, :, 0]     # smallest eigenvalue
+        normals[start:start + _NORMAL_BLOCK] = \
+            vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return normals
 
 
 def _matched(p: np.ndarray, g: np.ndarray, k: int):

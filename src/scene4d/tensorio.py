@@ -47,6 +47,7 @@ VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _BLOCK_PIXELS = 16384  # pixels per row block of the packed frame files
+_TEXT_ROWS = 1024  # rows per block of the PLY and trajectory text writers
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +118,15 @@ def write_channels(path, arrays) -> None:
     write_tensor_blocks(path, (h, w, sum(widths)), np.float64, blocks())
 
 
-def read_tensor(path) -> np.ndarray:
-    """Read a .ct4 file into a fresh array.
+def read_tensor(path, out: np.ndarray | None = None) -> np.ndarray:
+    """Read a .ct4 file into a fresh array, or into `out` and return it.
 
     The file size is checked against the header's dims before the array is
     allocated, and the payload is read straight into it, so no other
     payload-sized buffer exists and a header promising more bytes than the
-    file holds allocates nothing.
+    file holds allocates nothing. `out` must have the file's shape
+    (ValueError otherwise); the payload is read straight into it when it is
+    C-contiguous with the file's dtype, else converted into it.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -146,10 +149,16 @@ def read_tensor(path) -> np.ndarray:
         if size - header_end != expected:
             raise TruncatedPayload(f"{path}: payload {size - header_end} bytes, "
                                    f"expected {expected}")
-        arr = np.empty(dims, dtype=dtype)
+        if out is not None and out.shape != dims:
+            raise ValueError(f"{path}: shape {dims}, expected {out.shape}")
+        direct = out is not None and out.dtype == dtype and out.flags.c_contiguous
+        arr = out if direct else np.empty(dims, dtype=dtype)
         got = f.readinto(arr)
     if got != expected:  # the file shrank after the size check
         raise TruncatedPayload(f"{path}: payload {got} bytes, expected {expected}")
+    if out is not None and not direct:
+        out[...] = arr
+        return out
     return arr
 
 
@@ -174,21 +183,21 @@ def write_ply(path, cloud: np.ndarray, normals: np.ndarray | None = None) -> Non
         for p in props:
             f.write(f"property float {p}\n")
         f.write("end_header\n")
-        _write_rows(f, " ".join(["%r"] * len(props)) + "\n", rows)
+        _write_rows(f, " ".join(["%r"] * len(props)) + "\n",
+                    (rows[s:s + _TEXT_ROWS] for s in range(0, len(rows), _TEXT_ROWS)))
 
 
-def _write_rows(f, template, rows):
-    """Write `template % row` for each row of the 2-D array `rows`.
+def _write_rows(f, template, blocks):
+    """Write `template % row` for each row of each 2-D array of `blocks`.
 
-    Rows go out 1024 at a time: each block is flattened in row order with
-    one `tolist` and formatted with a single `%` on the template repeated
-    once per row. `%r` of a Python float is its `repr`, the shortest
-    string that reads back to the same double, and a float32 converts to a
-    double exactly, so the text is that of `repr(float(v))`; `%d` of an
-    integral float is the integer's `str`.
+    The writers pass blocks of _TEXT_ROWS rows: each is flattened in row
+    order with one `tolist` and formatted with a single `%` on the
+    template repeated once per row. `%r` of a Python float is its `repr`,
+    the shortest string that reads back to the same double, and a float32
+    converts to a double exactly, so the text is that of `repr(float(v))`;
+    `%d` of an integral float is the integer's `str`.
     """
-    for start in range(0, len(rows), 1024):
-        block = rows[start:start + 1024]
+    for block in blocks:
         f.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -278,15 +287,21 @@ _TRAJECTORY_HEADER = list(_TRAJECTORY_DTYPE.names)
 
 
 def write_trajectories(path, traj: TrajectorySet) -> None:
-    """One row per (track, frame), track-major, with CRLF line ends."""
+    """One row per (track, frame), track-major, with CRLF line ends. The
+    rows' columns are built one block of _TEXT_ROWS rows at a time."""
     m, n = traj.n_tracks, traj.n_frames
+    pos, vis = traj.positions.reshape(-1, 3), traj.visible.reshape(-1)
+
+    def blocks():
+        for start in range(0, m * n, _TEXT_ROWS):
+            rows = slice(start, start + _TEXT_ROWS)
+            track, frame = np.divmod(np.arange(start, min(start + _TEXT_ROWS, m * n)), n)
+            # float64 holds the keys and flags exactly and widens float32 positions exactly
+            yield np.column_stack([track, frame, pos[rows], vis[rows], traj.dynamic[track]]) \
+                .astype(np.float64, copy=False)
     with open(path, "w", newline="") as f:
         f.write(",".join(_TRAJECTORY_HEADER) + "\r\n")
-        # float64 holds the keys and flags exactly and widens float32 positions exactly
-        _write_rows(f, "%d,%d,%r,%r,%r,%d,%d\r\n", np.column_stack([
-            np.repeat(np.arange(m), n), np.tile(np.arange(n), m),
-            traj.positions.reshape(-1, 3), traj.visible.reshape(-1),
-            np.repeat(traj.dynamic, n)]).astype(np.float64, copy=False))
+        _write_rows(f, "%d,%d,%r,%r,%r,%d,%d\r\n", blocks())
 
 
 def read_trajectories(path) -> TrajectorySet:
@@ -407,6 +422,24 @@ def _read_depth(path) -> DepthMap:
 def load_depth_dir(dirpath) -> list[DepthMap]:
     """All depth_%04d.ct4 files of a directory, in index order."""
     return [_read_depth(p) for p in _depth_paths(dirpath)]
+
+
+def load_depth_stack(dirpath) -> np.ndarray:
+    """The values of all depth_%04d.ct4 files of a directory, in index
+    order, as one (N, H, W) float64 array (a pixel is valid iff its value
+    is > 0). Each file after the first is read straight into its slot, so
+    no per-frame copy outlives its read. Every frame gets `DepthMap`'s
+    checks; a frame whose shape differs from the first's raises ValueError.
+    """
+    paths = _depth_paths(dirpath)
+    first = _read_depth(paths[0]).values
+    stack = np.empty((len(paths),) + first.shape)
+    stack[0] = first
+    del first
+    for i, p in enumerate(paths[1:], 1):
+        read_tensor(p, out=stack[i])
+        DepthMap(values=stack[i], valid=stack[i] > 0)
+    return stack
 
 
 class _StoredDepth:

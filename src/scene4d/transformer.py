@@ -9,13 +9,12 @@ frame-restricted and global self-attention, frame scope first. Frames
 are taken one at a time: each is patchified and dropped before the next
 is drawn, so frames from a generator are alive one at a time.
 
-Attention holds one (L, L) score buffer per layer, reused for every
-(sequence, head) pair. Both of its gemm calls (scores, then weighted
-values) run over the whole buffer, since splitting gemm's rows changes its
-rounding; only the softmax passes between them run over blocks of
-_SOFTMAX_ROWS whole rows, so each block stays in cache for all of them.
-The result equals the dense (B, heads, L, L) softmax bitwise; memory still
-grows as L^2, so a global layer is quadratic in the frame count.
+Attention never holds an (L, L) array. Scores, softmax and the weighted
+values run one block of rows at a time, _SCORE_BLOCK float64 score
+elements per block (2 MiB), so a global layer's working memory grows as
+L, not L^2. Each output value comes from its own BLAS call (one gemv per
+row of scores, one dot per value), so its rounding does not depend on how
+rows are grouped into blocks.
 
 There is no temporal position encoding: frame identity enters only through
 those special token sets, so permuting non-special frames permutes the
@@ -38,7 +37,7 @@ from .rng import SplitMix64, derive_seed
 _DENSE_HEAD_TAG = 0xD5
 _INIT_STD = 0.02
 _LN_EPS = 1e-6
-_SOFTMAX_ROWS = 128  # rows per softmax block: 128 x 2120 float64 is 2.2 MB
+_SCORE_BLOCK = 2**18  # float64 score elements per block of attention rows: 2 MiB
 
 
 @dataclass
@@ -221,46 +220,53 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    """0.5 x (1 + erf(x / sqrt 2)), evaluated in that order, in place in
+    `x`, which the caller passes fresh; one temporary of x's size."""
     from scipy.special import erf  # here, not at the top: only `forward` needs scipy
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    t = x / math.sqrt(2.0)
+    erf(t, out=t)
+    t += 1.0
+    x *= 0.5
+    x *= t
+    return x
 
 
 def _self_attention(x: np.ndarray, lw: LayerWeights, n_heads: int, stats=None) -> np.ndarray:
     """Multi-head self-attention over a batch of sequences (B, L, C).
 
-    One (L, L) float64 score buffer is reused for every (sequence, head)
-    pair. Each pair makes the same two gemm calls (same M, N, K) that
-    numpy's stacked matmul makes, q @ k.T into the whole buffer and then
-    buffer @ v; their rows are never split, because splitting M changes
-    gemm's rounding. The softmax passes between them (scale, max subtract,
-    exp, normalise, row sums) are elementwise or reduce along whole rows,
-    so they run block by block over _SOFTMAX_ROWS contiguous rows while the
-    block sits in cache, with the same bits as over the whole buffer. The
-    result equals the dense (B, heads, L, L) kernel bitwise.
-    If `stats` is a list, the (B, heads, L) softmax row sums are appended
-    to it flattened.
+    Each (sequence, head) pair runs over blocks of max(1, _SCORE_BLOCK // L)
+    query rows; nothing (L, L) is allocated. Per row, the scores are one
+    gemv (numpy's matmul of a (1, d) row by the C-contiguous (d, L) k^T,
+    q pre-scaled by 1/sqrt(d)), the softmax numerator exp(s - max s) is
+    elementwise, and each of the d values is one dot of that row with a
+    C-contiguous row of v^T (`np.vecdot`), divided by the row's sum. Every
+    output value is thus reduced by calls that see one row only, and its
+    bits do not depend on the block size.
+    If `stats` is a list, the (B, heads, L) row sums of the normalised
+    weights are appended to it flattened.
     """
     b, l, c = x.shape
     d = c // n_heads
-    q = (x @ lw.wq).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
-    k = (x @ lw.wk).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
-    v = (x @ lw.wv).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
-    scale = math.sqrt(d)
-    w = np.empty((l, l))
+    q = ((x @ lw.wq) / math.sqrt(d)).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
+    kt = np.ascontiguousarray((x @ lw.wk).reshape(b, l, n_heads, d).transpose(0, 2, 3, 1))
+    vt = np.ascontiguousarray((x @ lw.wv).reshape(b, l, n_heads, d).transpose(0, 2, 3, 1))
+    rows = max(1, _SCORE_BLOCK // l)
+    scores = np.empty((min(rows, l), 1, l))
     out = np.empty((b, n_heads, l, d))
     sums = None if stats is None else np.empty((b, n_heads, l))
     for i in range(b):
         for j in range(n_heads):
-            np.matmul(q[i, j], k[i, j].T, out=w)
-            for r in range(0, l, _SOFTMAX_ROWS):
-                blk = w[r:r + _SOFTMAX_ROWS]
-                blk /= scale
-                blk -= blk.max(axis=-1, keepdims=True)
-                np.exp(blk, out=blk)
-                blk /= blk.sum(axis=-1, keepdims=True)
+            for r in range(0, l, rows):
+                q_blk = q[i, j, r:r + rows]
+                e = np.matmul(q_blk[:, None, :], kt[i, j], out=scores[:len(q_blk)])[:, 0]
+                e -= e.max(axis=-1, keepdims=True)
+                np.exp(e, out=e)
+                z = e.sum(axis=-1, keepdims=True)
+                o = out[i, j, r:r + rows]
+                np.vecdot(e[:, None, :], vt[i, j], out=o)
+                o /= z
                 if sums is not None:
-                    blk.sum(axis=-1, out=sums[i, j, r:r + _SOFTMAX_ROWS])
-            np.matmul(w, v[i, j], out=out[i, j])
+                    (e / z).sum(axis=-1, out=sums[i, j, r:r + rows])
     if sums is not None:
         stats.append(sums.reshape(-1))
     return out.transpose(0, 2, 1, 3).reshape(b, l, c) @ lw.wo

@@ -2,6 +2,7 @@
 oracles (brute-force scans, analytic normals, constructed transforms)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,54 @@ def test_normals_on_sphere_within_two_degrees():
 def test_normals_too_few_points():
     with pytest.raises(TooFewPoints):
         estimate_normals(np.zeros((5, 3)), k=16)
+
+
+def _whole_cloud_normals(cloud, k=metrics.DEFAULT_NC_NEIGHBORS, tree=None):
+    """Reference: estimate_normals verbatim as it was when it went over the
+    whole cloud at once, (n, k, 3) arrays and all."""
+    cloud = np.asarray(cloud, dtype=np.float64)
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    if len(cloud) < k:
+        raise TooFewPoints(f"need at least k={k} points, got {len(cloud)}")
+    _, idx = (cKDTree(cloud) if tree is None else tree).query(cloud, k=k)
+    nbrs = cloud[idx]                              # (n, k, 3)
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered)
+    _, vecs = np.linalg.eigh(cov)
+    normals = vecs[:, :, 0]                        # smallest eigenvalue
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
+_BLOCK = metrics._NORMAL_BLOCK
+
+
+@pytest.mark.parametrize("n", [16, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("with_tree", [False, True])
+def test_normals_in_blocks_bitwise_equal_whole_cloud(n, with_tree):
+    # from n = k (one block of one query per neighbor set) to several
+    # blocks with a short last one
+    cloud = _random_cloud(SplitMix64(n), n)
+    cloud[n // 2:n // 2 + 8, 2] = 0.5            # a flat patch: ties in the k-NN
+    tree = cKDTree(cloud) if with_tree else None
+    got = estimate_normals(cloud, 16, tree)
+    assert got.shape == (n, 3)
+    assert np.array_equal(got, _whole_cloud_normals(cloud, 16, tree))
+
+
+def test_recon_metrics_memory_bound():
+    # 20k-point clouds: the whole-cloud normals' (n, k, 3) float64 arrays
+    # were 7.7 MB each, and recon_metrics peaked at 24.6 MB traced on
+    # these clouds; in blocks it peaks at 4.6 MB
+    rng = SplitMix64(26)
+    pred, gt = _random_cloud(rng, 20_000), _random_cloud(rng, 20_000)
+    tracemalloc.start()
+    try:
+        recon_metrics(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_normal_consistency_same_plane():

@@ -164,6 +164,46 @@ def test_tensor_short_or_long_payload_is_truncated(tmp_path_factory, arr, delta)
         read_tensor(path)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+def test_read_tensor_into_out(tmp_path, dtype):
+    arr = (SplitMix64(8).uniform_array(12).reshape(3, 4) * 100).astype(dtype)
+    path = tmp_path / "t.ct4"
+    write_tensor(path, arr)
+    stack = np.zeros((2, 3, 4))               # into a float64 slot of a stack
+    slot = stack[1]
+    assert read_tensor(path, out=slot) is slot
+    assert np.array_equal(slot, arr.astype(np.float64)) and not stack[0].any()
+    same = np.empty_like(arr)
+    assert read_tensor(path, out=same) is same and _bits(same) == _bits(arr)
+    strided = np.zeros((3, 8), dtype=dtype)[:, ::2]
+    assert _bits(read_tensor(path, out=strided)) == _bits(arr)
+    with pytest.raises(ValueError):
+        read_tensor(path, out=np.empty((4, 3), dtype=dtype))
+
+
+def test_load_depth_stack_equals_stacked_depth_maps(tmp_path):
+    rng = SplitMix64(9)
+    for t in range(3):
+        vals = rng.uniform_array(20).reshape(4, 5) - 0.3   # some invalid pixels
+        write_tensor(tmp_path / f"depth_{t:04d}.ct4",
+                     np.where(vals > 0, vals, 0.0).astype(np.float32 if t == 1 else np.float64))
+    stack = tensorio.load_depth_stack(tmp_path)
+    maps = tensorio.load_depth_dir(tmp_path)
+    assert stack.dtype == np.float64 and stack.shape == (3, 4, 5)
+    assert _bits(stack) == _bits(np.stack([d.values for d in maps]))
+    assert np.array_equal(stack > 0, np.stack([d.valid for d in maps]))
+
+
+@pytest.mark.parametrize("bad", ["shape", "inf", "ndim"])
+def test_load_depth_stack_rejects_what_depth_maps_reject(tmp_path, bad):
+    write_tensor(tmp_path / "depth_0000.ct4", np.ones((4, 5)))
+    write_tensor(tmp_path / "depth_0001.ct4", {"shape": np.ones((5, 4)),
+                                               "inf": np.full((4, 5), np.inf),
+                                               "ndim": np.ones((4, 5, 1))}[bad])
+    with pytest.raises(ValueError):
+        tensorio.load_depth_stack(tmp_path)
+
+
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_tensor_huge_dims_allocate_nothing(tmp_path, ndim):
     # every dim 2^40: the size check must fail before any array is made
