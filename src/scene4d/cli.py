@@ -224,8 +224,8 @@ def cmd_eval_track(args) -> int:
 def cmd_eval_depth(args) -> int:
     pred = tensorio.load_depth_stack(_require(args.pred, "dir"))
     gt = tensorio.load_depth_stack(_require(args.gt, "dir"))
-    if len(pred) != len(gt):
-        raise InputError("pred and gt directories hold different frame counts")
+    if pred.shape != gt.shape:
+        raise InputError(f"pred depth maps are {pred.shape}, gt {gt.shape}")
     m = metrics.depth_metrics(pred, gt, (pred > 0) & (gt > 0),
                               apply_scaling=not args.no_scale)
     _emit({"command": "eval-depth", "scaled": not args.no_scale, **asdict(m)})
@@ -270,7 +270,7 @@ def cmd_forward(args) -> int:
         "K": int(result.patch_features.shape[1]),
         "dim": config.dim,
         "seq_length": int(result.frames[0].tokens.shape[0]),
-        "cameras": [[float(x) for x in row] for row in np.atleast_2d(cams)],
+        "cameras": [[float(x) for x in row] for row in cams],
     })
     return 0
 

@@ -16,6 +16,11 @@ class InputError(Scene4DError):
     """Invalid invocation or input that fails validation before compute."""
 
 
+class BadArgument(InputError, ValueError):
+    """An argument out of its range or disagreeing with another one: a
+    ValueError to library callers, exit 2 at the CLI."""
+
+
 # --- geometry ---
 
 class ZeroQuaternion(Scene4DError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FaceOutOfRange
+from .errors import BadArgument, FaceOutOfRange
 from .geometry import CameraParams, DepthMap, pixel_direction
 from .raycast import raycast_batch, triangle_soup
 
@@ -135,9 +135,9 @@ def split_clips(depths, tau: float = DEFAULT_SPLIT_TAU) -> ClipBoundary:
     global depth scaling.
     """
     if len(depths) < 2:
-        raise ValueError("need at least two frames")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise BadArgument(f"need at least two frames, not {len(depths)}")
+    if not tau > 0:  # NaN too
+        raise BadArgument(f"tau must be positive, not {tau}")
     splits = []
     for t in range(len(depths) - 1):
         s = depth_shift(depths[t], depths[t + 1])

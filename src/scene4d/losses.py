@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonFiniteDerivative, NonPositiveSigma, ShapeMismatch
+from .errors import BadArgument, NonFiniteDerivative, NonPositiveSigma, ShapeMismatch
 from .rng import SplitMix64, derive_seed
 
 WEIGHT_MODES = ("focal", "dynamic", "none")
@@ -286,19 +286,23 @@ def depth_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
 
 
 def camera_loss(pred_g: np.ndarray, gt_g: np.ndarray, huber_eps: float = 1.0):
-    """Per-component Huber loss between camera vectors, summed over
-    components and frames -> (value, grad wrt pred)."""
+    """Per-component Huber loss between camera vectors -> (value, grad wrt pred).
+
+    Sums over gt_g's axes, which pred_g must end in; pred_g's axes before
+    them are batch axes, and `value` has their shape (a numpy scalar when
+    the shapes match).
+    """
     if huber_eps <= 0:
         raise ValueError("huber_eps must be positive")
     pred_g = _promote(pred_g)
     gt_g = _promote(gt_g)
-    if pred_g.shape != gt_g.shape:
-        raise ShapeMismatch("camera vectors must have matching shapes")
+    if pred_g.shape[pred_g.ndim - gt_g.ndim:] != gt_g.shape:
+        raise ShapeMismatch("pred camera vectors must end in the gt shape")
     r = pred_g - gt_g
     small = np.abs(r) <= huber_eps
     per = np.where(small, 0.5 * r * r, huber_eps * (np.abs(r) - 0.5 * huber_eps))
     grad = np.where(small, r, huber_eps * np.sign(r))
-    return per.sum(), grad
+    return per.sum(axis=tuple(range(-gt_g.ndim, 0))), grad
 
 
 def total_loss(point_value: float, camera_value: float, depth_value: float,
@@ -321,24 +325,22 @@ def relative_gradient_error(analytic, numeric):
 FD_BLOCK_ELEMENTS = 1 << 17
 
 
-def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5, *,
-                      batched: bool = False) -> float:
+def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5) -> float:
     """Max relative error between central differences of value_fn and the
     supplied analytic gradients.
 
     Every coordinate of every array named in `grads` is perturbed by ±h.
-    value_fn(arrays) must return the scalar loss for the given dict of
-    arrays. With batched=True it instead receives every array with a
-    leading copy axis (unperturbed arrays as read-only broadcast views)
-    and returns one value per copy; the ±h copies are then evaluated a
-    block at a time, at most FD_BLOCK_ELEMENTS perturbed elements (and at
-    least one ± pair) per call. Whatever should be held fixed during
-    perturbation (e.g. the detached focal weight) must be baked into value_fn.
+    value_fn receives the dict of arrays, each with a leading copy axis
+    (unperturbed arrays as read-only broadcast views), and returns the
+    loss of each copy. The ±h copies are evaluated a block at a time, at
+    most FD_BLOCK_ELEMENTS perturbed elements (and at least one ± pair)
+    per call. Whatever should be held fixed during perturbation (e.g. the
+    detached focal weight) must be baked into value_fn.
     Raises NonFiniteDerivative when an analytic or central-difference
     derivative (or their relative error) is NaN or infinite.
     """
     if not (1e-7 <= h <= 1e-3):
-        raise ValueError("h must lie in [1e-7, 1e-3]")
+        raise BadArgument(f"h must lie in [1e-7, 1e-3], not {h}")
     worst = 0.0
     # extended precision keeps the difference of two near-equal loss values
     # meaningful even when the loss is large and the gradient small
@@ -361,14 +363,10 @@ def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5, *,
             stack[rows[0::2], idx] = base[idx] + h
             stack[rows[1::2], idx] = base[idx] - h
             copies = stack[:len(rows)].reshape((len(rows),) + shape)
-            if batched:
-                batch = {k: np.broadcast_to(v, copies.shape[:1] + v.shape)
-                         for k, v in work.items()}
-                values = np.asarray(value_fn({**batch, name: copies}))
-                if values.shape != copies.shape[:1]:
-                    raise ShapeMismatch("a batched value_fn must return one value per copy")
-            else:
-                values = np.array([value_fn({**work, name: c}) for c in copies])
+            batch = {k: np.broadcast_to(v, copies.shape[:1] + v.shape) for k, v in work.items()}
+            values = np.asarray(value_fn({**batch, name: copies}))
+            if values.shape != copies.shape[:1]:
+                raise ShapeMismatch("value_fn must return one value per copy")
             stack[rows[0::2], idx] = stack[rows[1::2], idx] = base[idx]
             numeric = ((values[0::2] - values[1::2]) / (2.0 * h)).astype(np.float64)
             errs = relative_gradient_error(gflat[idx], numeric)
@@ -406,23 +404,19 @@ def _random_point_instance(rng: SplitMix64, h: int = 8, w: int = 8):
 
 
 def _worst_fd_error(seed: int, trials: int, h: float, instance) -> float:
-    """Max relative FD error of a loss's pred and sigma gradients over
-    `trials` random instances.
+    """Max relative FD error of a loss's gradients over `trials` random
+    instances.
 
-    instance(rng) draws one and returns (pred, sigma, loss, held):
-    loss(pred, sigma, **kw) calls the loss on the instance, and `held`
-    holds what the perturbed calls must keep fixed (the detached weight).
+    instance(rng) draws one and returns finite_diff_check's
+    (value_fn, arrays, grads); value_fn holds fixed whatever the perturbed
+    calls must not move (the detached weight).
     """
+    if trials < 1:
+        raise BadArgument(f"trials must be >= 1, not {trials}")
     rng = SplitMix64(seed)
     worst = 0.0
     for _ in range(trials):
-        pred, sigma, loss, held = instance(rng)
-        center = loss(pred, sigma)
-        err = finite_diff_check(
-            lambda arrs: loss(arrs["pred"], arrs["sigma"], **held, compute_grads=False).value,
-            {"pred": pred, "sigma": sigma},
-            {"pred": center.grad_points, "sigma": center.grad_sigma}, h, batched=True)
-        worst = max(worst, err)
+        worst = max(worst, finite_diff_check(*instance(rng), h))
     return worst
 
 
@@ -433,8 +427,11 @@ def check_point_loss_gradients(cfg: LossConfig, seed: int, trials: int = 100,
         pred, gt, sigma, valid, dyn = _random_point_instance(rng, size, size)
         # freeze the detached weight at the center point
         w0 = _residual_weight(cfg, np.where(valid[..., None], pred - gt, 0.0), dyn)
-        return (pred, sigma, lambda p, s, **kw: point_loss(p, gt, s, valid, dyn, cfg, **kw),
-                {"frozen_weight": w0})
+        center = point_loss(pred, gt, sigma, valid, dyn, cfg)
+        return (lambda a: point_loss(a["pred"], gt, a["sigma"], valid, dyn, cfg,
+                                     frozen_weight=w0, compute_grads=False).value,
+                {"pred": pred, "sigma": sigma},
+                {"pred": center.grad_points, "sigma": center.grad_sigma})
     return _worst_fd_error(seed, trials, h, instance)
 
 
@@ -445,25 +442,22 @@ def check_depth_loss_gradients(seed: int, alpha: float = 0.1, trials: int = 100,
         pred = gt + _signed_residual(rng, (size, size))
         sigma = _uniform_array(rng, (size, size), 0.3, 2.0)
         valid = _uniform_array(rng, (size, size), 0.0, 1.0) > 0.15
-        return pred, sigma, lambda p, s, **kw: depth_loss(p, gt, s, valid, alpha, **kw), {}
+        center = depth_loss(pred, gt, sigma, valid, alpha)
+        return (lambda a: depth_loss(a["pred"], gt, a["sigma"], valid, alpha,
+                                     compute_grads=False).value,
+                {"pred": pred, "sigma": sigma},
+                {"pred": center.grad_points, "sigma": center.grad_sigma})
     return _worst_fd_error(seed, trials, h, instance)
 
 
 def check_camera_loss_gradients(seed: int, huber_eps: float = 1.0,
                                 trials: int = 100, h: float = 1e-5) -> float:
-    rng = SplitMix64(seed)
-    worst = 0.0
-    for _ in range(trials):
+    def instance(rng):
         pred = _uniform_array(rng, (9,), -2.0, 2.0)
         gt = _uniform_array(rng, (9,), -2.0, 2.0)
-        _, grad = camera_loss(pred, gt, huber_eps)
-
-        def value_fn(arrs):
-            return camera_loss(arrs["pred"], gt, huber_eps)[0]
-
-        err = finite_diff_check(value_fn, {"pred": pred}, {"pred": grad}, h)
-        worst = max(worst, err)
-    return worst
+        return (lambda a: camera_loss(a["pred"], gt, huber_eps)[0], {"pred": pred},
+                {"pred": camera_loss(pred, gt, huber_eps)[1]})
+    return _worst_fd_error(seed, trials, h, instance)
 
 
 def gradient_check_suite(seed: int, trials: int = 100, h: float = 1e-5,

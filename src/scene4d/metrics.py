@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateConfiguration, DegenerateScale, EmptyCloud,
-                     EmptyReference, NoSamples, NoValidPixels, TooFewPoints)
+from .errors import (BadArgument, DegenerateConfiguration, DegenerateScale,
+                     EmptyCloud, EmptyReference, NoSamples, NoValidPixels, TooFewPoints)
 from .geometry import SIM3, CameraParams, rotation_angle_deg, sim3_apply
 from .rng import SplitMix64
 from .synth import TrajectorySet
@@ -73,7 +73,7 @@ def downsample_random(cloud: np.ndarray, n_max: int, seed: int) -> np.ndarray:
     """Uniform sample without replacement, order-stable; identity when the
     cloud already fits."""
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise BadArgument(f"n_max must be >= 1, not {n_max}")
     cloud = np.asarray(cloud, dtype=np.float64)
     if len(cloud) <= n_max:
         return cloud
@@ -124,7 +124,7 @@ def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS,
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     if k < 3:
-        raise ValueError("k must be >= 3")
+        raise BadArgument(f"k must be >= 3, not {k}")
     if len(cloud) < k:
         raise TooFewPoints(f"need at least k={k} points, got {len(cloud)}")
     tree = cKDTree(cloud) if tree is None else tree
@@ -335,7 +335,8 @@ def pose_metrics(pred_cams: list[CameraParams], gt_cams: list[CameraParams],
     """ATE (RMSE of aligned camera-center error) and mean RPE over
     consecutive frames. align in {"sim3", "se3", "none"}."""
     if len(pred_cams) != len(gt_cams) or len(pred_cams) < 2:
-        raise ValueError("need matching camera lists with at least 2 frames")
+        raise BadArgument("need matching camera lists with at least 2 frames, "
+                          f"not {len(pred_cams)} and {len(gt_cams)}")
     if align not in ("sim3", "se3", "none"):
         raise ValueError("align must be sim3, se3 or none")
     c_pred = np.array([c.center() for c in pred_cams])

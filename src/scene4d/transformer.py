@@ -339,24 +339,19 @@ class AggregationFormer:
     # -- heads ------------------------------------------------------------
 
     def head_camera(self, cam_features: np.ndarray) -> np.ndarray:
-        """Camera token features -> decodable 9-vectors, one per frame.
+        """Camera token features (N, n_cam, dim) -> decodable 9-vectors (N, 9).
 
         Aggregation/registration tokens never reach the heads; only the
-        first camera token feeds this map.
+        first camera token feeds this map. Each quaternion is divided by
+        its np.linalg.norm, sqrt(q · q), or is the identity below 1e-12.
         """
-        feats = np.asarray(cam_features, dtype=np.float64)
-        single = feats.ndim == 2
-        if single:
-            feats = feats[None]
-        raw = feats[:, 0, :] @ self.bank.cam_head     # (N, 9)
-        out = raw.copy()
-        for i in range(len(out)):
-            qn = np.linalg.norm(out[i, :4])
-            out[i, :4] = np.array([1.0, 0.0, 0.0, 0.0]) if qn < 1e-12 else out[i, :4] / qn
-        with np.errstate(over="ignore"):
-            fov = math.pi / (1.0 + np.exp(-raw[:, 7:9]))
+        out = np.asarray(cam_features, dtype=np.float64)[:, 0, :] @ self.bank.cam_head
+        qn = np.sqrt(np.vecdot(out[:, :4], out[:, :4]))[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[:, :4] = np.where(qn < 1e-12, np.array([1.0, 0.0, 0.0, 0.0]), out[:, :4] / qn)
+            fov = math.pi / (1.0 + np.exp(-out[:, 7:9]))
         out[:, 7:9] = np.clip(fov, 1e-6, math.pi - 1e-6)
-        return out[0] if single else out
+        return out
 
     def head_dense(self, patch_features: np.ndarray, height: int, width: int,
                    out_channels: int) -> np.ndarray:

@@ -453,13 +453,15 @@ def _mesh_scene(tmp_path, vertices=_TRIANGLE, faces=((0, 1, 2),), motion=None):
     return _scene(tmp_path, objects=[obj])
 
 
-def _exits_two_with_one_json_line(argv):
+def _exits_two_with_one_json_line(argv, error="InputError") -> str:
+    """Run the CLI on argv, check the exit-2 contract; return the message."""
     proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv,
                           capture_output=True, text=True)
-    assert proc.returncode == 2
+    assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout.count("\n") == 1
-    assert json.loads(proc.stdout)["error"]["type"] == "InputError"
+    assert json.loads(proc.stdout)["error"]["type"] == error
     assert proc.stderr == ""
+    return json.loads(proc.stdout)["error"]["message"]
 
 
 @pytest.mark.parametrize("faces", [[[0, 1, 9]], [[0, -1, 2]], [[0, 1, 1.5]], [[0, 1]],
@@ -619,6 +621,51 @@ def test_aggregate_oracle_camera_count_not_frame_count_exits_two(garbage_base, t
                             "--out", str(tmp_path / "agg")])
     assert code == 2
     assert "2 cameras for 3 depth files" in json.loads(out)["error"]["message"]
+
+
+_CLOUD = "{r}/agg/complete_cloud.ply"
+
+
+@pytest.mark.parametrize("argv", [
+    ["loss-check", "--trials", "0"],
+    ["loss-check", "--trials", "-3"],
+    ["loss-check", "--trials", "1", "--h", "1.0"],
+    ["loss-check", "--trials", "1", "--h", "nan"],
+    ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--nmax", "0"],
+    ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--k", "2"],
+    ["split", "--depth-dir", "{r}/data", "--tau", "0"],
+    ["split", "--depth-dir", "{r}/data", "--tau", "nan"],
+], ids=["trials-zero", "trials-negative", "h-too-large", "h-nan", "nmax-zero", "k-two",
+        "tau-zero", "tau-nan"])
+def test_unusable_flag_values_exit_two(garbage_base, argv):
+    # a check that ran no trial, or a split that compared nothing, is no result
+    _exits_two_with_one_json_line([a.format(r=garbage_base) for a in argv], "BadArgument")
+
+
+def test_split_of_one_frame_exits_two(tmp_path):
+    write_tensor(tmp_path / "depth_0000.ct4", np.ones((4, 4)))
+    message = _exits_two_with_one_json_line(["split", "--depth-dir", str(tmp_path)],
+                                            "BadArgument")
+    assert message.endswith("not 1")
+
+
+@pytest.mark.parametrize("case", ["pose-counts", "pose-one-camera", "depth-shapes"])
+def test_evaluator_input_disagreement_exits_two(garbage_base, tmp_path, case):
+    data = garbage_base / "data"
+    if case == "depth-shapes":
+        for t in range(3):
+            write_tensor(tmp_path / f"depth_{t:04d}.ct4", np.ones((8, 8)))
+        message = _exits_two_with_one_json_line(
+            ["eval-depth", "--pred", str(tmp_path), "--gt", str(data)])
+        assert "(3, 8, 8)" in message and "(3, 16, 16)" in message
+        return
+    cameras = json.loads((data / "cameras.json").read_text())
+    pred = tmp_path / "cameras.json"
+    pred.write_text(json.dumps(cameras[:2] if case == "pose-counts" else cameras[:1]))
+    gt = data / "cameras.json" if case == "pose-counts" else pred
+    message = _exits_two_with_one_json_line(
+        ["eval-pose", "--pred", str(pred), "--gt", str(gt)], "BadArgument")
+    assert message.endswith("not 2 and 3" if case == "pose-counts" else "not 1 and 1")
 
 
 def _run_quiet(argv):

@@ -1,5 +1,6 @@
-"""Golden digests of the producer path: `gen` then `aggregate-oracle
---tracks-out`, run through cli.main on two small scenes.
+"""Golden digests of the producer path, `gen` then `aggregate-oracle
+--tracks-out`, run through cli.main on two small scenes, and of two
+consume commands' stdout.
 
 The SHA-256 of stdout (path-valued fields removed) and of every written
 file is pinned, so a change to the ray caster, the oracle or a writer
@@ -12,15 +13,30 @@ and `synth._render`) is a gemm or gemv call, and kernels differ in FMA
 use and summation order. Under `OPENBLAS_CORETYPE=Haswell` the `[boxes]`
 case fails, and under `Sandybridge` both cases do. A machine with
 another libm, SIMD level or BLAS kernel may need its own digests.
+
+Two consume commands have their stdout pinned the same way:
+`loss-check --seed 7 --trials 3`, which reaches every analytic gradient
+and the finite-difference harness, and `forward` on three 32x32 frames
+under a small config, which reaches the trunk and the camera head. The
+loss-check digest held under every setting tried: OpenBLAS's SkylakeX,
+Haswell and Sandybridge kernels, 2 BLAS threads, and numpy's AVX2 and
+AVX-512 loops off (`NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+AVX512_SPR"`); its differences are taken in longdouble, so it rests on
+libm's long-double `logl`. The forward digest moves under each of those
+settings but 2 threads: the trunk's projections, scores and MLP are
+OpenBLAS gemm and gemv calls, and `scipy.special.erf` and numpy's
+float64 loops round by SIMD level.
 """
 
 import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from scene4d.cli import main
+from scene4d.tensorio import write_tensor
 
 _GROUND = {"type": "plane", "center": [0, 2.5, 8], "u_axis": [9, 0, 0], "v_axis": [0, 0, 9]}
 
@@ -214,3 +230,29 @@ def _produce(tmp_path, capsys, scene):
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_producer_outputs_match_golden_digests(name, tmp_path, capsys):
     assert _produce(tmp_path, capsys, SCENES[name]) == GOLDEN[name]
+
+
+CONSUMER_GOLDEN = {
+    "loss-check": "d4763b68dc51ffd89acfecdf736bc07ba6d585691b3916f19e273e5195055d1c",
+    "forward": "f972e70ba731d38a4fcb0bb3e202a1900a650e753512288595a9a292b9d7596f",
+}
+
+
+def _consumer_argv(command, tmp_path):
+    if command == "loss-check":
+        return ["loss-check", "--seed", "7", "--trials", "3"]
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    rng = np.random.default_rng(3)
+    for t in range(3):
+        write_tensor(frames / f"frame_{t:04d}.ct4", rng.random((32, 32, 3)))
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"dim": 32, "n_heads": 4, "patch": 8}))
+    return ["forward", "--frames", str(frames), "--target", "1",
+            "--config", str(config), "--seed", "7"]
+
+
+@pytest.mark.parametrize("command", sorted(CONSUMER_GOLDEN))
+def test_consumer_stdout_matches_golden_digest(command, tmp_path, capsys):
+    assert main(_consumer_argv(command, tmp_path)) == 0
+    assert _digest(capsys.readouterr().out.encode()) == CONSUMER_GOLDEN[command]

@@ -258,7 +258,7 @@ def test_finite_diff_exact_for_linear_loss():
     x = np.array([rng.uniform() for _ in range(12)]).reshape(4, 3)
 
     def value_fn(arrs):
-        return float(arrs["x"].sum())
+        return arrs["x"].sum(axis=(1, 2))
 
     err = finite_diff_check(value_fn, {"x": x}, {"x": np.ones((4, 3))}, h=1e-5)
     assert err < 1e-10
@@ -266,7 +266,8 @@ def test_finite_diff_exact_for_linear_loss():
 
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(ValueError):
-        finite_diff_check(lambda a: 0.0, {"x": np.zeros(1)}, {"x": np.zeros(1)}, h=1.0)
+        finite_diff_check(lambda a: np.zeros(len(a["x"])), {"x": np.zeros(1)},
+                          {"x": np.zeros(1)}, h=1.0)
 
 
 @pytest.mark.parametrize("mode", ["focal", "dynamic", "none"])

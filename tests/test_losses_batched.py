@@ -2,6 +2,7 @@
 per-call forms they replace: bitwise-equal values, gradients and check
 results, and harness memory bounded by its block size."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from scene4d import losses
 from scene4d.errors import NonFiniteDerivative, ShapeMismatch
-from scene4d.losses import (LossConfig, depth_loss, finite_diff_check,
+from scene4d.losses import (LossConfig, camera_loss, depth_loss, finite_diff_check,
                             gradient_check_suite, point_loss,
                             relative_gradient_error)
 
@@ -43,15 +44,11 @@ def reference_finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 
     return worst
 
 
-def _via_reference(value_fn, arrays, grads, h=1e-5, *, batched=False):
-    """finite_diff_check's signature on the reference loop; a batched
-    value_fn sees each scalar evaluation as a batch of one copy."""
-    if batched:
-        batched_fn = value_fn
-
-        def value_fn(arrs):
-            return batched_fn({k: v[None] for k, v in arrs.items()})[0]
-    return reference_finite_diff_check(value_fn, arrays, grads, h)
+def _via_reference(value_fn, arrays, grads, h=1e-5):
+    """finite_diff_check's signature on the reference loop, which calls
+    value_fn on one copy at a time, as a batch of one."""
+    return reference_finite_diff_check(
+        lambda arrs: value_fn({k: v[None] for k, v in arrs.items()})[0], arrays, grads, h)
 
 
 @pytest.mark.parametrize("seed", [0, 31, 2026])
@@ -65,6 +62,29 @@ def test_suite_equals_per_coordinate_reference(monkeypatch, seed, cfg):
     slow = gradient_check_suite(seed, trials=1, cfg=cfg)
     assert fast == slow
     assert all(err < 1e-4 for err in fast.values())
+
+
+def _scaled_gradient(loss):
+    """`loss` with its analytic pred gradient scaled by 1.01."""
+    def wrong(*args, **kwargs):
+        out = loss(*args, **kwargs)
+        if isinstance(out, tuple):                # camera_loss: (value, grad)
+            return out[0], 1.01 * out[1]
+        if out.grad_points is None:               # a value-only call
+            return out
+        return dataclasses.replace(out, grad_points=1.01 * out.grad_points)
+    return wrong
+
+
+@pytest.mark.parametrize("check,loss", [("point_focal", "point_loss"),
+                                        ("point_dynamic", "point_loss"),
+                                        ("point_offset", "point_loss"),
+                                        ("depth", "depth_loss"),
+                                        ("camera", "camera_loss")])
+def test_suite_reports_a_wrong_gradient(monkeypatch, check, loss):
+    # the shared trial loop must be able to fail each of the five checks
+    monkeypatch.setattr(losses, loss, _scaled_gradient(getattr(losses, loss)))
+    assert gradient_check_suite(0, trials=2)[check] >= 1e-4
 
 
 def test_scalar_and_batched_harness_agree():
@@ -81,16 +101,16 @@ def test_scalar_and_batched_harness_agree():
 
     arrays = {"x": x, "y": y}
     ref = reference_finite_diff_check(scalar, arrays, grads)
-    assert finite_diff_check(scalar, arrays, grads) == ref
-    assert finite_diff_check(batched, arrays, grads, batched=True) < 1e-6
+    assert ref < 1e-6
+    assert finite_diff_check(batched, arrays, grads) == ref
 
 
 def test_batched_harness_rejects_wrong_value_count():
     with pytest.raises(ShapeMismatch):
-        finite_diff_check(lambda a: np.zeros(1), {"x": np.zeros(3)}, {"x": np.zeros(3)},
-                          batched=True)
+        finite_diff_check(lambda a: np.zeros(1), {"x": np.zeros(3)}, {"x": np.zeros(3)})
     with pytest.raises(ShapeMismatch):
-        finite_diff_check(lambda a: 0.0, {"x": np.zeros(3)}, {"x": np.zeros(4)})
+        finite_diff_check(lambda a: np.zeros(len(a["x"])), {"x": np.zeros(3)},
+                          {"x": np.zeros(4)})
 
 
 def test_harness_memory_bounded_by_block():
@@ -103,7 +123,7 @@ def test_harness_memory_bounded_by_block():
 
     tracemalloc.start()
     try:
-        err = finite_diff_check(value_fn, {"x": x}, {"x": 2 * x}, batched=True)
+        err = finite_diff_check(value_fn, {"x": x}, {"x": 2 * x})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -204,6 +224,22 @@ def test_unbatched_value_is_numpy_scalar():
     assert isinstance(out.value, np.float64)
     out = depth_loss(p[..., 0], p[..., 0], np.ones((2, 2)), np.ones((2, 2), bool))
     assert isinstance(out.value, np.float64)
+    assert isinstance(camera_loss(p + 0.5, p)[0], np.float64)
+
+
+def test_camera_loss_batched_equals_per_slice():
+    rng = np.random.default_rng(5)
+    pred = rng.uniform(-2.0, 2.0, (4, 3, 9))
+    gt = rng.uniform(-2.0, 2.0, (3, 9))
+    value, grad = camera_loss(pred, gt, 0.7)
+    assert value.shape == (4,) and grad.shape == pred.shape
+    for i in range(4):
+        v, g = camera_loss(pred[i], gt, 0.7)
+        assert value[i] == v and np.array_equal(grad[i], g)
+    with pytest.raises(ShapeMismatch):           # pred must end in gt's shape
+        camera_loss(pred, gt[:, :8])
+    with pytest.raises(ShapeMismatch):           # gt may not enlarge the batch
+        camera_loss(pred[0], pred)
 
 
 def test_batched_shape_errors():
@@ -223,19 +259,19 @@ def test_batched_shape_errors():
 
 
 
-@pytest.mark.parametrize("batched", [False, True])
 @np.errstate(all="ignore")
-def test_harness_rejects_non_finite_derivatives(batched):
+def test_harness_rejects_non_finite_derivatives():
     # a NaN relative error used to be skipped, so a NaN loss passed the check
     x = {"x": np.zeros(2)}
-    nan_loss = (lambda a: np.full(len(a["x"]), np.nan)) if batched else (lambda a: np.nan)
     with pytest.raises(NonFiniteDerivative):
-        finite_diff_check(nan_loss, x, {"x": np.ones(2)}, batched=batched)
-    square = (lambda a: (a["x"] ** 2).sum(axis=-1)) if batched else (lambda a: (a["x"] ** 2).sum())
+        finite_diff_check(lambda a: np.full(len(a["x"]), np.nan), x, {"x": np.ones(2)})
+
+    def square(a):
+        return (a["x"] ** 2).sum(axis=-1)
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteDerivative):
-            finite_diff_check(square, x, {"x": np.array([0.0, bad])}, batched=batched)
-    assert finite_diff_check(square, x, {"x": np.zeros(2)}, batched=batched) == 0.0
+            finite_diff_check(square, x, {"x": np.array([0.0, bad])})
+    assert finite_diff_check(square, x, {"x": np.zeros(2)}) == 0.0
 
 
 @np.errstate(all="ignore")
