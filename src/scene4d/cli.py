@@ -23,8 +23,9 @@ from typing import get_type_hints
 import numpy as np
 
 from . import losses, metrics, synth, tensorio, transformer
-from .errors import InputError, Scene4DError
+from .errors import BadArgument, InputError, Scene4DError
 from .lifting import split_clips
+from .rng import check_seed
 
 
 def _emit(obj) -> None:
@@ -278,27 +279,42 @@ def cmd_forward(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error (an unknown or missing flag, a value its type
+    rejects) as BadArgument, which `main` reports as one JSON line."""
+
+    def error(self, message):
+        raise BadArgument(f"{self.prog}: {message}")
+
+
+def _seed(text: str) -> int:
+    """The type of every --seed flag: an integer in 0..2**64 - 1."""
+    try:
+        return check_seed(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="scene4d",
-                                 description="Deterministic 4D scene geometry toolkit")
+    ap = _Parser(prog="scene4d", description="Deterministic 4D scene geometry toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="render a synthetic sequence with ground truth")
     p.add_argument("--spec", required=True, help="scene JSON")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--seed", type=int, default=None, help="override the scene seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the scene seed")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("lift", help="lift frame-0 query pixels to 3D trajectories")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True, help="output trajectory CSV")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("split", help="print clip split indices, one per line")
     p.add_argument("--depth-dir", required=True)
     p.add_argument("--tau", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0, help="unused; uniform interface")
+    p.add_argument("--seed", type=_seed, default=0, help="unused; uniform interface")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("aggregate-oracle",
@@ -308,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tracks-out", default=None,
                    help="also write frame-0 tracks across all targets")
-    p.add_argument("--seed", type=int, default=0, help="unused; uniform interface")
+    p.add_argument("--seed", type=_seed, default=0, help="unused; uniform interface")
     p.set_defaults(func=cmd_aggregate_oracle)
 
     p = sub.add_parser("eval-recon", help="accuracy / completion / normal consistency")
     p.add_argument("--pred", required=True, help="predicted cloud (PLY)")
     p.add_argument("--gt", required=True, help="reference cloud (PLY)")
     p.add_argument("--nmax", type=int, default=metrics.DEFAULT_DOWNSAMPLE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k", type=int, default=metrics.DEFAULT_NC_NEIGHBORS)
     p.set_defaults(func=cmd_eval_recon)
 
@@ -324,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--align", choices=["none", "median", "sim3"], default="none")
     p.add_argument("--queries", choices=["dynamic", "all"], default="dynamic")
-    p.add_argument("--seed", type=int, default=0, help="unused; uniform interface")
+    p.add_argument("--seed", type=_seed, default=0, help="unused; uniform interface")
     p.set_defaults(func=cmd_eval_track)
 
     p = sub.add_parser("eval-depth", help="AbsRel and delta<1.25 between depth dirs")
@@ -332,19 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--no-scale", action="store_true",
                    help="skip per-sequence median scaling")
-    p.add_argument("--seed", type=int, default=0, help="unused; uniform interface")
+    p.add_argument("--seed", type=_seed, default=0, help="unused; uniform interface")
     p.set_defaults(func=cmd_eval_depth)
 
     p = sub.add_parser("eval-pose", help="ATE / RPE between camera JSON files")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--pose-align", choices=["sim3", "se3", "none"], default="sim3")
-    p.add_argument("--seed", type=int, default=0, help="unused; uniform interface")
+    p.add_argument("--seed", type=_seed, default=0, help="unused; uniform interface")
     p.set_defaults(func=cmd_eval_pose)
 
     p = sub.add_parser("loss-check", help="finite-difference gradient verification")
     p.add_argument("--config", default=None, help="LossConfig overrides (JSON)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--h", type=float, default=1e-5)
     p.set_defaults(func=cmd_loss_check)
@@ -353,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True, help="directory of (H,W,3) .ct4 frames")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--config", default=None, help="ModelConfig overrides (JSON)")
-    p.add_argument("--seed", type=int, default=None, help="override the model seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the model seed")
     p.add_argument("--dump", default=None, help="write patch features to this .ct4")
     p.set_defaults(func=cmd_forward)
 
@@ -361,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):
             return args.func(args)
     # a missing path, or a directory where a file is named or the reverse

@@ -14,40 +14,57 @@ accept exactly this region.
 
 `raycast_batch` is exact: it returns bitwise what testing every ray
 against every triangle with the per-pair arithmetic below returns. It
-only skips pairs that cannot hit. Triangles are sorted along a Morton
-curve of their centroids and grouped _LEAF_SIZE to a leaf; the leaf boxes
-are merged pairwise up to one root, and rays walk that tree with the
-ray-box slab test (Kay & Kajiya 1986). Each leaf box is padded by 1e-3 of
-its largest extent plus 1e-6. A pair the full test accepts meets the
-triangle's plane within the 1e-9 slack plus the rounding error of b1 and
-b2, and the pad covers errors up to 1e-3, so culling drops no such pair.
-Errors that large need det to be rounding noise near its 1e-12 guard:
-coordinates far beyond 1e3, or an origin within about 1e-12 of the plane
-of a triangle its ray grazes.
+only skips pairs that cannot hit. As in the light buffer (Haines &
+Greenberg 1986), rays from the one origin are binned by direction and
+triangles by the directions they cover:
 
-Coherent rays are culled in packets (Wald, Slusallek, Benthin & Wagner
-2001) by the interval slab test (Wald, Boulos & Shirley 2007): each
-_PACKET consecutive rays walk the tree together, testing boxes against
-the packet's [min, max] of 1/d per axis. Rounding is monotone, so a box
-the packet drops is one every ray's own slab test drops (see
-`_meets_interval`); a zero, non-finite or sign-mixed direction only
-widens an interval. By the argument above, a ray of an accepted pair
-passes the slab test of that pair's leaf and of every ancestor, so its
-packet keeps them all; each ray of a packet is then pair-tested against
-every leaf the packet kept. Packets that keep more than 2 x (tree levels)
-nodes at some level (incoherent directions) walk the tree ray by ray. The
-result does not depend on the ray order; coherent order only lets more be
-culled.
+- A ray d belongs to the cube face of its dominant axis k (|d_k| is
+  largest) and the sign s of d_k, at face coordinates
+  (u, v) = (d_a, d_b) / (s d_k) for the other axes a and b. Rays are
+  taken _RAY_CHUNK at a time, and each face's rays are sorted by cell on
+  a grid of about one ray per cell spanning their (u, v) extent.
+- A triangle's box, relative to the origin, is padded by _PAD_REL of its
+  largest extent plus _PAD_ABS and cut at s x_k >= _NEAR. Over the cut
+  box, s x_k lies in [z0, z1] with z0 > 0, so x_a / (s x_k) lies in
+  [min(lo_a / z0, lo_a / z1), max(hi_a / z0, hi_a / z1)]: the u it
+  covers, and likewise v. A box that meets the near cube
+  [-_NEAR, _NEAR]^3 covers every face whole.
+- Each (triangle, cell row) covered is one run of sorted rays; the runs
+  are pair-tested _PAIR_BLOCK pairs at a time.
 
-Memory: rays are processed _RAY_CHUNK at a time. A packet keeps at most
-2 x (tree levels) nodes per level, and (ray, leaf) pairs are tested
-_PAIR_BLOCK at a time. Working memory is therefore set by those constants
-and the number of leaf boxes a packet keeps, not by the triangle count
-(the brute-force form needed rays x triangles x 3 floats per temporary).
+Why culling drops no pair the full test accepts:
+
+- The padded box holds the hit. An accepted pair meets the triangle's
+  plane, at some t > 0, within the 1e-9 slack plus the rounding error of
+  b1 and b2. The relative pad covers errors up to 1e-3, and the absolute
+  one the rounding of the box's corners relative to the origin. Errors
+  that large need det to be rounding noise near its 1e-12 guard:
+  coordinates far beyond 1e3, or an origin within about 1e-12 of the
+  plane of a triangle its ray grazes.
+- The hit q = t d has q_a / (s q_k) = u exactly, and |q_a|, |q_b| <= s q_k.
+  If s q_k >= _NEAR, q lies in the cut box, so u lies in its interval. If
+  s q_k < _NEAR, q lies in the near cube, so the box meets it and covers
+  the whole face.
+- Division is correctly rounded and rounding is monotone, so the
+  computed u stays within the computed interval ends. The cell map, the
+  offset from the grid's corner times a scale, clipped to the grid and
+  truncated, is monotone too, so the ray's cell lies in the triangle's
+  block of cells.
+- Non-finite and zero directions are not binned, and they never hit:
+  their det is 0 or nan, or it is infinite and t = tq * 0. A triangle
+  with a non-finite vertex never hits either (its det or t comes out nan,
+  inf or 0), and it covers no face.
+
+A ray meets its triangles in ascending index order, so a block replaces
+a ray's hit only when strictly nearer and equal t keeps the lowest
+index. The result does not depend on the ray order. Working memory is
+set by _RAY_CHUNK, _PAIR_BLOCK and the per-triangle terms, not by
+rays x triangles as in the brute-force form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +72,11 @@ import numpy as np
 _DET_EPS = 1e-12
 _BARY_EPS = 1e-9
 _T_MIN = 1e-9
-_LEAF_SIZE = 4        # triangles per leaf box
-_RAY_CHUNK = 4096     # rays walked down the tree together
-_PAIR_BLOCK = 4096    # (ray, leaf) pairs expanded to triangles together
-_PAD_REL = 1e-3       # leaf box pad, relative to the box's largest extent,
+_RAY_CHUNK = 2048     # rays binned together, on one grid per cube face
+_PAIR_BLOCK = 4096    # (triangle, row) runs, then (ray, triangle) pairs, per block
+_PAD_REL = 1e-3       # triangle box pad, relative to the box's largest extent,
 _PAD_ABS = 1e-6       # plus this much in scene units
-_PACKET = 16          # consecutive rays culled together by their 1/d bounds
+_NEAR = 1e-4          # boxes are cut at s * x_k >= _NEAR; the near cube's half-width
 
 
 @dataclass
@@ -121,10 +137,8 @@ def raycast_batch(origin, directions, triangles):
     tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     n, m = dirs.shape[0], tris.shape[0]
-    best_t = np.full(n, np.inf)
-    best_tri = np.zeros(n, dtype=np.int64)
-    bb1 = np.zeros(n)
-    bb2 = np.zeros(n)
+    # nearest t, its triangle (-1 for a miss) and barycentrics, filled in place
+    best = (np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.zeros((n, 3)))
 
     if m:
         e1 = tris[:, 1] - tris[:, 0]            # (m, 3)
@@ -132,199 +146,122 @@ def raycast_batch(origin, directions, triangles):
         tvec = origin[None, :] - tris[:, 0]
         qvec = np.cross(tvec, e1)
         tq = np.einsum("mk,mk->m", e2, qvec)
-        leaf_tri, levels = _leaf_tree(tris)
-        # Per-leaf copies of the per-triangle terms. Slot index m is an
-        # all-zero triangle: its det is exactly 0, so it never hits.
-        terms = [np.concatenate([a, np.zeros((1,) + a.shape[1:])])[leaf_tri]
-                 for a in (e1, e2, tvec, qvec, tq)]
-        levels = [((lo - origin).T, (hi - origin).T) for lo, hi in levels]
+        terms = (e1, e2, tvec, qvec, tq)
+        covers = _face_covers(tris, origin)
         for start in range(0, n, _RAY_CHUNK):
-            found = _cast_chunk(dirs[start:start + _RAY_CHUNK], levels, terms, leaf_tri)
-            if not found:
-                continue
-            r, tri, t, b1, b2 = (np.concatenate(col) for col in zip(*found))
-            nearest = np.lexsort((tri, t, r))
-            first = nearest[np.unique(r[nearest], return_index=True)[1]]
-            win = start + r[first]
-            best_t[win], best_tri[win] = t[first], tri[first]
-            bb1[win], bb2[win] = b1[first], b2[first]
+            d = dirs[start:start + _RAY_CHUNK]
+            axis = np.abs(d).argmax(axis=1)
+            dk = d[np.arange(len(d)), axis]
+            face = 2 * axis + (dk < 0)
+            face[(dk == 0) | ~np.isfinite(d).all(axis=1)] = -1    # never hits
+            for f, cover in enumerate(covers):
+                ray = np.flatnonzero(face == f)
+                if len(ray) and len(cover[0]):
+                    k = f // 2
+                    uv = d[ray][:, [(k + 1) % 3, (k + 2) % 3]] / np.abs(dk[ray, None])
+                    _cast_face(dirs, terms, best, start + ray, uv, *cover)
 
-    hit = np.isfinite(best_t)
-    tri_index = np.where(hit, best_tri, -1)
-    bary = np.stack([1.0 - bb1 - bb2, bb1, bb2], axis=1)
-    bary[~hit] = 0.0
-    return best_t, tri_index, bary
+    best_t, best_tri, bary = best
+    hit = best_tri >= 0
+    bary[hit, 0] = 1.0 - bary[hit, 1] - bary[hit, 2]
+    return best_t, best_tri, bary
 
 
-def _cast_chunk(dirs, levels, terms, leaf_tri):
-    """The accepted (ray, tri, t, b1, b2) pairs of one chunk of rays, as a
-    list of blocks; ray indices are local to the chunk.
+def _face_covers(tris, origin):
+    """For each cube face 2k + (s < 0), the triangles that can meet a ray
+    of that face and their (p, 2) [lo, hi] boxes in (u, v), in triangle
+    order. A box meeting the near cube covers every face."""
+    v0, v1, v2 = tris.transpose(1, 0, 2)
+    lo = np.minimum(np.minimum(v0, v1), v2) - origin
+    hi = np.maximum(np.maximum(v0, v1), v2) - origin
+    with np.errstate(invalid="ignore"):     # inf - inf at a non-finite vertex
+        pad = _PAD_REL * (hi - lo).max(axis=1, keepdims=True) + _PAD_ABS
+    lo, hi = lo - pad, hi + pad
+    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    whole = finite & (lo <= _NEAR).all(axis=1) & (hi >= -_NEAR).all(axis=1)
+    covers = []
+    for k in range(3):
+        ab = [(k + 1) % 3, (k + 2) % 3]
+        for near, far in ((lo[:, k], hi[:, k]), (-hi[:, k], -lo[:, k])):
+            z0 = np.maximum(near, _NEAR)
+            tri = np.flatnonzero(whole | (finite & (far >= z0)))
+            z0, z1 = z0[tri, None], far[tri, None]
+            a, b = lo[tri][:, ab], hi[tri][:, ab]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                u_lo = np.minimum(a / z0, a / z1)
+                u_hi = np.maximum(b / z0, b / z1)
+            w = whole[tri, None]
+            covers.append((tri, np.where(w, -np.inf, u_lo), np.where(w, np.inf, u_hi)))
+    return covers
 
-    Packets of _PACKET consecutive rays walk the tree with the slab test
-    on their [min, max] of 1/d; every ray of a packet is then pair-tested
-    against each leaf the packet kept. Rays of packets that keep more than
-    2 x (tree levels) nodes at some level walk the tree alone.
-    """
+
+def _cast_face(dirs, terms, best, ray, uv, tri, tri_lo, tri_hi):
+    """Pair-test the rays of one cube face, at face coordinates uv (n, 2),
+    against the triangles whose (u, v) boxes [tri_lo, tri_hi] meet their
+    cells, and fold the hits into `best`."""
+    lo, hi = uv.min(axis=0), uv.max(axis=0)
+    keep = np.flatnonzero((tri_lo <= hi).all(axis=1) & (tri_hi >= lo).all(axis=1))
+    # A g x g grid over the rays' extent, about one ray per cell. The cell
+    # map is monotone, so a box of (u, v) covers a block of cells.
+    g = math.isqrt(len(ray) - 1) + 1
     with np.errstate(divide="ignore", over="ignore"):
-        inv_d = (1.0 / dirs).T
-    starts = np.arange(0, len(dirs), _PACKET)
-    inv_lo = np.minimum.reduceat(inv_d, starts, axis=1)
-    inv_hi = np.maximum.reduceat(inv_d, starts, axis=1)
-    packet, leaf, wide = _walk(
-        levels, lambda lo, hi, p: _meets_interval(lo, hi, inv_lo[:, p], inv_hi[:, p]),
-        np.arange(len(starts)), cap=2 * len(levels))
-    lone, _ = _packet_rays(wide, len(dirs))
-    ray, lone_leaf, _ = _walk(levels, lambda lo, hi, r: _crosses(lo, hi, inv_d[:, r]), lone)
-    found = [_pair_test(dirs, terms, leaf_tri, ray[s:s + _PAIR_BLOCK], lone_leaf[s:s + _PAIR_BLOCK])
-             for s in range(0, len(ray), _PAIR_BLOCK)]
-    step = _PAIR_BLOCK // _PACKET
-    for s in range(0, len(packet), step):
-        ray, keep = _packet_rays(packet[s:s + step], len(dirs))
-        found.append(_pair_test(dirs, terms, leaf_tri, ray, np.repeat(leaf[s:s + step], _PACKET)[keep]))
-    return found
+        scale = g / (hi - lo)
+    scale = np.where(np.isfinite(scale), scale, 0.0)
+
+    def cells(x):
+        return np.clip((x - lo) * scale, 0, g - 1).astype(np.int64)
+    cell = cells(uv) @ [1, g]
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    c0 = cells(np.maximum(tri_lo[keep], lo))
+    c1 = cells(np.minimum(tri_hi[keep], hi))
+    # Each (triangle, cell row) is one run of sorted rays.
+    for e, off in _ranges(c1[:, 1] - c0[:, 1] + 1):
+        row = (c0[e, 1] + off) * g
+        first = np.searchsorted(cell, row + c0[e, 0])
+        last = np.searchsorted(cell, row + c1[e, 0], side="right")
+        for p, off in _ranges(last - first):
+            _pair_test(dirs, terms, ray[order[first[p] + off]], tri[keep[e[p]]], best)
 
 
-def _packet_rays(packet, n):
-    """The rays of the given packets of an n-ray chunk, and which of the
-    _PACKET slots per packet hold a ray (the last packet may be short)."""
-    ray = (packet[:, None] * _PACKET + np.arange(_PACKET)).ravel()
-    keep = ray < n
-    return ray[keep], keep
+def _ranges(length):
+    """The (index, offset) of every slot of the concatenated ranges
+    [0, length[i]), _PAIR_BLOCK slots at a time."""
+    end = np.cumsum(length)
+    total = int(end[-1]) if len(end) else 0
+    for s in range(0, total, _PAIR_BLOCK):
+        slot = np.arange(s, min(s + _PAIR_BLOCK, total))
+        index = np.searchsorted(end, slot, side="right")
+        yield index, slot - end[index] + length[index]
 
 
-def _pair_test(dirs, terms, leaf_tri, ray, leaf):
-    """Moller-Trumbore of each ray against every triangle of its leaf.
+def _pair_test(dirs, terms, ray, tri, best):
+    """Moller-Trumbore of each (ray, tri) pair, folded into `best`.
 
     The per-pair expressions are those of the brute-force form, so results
-    are bitwise equal to it. Returns the accepted pairs as
-    (ray, tri, t, b1, b2).
+    are bitwise equal to it. `best` is (t, tri, bary) per ray, with b1 and
+    b2 in bary's last two columns; a pair replaces it when nearer, and pairs
+    arrive in ascending triangle order, so on equal t the lowest triangle
+    index stays.
     """
-    e1, e2, tvec, qvec, tq = (np.take(a, leaf, axis=0) for a in terms)   # (P, _LEAF_SIZE[, 3])
+    e1, e2, tvec, qvec, tq = (a[tri] for a in terms)   # (P[, 3])
     d = dirs[ray]
     # Determinants below the guard may be subnormal, and non-finite input
     # makes nan; neither can pass the tests below, so neither warns.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pvec = np.cross(d[:, None, :], e2)
-        det = np.einsum("plk,plk->pl", e1, pvec)
+        pvec = np.cross(d, e2)
+        det = np.einsum("pk,pk->p", e1, pvec)
         inv_det = np.where(np.abs(det) >= _DET_EPS, 1.0 / det, 0.0)
-        b1 = np.einsum("plk,plk->pl", tvec, pvec) * inv_det
-        b2 = np.einsum("pk,plk->pl", d, qvec) * inv_det
+        b1 = np.einsum("pk,pk->p", tvec, pvec) * inv_det
+        b2 = np.einsum("pk,pk->p", d, qvec) * inv_det
         t = tq * inv_det
         ok = (np.abs(det) >= _DET_EPS) \
             & (b1 >= -_BARY_EPS) & (b2 >= -_BARY_EPS) \
             & (b1 + b2 <= 1.0 + _BARY_EPS) & (t > _T_MIN)
-    pair, slot = np.nonzero(ok)
-    return ray[pair], leaf_tri[leaf[pair], slot], t[ok], b1[ok], b2[ok]
-
-
-def _morton(cells):
-    """Interleave the bits of three 10-bit integer columns into one code."""
-    code = np.zeros(len(cells), dtype=np.int64)
-    for axis in range(3):
-        x = cells[:, axis]
-        x = (x | (x << 16)) & 0x030000FF
-        x = (x | (x << 8)) & 0x0300F00F
-        x = (x | (x << 4)) & 0x030C30C3
-        x = (x | (x << 2)) & 0x09249249
-        code |= x << (2 - axis)
-    return code
-
-
-def _leaf_tree(tris):
-    """Triangle index of each leaf slot and the padded box levels, leaves first.
-
-    Leaf j holds the Morton-sorted triangles [j * _LEAF_SIZE, (j + 1) *
-    _LEAF_SIZE); slots past the last triangle hold len(tris). Node j of a
-    level covers nodes 2j and 2j + 1 of the level below, and the last level
-    is the root alone.
-    """
-    m = len(tris)
-    # A triangle with a non-finite vertex never hits (its det or t comes out
-    # nan, inf or 0). It sorts as if at the origin and gets a nan box, which
-    # fmin and fmax skip, so it cannot hide the other triangles of its leaf.
-    finite = np.isfinite(tris).all(axis=(1, 2))[:, None]
-    with np.errstate(invalid="ignore"):
-        cent = np.where(finite, tris.mean(axis=1), 0.0)
-    span = np.ptp(cent, axis=0)
-    cells = ((cent - cent.min(axis=0)) / np.where(span > 0, span, 1.0) * 1023).astype(np.int64)
-    order = np.argsort(_morton(cells), kind="stable")
-    starts = np.arange(0, m, _LEAF_SIZE)
-    lo = np.fmin.reduceat(np.where(finite, tris.min(axis=1), np.nan)[order], starts)
-    hi = np.fmax.reduceat(np.where(finite, tris.max(axis=1), np.nan)[order], starts)
-    pad = _PAD_REL * (hi - lo).max(axis=1, keepdims=True) + _PAD_ABS
-    levels = [(lo - pad, hi + pad)]
-    while len(levels[-1][0]) > 1:
-        lo, hi = levels[-1]
-        pairs = np.arange(0, len(lo), 2)
-        levels.append((np.fmin.reduceat(lo, pairs), np.fmax.reduceat(hi, pairs)))
-    leaf_tri = np.full(len(starts) * _LEAF_SIZE, m)
-    leaf_tri[:m] = order
-    return leaf_tri.reshape(-1, _LEAF_SIZE), levels
-
-
-def _walk(levels, crosses, item, cap=None):
-    """Breadth-first descent from the root: the (item, leaf) pairs whose
-    boxes pass `crosses(lo, hi, item)`, and the items dropped for keeping
-    more than `cap` nodes at some level.
-
-    Box corners in `levels` are (3, nodes) arrays relative to the origin;
-    `crosses` gets the corners of each (item, node) pair as (3, pairs)
-    arrays and its items, and returns a keep mask.
-    """
-    node = np.zeros(len(item), dtype=np.int64)
-    dropped = [np.zeros(0, dtype=np.int64)]
-    for depth, (lo, hi) in enumerate(reversed(levels)):
-        if depth:
-            item = np.repeat(item, 2)
-            node = (2 * node[:, None] + (0, 1)).ravel()
-            keep = node < lo.shape[1]
-            item, node = item[keep], node[keep]
-        keep = crosses(lo[:, node], hi[:, node], item)
-        item, node = item[keep], node[keep]
-        if not len(item):
-            break
-        if cap is not None:
-            wide = np.bincount(item)[item] > cap
-            if wide.any():
-                dropped.append(np.unique(item[wide]))
-                item, node = item[~wide], node[~wide]
-    return item, node, np.concatenate(dropped)
-
-
-def _crosses(lo, hi, inv_d):
-    """Slab test: does each ray meet its box [lo, hi] at some t >= 0?
-
-    All arguments are (3, P). A zero direction component makes inv_d
-    infinite; an origin exactly on that slab's face then gives
-    0 * inf = nan, which fmax/fmin skip, so the axis does not constrain
-    and the test stays conservative.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        t1 = lo * inv_d
-        t2 = hi * inv_d
-    near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2)
-    enter = np.fmax(np.fmax(near[0], near[1]), near[2])
-    leave = np.fmin(np.fmin(far[0], far[1]), far[2])
-    return (enter <= leave) & (leave >= 0.0)
-
-
-def _meets_interval(lo, hi, inv_lo, inv_hi):
-    """Slab test of a packet: False only when every ray whose inverse
-    direction lies in [inv_lo, inv_hi] on each axis fails `_crosses`.
-
-    All arguments are (3, P). Rounding is monotone, so each ray's
-    lo * inv_d lies between lo * inv_lo and lo * inv_hi, and likewise for
-    hi; the least and greatest of the four products bound every ray's
-    near and far on that axis. A nan product (0 * inf, or a nan
-    direction) means some ray leaves that axis free, so the axis is made
-    unconstrained rather than skipped.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        t = np.stack([lo * inv_lo, lo * inv_hi, hi * inv_lo, hi * inv_hi])
-        free = np.isnan(t).any(axis=0)
-        near = np.where(free, -np.inf, t.min(axis=0))
-        far = np.where(free, np.inf, t.max(axis=0))
-    enter = near.max(axis=0)
-    leave = far.min(axis=0)
-    return (enter <= leave) & (leave >= 0.0)
+    ray, tri, t, b1, b2 = ray[ok], tri[ok], t[ok], b1[ok], b2[ok]
+    nearest = np.lexsort((tri, t, ray))
+    first = nearest[np.unique(ray[nearest], return_index=True)[1]]
+    best_t, best_tri, bary = best
+    win = first[t[first] < best_t[ray[first]]]
+    r = ray[win]
+    best_t[r], best_tri[r], bary[r, 1], bary[r, 2] = t[win], tri[win], b1[win], b2[win]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BadArgument
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -20,6 +22,16 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
     return z ^ (z >> 31)
+
+
+def check_seed(seed) -> int:
+    """`seed` if it is an integer in 0..2**64 - 1. SplitMix64 reduces a
+    seed modulo 2**64, so a bool, a float or an integer outside that range
+    would alias another seed; each raises BadArgument."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= seed <= _MASK:
+        raise BadArgument(f"seed must be an integer in 0..2**64 - 1, not {seed!r}")
+    return seed
 
 
 def derive_seed(seed: int, *tags: int) -> int:

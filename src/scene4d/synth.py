@@ -3,10 +3,10 @@
 A scene is a set of rigid objects (mesh / box / plane shapes, each with a
 per-frame SE3 motion path), an optional static background mesh, and a
 camera path. Rendering is exact raycasting: every ray gets bitwise the
-nearest hit that testing it against every triangle would give, but a tree
-of padded triangle boxes culls the pairs that cannot hit, and rays are
-processed in fixed-size chunks, so memory stays bounded as meshes grow
-(see `raycast`). Outputs are bit-reproducible for a fixed seed.
+nearest hit that testing it against every triangle would give, but a
+direction grid culls the pairs that cannot hit, and rays are processed in
+fixed-size chunks, so memory stays bounded as meshes grow (see `raycast`).
+Outputs are bit-reproducible for a fixed seed.
 
 The generator also defines the ground-truth temporal aggregation operator:
 warping frame i's points into the time of frame a by each object's rigid
@@ -33,7 +33,7 @@ from .geometry import (SE3, CameraParams, DepthMap, PointMap,
 from .lifting import MeshSequence, SurfaceAttachment, classify_dynamic
 from .raycast import (RayHit, TriangleSoup, raycast,  # noqa: F401  (re-exported surface)
                       raycast_batch, triangle_soup)
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 BACKGROUND_ID = -1
 NO_ATTACHMENT_ID = -2
@@ -187,6 +187,7 @@ class SceneSpec:
         # fails before it has written any frame
         if self.n_queries < 0:
             raise ValueError("n_queries must be >= 0")
+        check_seed(self.seed)
         if not 0 < self.dynamic_delta < np.inf:
             raise ValueError("dynamic_delta must be positive and finite")
         if len(self.camera_path) != self.n_frames:
@@ -235,7 +236,7 @@ class SceneSpec:
                 camera_path=cams,
                 resolution=(int(d["resolution"][0]), int(d["resolution"][1])),
                 n_frames=n,
-                seed=int(d["seed"]),
+                seed=d["seed"],
                 n_queries=int(d.get("n_queries", DEFAULT_N_QUERIES)),
                 dynamic_delta=float(d.get("dynamic_delta", DEFAULT_DYNAMIC_DELTA)),
             )

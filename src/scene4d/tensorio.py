@@ -118,6 +118,32 @@ def write_channels(path, arrays) -> None:
     write_tensor_blocks(path, (h, w, sum(widths)), np.float64, blocks())
 
 
+def _read_header(f, path):
+    """Check the .ct4 header at the start of the open file `f` against the
+    file's size; -> (dims, dtype, payload bytes), with `f` at the payload."""
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(10)
+    if head[:4] != MAGIC:
+        raise BadMagic(f"{path}: expected magic {MAGIC!r}")
+    if len(head) < 10:
+        raise TruncatedPayload(f"{path}: header truncated")
+    version, code, ndim = struct.unpack_from("<BBI", head, 4)
+    if version != VERSION:
+        raise UnsupportedVersion(f"{path}: version {version}")
+    if code not in _DTYPES:
+        raise UnsupportedVersion(f"{path}: unknown dtype code {code}")
+    header_end = 10 + 8 * ndim
+    if size < header_end:
+        raise TruncatedPayload(f"{path}: dims truncated")
+    dims = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+    dtype = _DTYPES[code]
+    expected = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
+    if size - header_end != expected:
+        raise TruncatedPayload(f"{path}: payload {size - header_end} bytes, "
+                               f"expected {expected}")
+    return dims, dtype, expected
+
+
 def read_tensor(path, out: np.ndarray | None = None) -> np.ndarray:
     """Read a .ct4 file into a fresh array, or into `out` and return it.
 
@@ -129,26 +155,7 @@ def read_tensor(path, out: np.ndarray | None = None) -> np.ndarray:
     C-contiguous with the file's dtype, else converted into it.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(10)
-        if head[:4] != MAGIC:
-            raise BadMagic(f"{path}: expected magic {MAGIC!r}")
-        if len(head) < 10:
-            raise TruncatedPayload(f"{path}: header truncated")
-        version, code, ndim = struct.unpack_from("<BBI", head, 4)
-        if version != VERSION:
-            raise UnsupportedVersion(f"{path}: version {version}")
-        if code not in _DTYPES:
-            raise UnsupportedVersion(f"{path}: unknown dtype code {code}")
-        header_end = 10 + 8 * ndim
-        if size < header_end:
-            raise TruncatedPayload(f"{path}: dims truncated")
-        dims = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
-        dtype = _DTYPES[code]
-        expected = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
-        if size - header_end != expected:
-            raise TruncatedPayload(f"{path}: payload {size - header_end} bytes, "
-                                   f"expected {expected}")
+        dims, dtype, expected = _read_header(f, path)
         if out is not None and out.shape != dims:
             raise ValueError(f"{path}: shape {dims}, expected {out.shape}")
         direct = out is not None and out.dtype == dtype and out.flags.c_contiguous
@@ -160,6 +167,25 @@ def read_tensor(path, out: np.ndarray | None = None) -> np.ndarray:
         out[...] = arr
         return out
     return arr
+
+
+def read_channel(path, channel: int) -> np.ndarray:
+    """Channel `channel` of an (H, W, C) .ct4 file as an (H, W) array, read
+    _BLOCK_PIXELS pixels at a time so that no whole-file buffer exists; a
+    file of another rank or without that channel raises ValueError."""
+    with open(path, "rb") as f:
+        dims, dtype, _ = _read_header(f, path)
+        if len(dims) != 3 or not 0 <= channel < dims[2]:
+            raise ValueError(f"{path}: shape {dims} has no channel {channel}")
+        h, w, c = dims
+        out = np.empty((h, w), dtype=dtype)
+        step = max(1, _BLOCK_PIXELS // max(w, 1))
+        for start in range(0, h, step):
+            block = np.empty((min(step, h - start), w, c), dtype=dtype)
+            if f.readinto(block) != block.nbytes:  # the file shrank after the size check
+                raise TruncatedPayload(f"{path}: payload shorter than its header says")
+            out[start:start + len(block)] = block[..., channel]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +545,9 @@ def open_dataset(dirpath) -> SequenceDataset:
     is read once: frame 0's depth map is kept, and of every other frame
     only its valid mask (its `values` read the file again). `pointmaps[t]`
     and `attachments[t]` read frame t's file when indexed (see
-    `_FrameFiles`), and an attachment holds only its object ids: `face_id`
-    and `bary` are None. The dynamic masks are not read (`dynamic_mask` is
+    `_FrameFiles`), and an attachment holds only its object ids, read as
+    one channel a block of rows at a time (`read_channel`): `face_id` and
+    `bary` are None. The dynamic masks are not read (`dynamic_mask` is
     None).
     """
     root = Path(dirpath)
@@ -530,8 +557,8 @@ def open_dataset(dirpath) -> SequenceDataset:
     n = len(depths)
 
     def object_ids(t):
-        packed = read_tensor(root / f"attachments_{t:04d}.ct4")
-        return FrameAttachments(object_id=packed[..., 0].astype(np.int64))
+        ids = read_channel(root / f"attachments_{t:04d}.ct4", 0)
+        return FrameAttachments(object_id=ids.astype(np.int64))
 
     return SequenceDataset(
         depths=depths,

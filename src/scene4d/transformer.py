@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndivisibleResolution, ShapeMismatch, TargetOutOfRange
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, check_seed, derive_seed
 
 _DENSE_HEAD_TAG = 0xD5
 _INIT_STD = 0.02
@@ -65,6 +65,7 @@ class ModelConfig:
             raise ValueError("fusion must be concatenate or add")
         if min(self.n_agg_tokens, self.n_reg_tokens, self.n_cam_tokens) < 1:
             raise ValueError("token counts must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass

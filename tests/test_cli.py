@@ -635,11 +635,40 @@ _CLOUD = "{r}/agg/complete_cloud.ply"
     ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--k", "2"],
     ["split", "--depth-dir", "{r}/data", "--tau", "0"],
     ["split", "--depth-dir", "{r}/data", "--tau", "nan"],
+    ["loss-check", "--trials", "abc"],
+    ["split", "--depth-dir", "{r}/data", "--tau", "-inf"],
+    ["loss-check", "--trials", "1", "--h", "-inf"],
+    ["eval-recon", "--pred", _CLOUD],
+    ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--bogus"],
+    ["gen", "--spec", "{r}/scene.json", "--out", "{r}/unused", "--seed", "-18446744073709551616"],
+    ["loss-check", "--trials", "1", "--seed", "18446744073709551616"],
 ], ids=["trials-zero", "trials-negative", "h-too-large", "h-nan", "nmax-zero", "k-two",
-        "tau-zero", "tau-nan"])
+        "tau-zero", "tau-nan", "trials-not-an-int", "tau-minus-inf", "h-minus-inf",
+        "required-flag-missing", "unknown-flag", "seed-below-zero", "seed-past-64-bits"])
 def test_unusable_flag_values_exit_two(garbage_base, argv):
-    # a check that ran no trial, or a split that compared nothing, is no result
+    # a check that ran no trial, or a split that compared nothing, is no
+    # result; a flag the parser rejects is reported like any bad value
     _exits_two_with_one_json_line([a.format(r=garbage_base) for a in argv], "BadArgument")
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: _scene(d, seed=-1),
+    lambda d: _scene(d, seed=2**64),
+    lambda d: _scene(d, seed=True),
+    lambda d: _scene(d, seed=11.0),
+    lambda d: _config(d, "forward", {"seed": 2**64}),
+], ids=["scene-below-zero", "scene-past-64-bits", "scene-a-bool", "scene-a-float",
+        "model-config-past-64-bits"])
+def test_file_seed_outside_64_bits_or_not_an_int_exits_two(tmp_path, argv):
+    # the generator reduces seeds modulo 2**64, so these would alias another seed
+    assert "seed must be an integer" in _exits_two_with_one_json_line(argv(tmp_path))
+
+
+def test_help_exits_zero():
+    proc = subprocess.run([sys.executable, "-m", "scene4d.cli", "loss-check", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: scene4d loss-check")
+    assert proc.stderr == ""
 
 
 def test_split_of_one_frame_exits_two(tmp_path):

@@ -2,6 +2,7 @@
 bitwise equality on adversarial soups and rendered scenes, the accepted
 barycentric region, and working memory that stays flat in triangle count."""
 
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 from conftest import demo_scene, identity_camera, random_camera
 from scene4d import synth
 from scene4d.geometry import intrinsics, pixel_directions
-from scene4d.raycast import _PACKET, _crosses, _meets_interval, raycast, raycast_batch
+from scene4d.raycast import raycast, raycast_batch
 from scene4d.rng import SplitMix64
 from scene4d.synth import SceneObject, SceneSpec, plane_mesh, spin_path
+
+# the module, not the `raycast` function the package exports
+raycast_module = importlib.import_module("scene4d.raycast")
 
 _DET_EPS = 1e-12
 _BARY_EPS = 1e-9
@@ -123,8 +127,7 @@ def soups(draw):
     else:
         pool = np.array(draw(st.lists(st.tuples(_float, _float, _float), min_size=3, max_size=10)))
         origin = np.array(draw(st.tuples(_float, _float, _float)))
-    # m = 0 and m not a multiple of the leaf size included; repeated vertex
-    # indices give zero-area triangles.
+    # m = 0 included; repeated vertex indices give zero-area triangles.
     faces = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=3),
                           max_size=40))
     tris = pool[np.array(faces, dtype=np.int64).reshape(-1, 3)]
@@ -134,7 +137,7 @@ def soups(draw):
         dup = draw(st.lists(st.integers(0, len(tris) - 1), max_size=4))
         tris = np.concatenate([tris, tris[dup], tris[dup][:, [1, 2, 0]]])
     if len(tris) and draw(st.booleans()):
-        # Origin on a triangle, so inside its leaf box.
+        # Origin on a triangle, so inside its padded box and the near cube.
         origin = tris[draw(st.integers(0, len(tris) - 1))].mean(axis=0)
 
     dirs = [draw(st.tuples(*[st.integers(-2, 2).map(float)] * 3)) for _ in range(draw(st.integers(0, 6)))]
@@ -148,8 +151,8 @@ def soups(draw):
         dirs += [tri[1] - origin, e1, e1 + 2.0 ** -30 * normal, (e1 + e2) / 2 - 2.0 ** -40 * normal]
     dirs = np.array(dirs, dtype=np.float64).reshape(-1, 3)
     if len(tris) and draw(st.booleans()):
-        # A non-finite vertex: that triangle never hits, and its box must
-        # not hide the other triangles of its leaf.
+        # A non-finite vertex: that triangle never hits, and it must not
+        # hide the other triangles.
         tris[draw(st.integers(0, len(tris) - 1)), draw(st.integers(0, 2)),
              draw(st.integers(0, 2))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return origin, dirs, tris
@@ -261,7 +264,7 @@ def test_memory_flat_in_triangle_count(slices, stacks):
 
 
 # ---------------------------------------------------------------------------
-# packet culling
+# pinhole batches: one camera's pixel rays, some made unusable
 
 def _camera_soup(rng, n_front, n_behind, n_straddle):
     """Camera-frame triangles: in front of the camera, behind it, across
@@ -280,9 +283,9 @@ def _camera_soup(rng, n_front, n_behind, n_straddle):
 
 @st.composite
 def pinhole_batches(draw):
-    """(origin, directions, triangles): pixel rays of a random camera, with
-    resolutions not a multiple of the packet size, optionally some rays
-    made zero, non-finite or sign-flipped, against a camera-frame soup."""
+    """(origin, directions, triangles): pixel rays of a random camera, at
+    resolutions from 1 to 40, optionally some rays made zero, non-finite
+    or sign-flipped, against a camera-frame soup."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     cam = random_camera(SplitMix64(seed))
@@ -311,58 +314,91 @@ def test_packets_bitwise_equal_brute_force_on_pinhole_batches(case):
     assert_bitwise_equal(got, want)
 
 
-def _packet_bounds(dirs):
-    """Each _PACKET-ray packet's (3, packets) [min, max] of 1/d, as the
-    kernel builds them, and each ray's (3, n) 1/d."""
-    with np.errstate(divide="ignore", over="ignore"):
-        inv_d = (1.0 / dirs).T
-    starts = np.arange(0, len(dirs), _PACKET)
-    return np.minimum.reduceat(inv_d, starts, axis=1), \
-        np.maximum.reduceat(inv_d, starts, axis=1), inv_d
+# ---------------------------------------------------------------------------
+# direction-grid cover: every pair that can hit is tested
+
+def uncovered_pairs(origin, dirs, tris):
+    """The (ray, triangle) hits of the brute force whose ray's (u, v) lies
+    outside the range its triangle covers on that ray's cube face."""
+    covers = raycast_module._face_covers(tris, np.asarray(origin, dtype=np.float64))
+    missing = []
+    for j in range(len(tris)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, idx, _ = brute_force_raycast_batch(origin, dirs, tris[j:j + 1])
+        for i in np.flatnonzero(idx == 0):
+            k = int(np.argmax(np.abs(dirs[i])))
+            uv = dirs[i, [(k + 1) % 3, (k + 2) % 3]] / abs(dirs[i, k])
+            tri, lo, hi = covers[2 * k + int(dirs[i, k] < 0)]
+            at = np.flatnonzero(tri == j)
+            # a triangle that covers the whole face has an infinite range
+            if not (len(at) and (lo[at[0]] <= uv).all() and (uv <= hi[at[0]]).all()):
+                missing.append((i, j))
+    return missing
 
 
+def _slack_case():
+    """Rays that hit within the 1e-9 barycentric slack outside a 1e4-wide
+    triangle, up to 1e-5 beyond its edge y = 0: outside its unpadded box,
+    and beyond the absolute pad alone."""
+    tri = np.array([[[0.0, 0, 2], [1e4, 0, 2], [0, 1e4, 2]]])
+    x, y = np.meshgrid(np.linspace(0.5, 1.5, 9), np.linspace(-1.2e-5, 0.4e-5, 17))
+    return np.zeros(3), np.stack([x, y, np.full_like(x, 2.0)], axis=-1).reshape(-1, 3), tri
+
+
+def _near_case():
+    """Small triangles 1e-5 to 8e-4 from the origin, along each axis both
+    ways: some boxes lie inside the near cube, others between its face and
+    1e-3, and rays pass through each."""
+    origin = np.array([0.5, -0.25, 1.0])
+    tris, dirs = [], []
+    for depth, size in ((2e-5, 1e-5), (6e-5, 3e-5), (3e-4, 1e-4), (8e-4, 2e-4)):
+        for k in range(3):
+            for s in (1.0, -1.0):
+                a, b = (k + 1) % 3, (k + 2) % 3
+                corner = np.zeros(3)
+                corner[k], corner[a] = s * depth, 0.3 * size
+                tri = np.array([corner, corner, corner])
+                tri[1, a] += size
+                tri[2, b] += size
+                tris.append(tri)
+                dirs += [tri.mean(axis=0), (2 * tri[0] + tri[1]) / 3, 1e3 * tri.mean(axis=0)]
+    return origin, np.array(dirs), np.array(tris) + origin
+
+
+@pytest.mark.parametrize("case", [_slack_case, _near_case], ids=["slack", "near-origin"])
+def test_hits_outside_the_triangle_box_and_near_the_origin(case):
+    origin, dirs, tris = case()
+    want = brute_force_raycast_batch(origin, dirs, tris)
+    assert (want[1] >= 0).sum() > len(dirs) // 2
+    assert_bitwise_equal(raycast_batch(origin, dirs, tris), want)
+    assert uncovered_pairs(origin, dirs, tris) == []
+
+
+@_NAN_WARNINGS
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(soups(), pinhole_batches()))
+def test_every_accepted_pair_is_covered(case):
+    assert uncovered_pairs(*case) == []
+
+
+@_NAN_WARNINGS
 @settings(max_examples=200, deadline=None)
-@given(pinhole_batches(), st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                                   min_size=3, max_size=3), st.booleans())
-def test_interval_test_drops_only_boxes_every_ray_drops(case, faces, degenerate):
-    # Boxes around, beside and on the origin (a face at 0 makes 0 * inf
-    # products for zero direction components), optionally with a nan or
-    # infinite corner.
-    origin, dirs, _ = case
-    lo = np.array([min(a, b) for a, b in faces], dtype=np.float64)
-    hi = np.array([max(a, b) for a, b in faces], dtype=np.float64) + 0.5
-    if degenerate:
-        lo[0], hi[1] = np.nan, np.inf
-    inv_lo, inv_hi, inv_d = _packet_bounds(dirs)
-    n_packets = inv_lo.shape[1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        meets = _meets_interval(np.repeat(lo[:, None], n_packets, 1),
-                                np.repeat(hi[:, None], n_packets, 1), inv_lo, inv_hi)
-        crosses = _crosses(np.repeat(lo[:, None], len(dirs), 1),
-                           np.repeat(hi[:, None], len(dirs), 1), inv_d)
-    owner = np.arange(len(dirs)) // _PACKET
-    assert not (crosses & ~meets[owner]).any()
-
-
-def test_interval_test_keeps_box_when_each_ray_frees_another_axis():
-    # The origin lies on three faces of the box, and each ray is zero on a
-    # different axis: every ray's own slab test leaves that axis free
-    # (0 * inf) and keeps the box, so the packet must keep it too.
-    dirs = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    inv_lo, inv_hi, inv_d = _packet_bounds(dirs)
-    lo, hi = np.zeros((3, 1)), np.ones((3, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _crosses(np.repeat(lo, 3, 1), np.repeat(hi, 3, 1), inv_d).all()
-        assert _meets_interval(lo, hi, inv_lo, inv_hi).tolist() == [True]
+@given(soups())
+def test_bitwise_with_one_ray_per_chunk_and_one_pair_per_block(case):
+    # Every ray is its own grid and every pair its own fold, so equal t
+    # across blocks must keep the lowest triangle index.
+    origin, dirs, tris = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raycast_module, "_RAY_CHUNK", 1)
+        mp.setattr(raycast_module, "_PAIR_BLOCK", 1)
+        got = raycast_batch(origin, dirs, tris)
+    assert_bitwise_equal(got, brute_force_raycast_batch(origin, dirs, tris))
 
 
 @pytest.mark.parametrize("hemisphere", [False, True], ids=["sphere", "hemisphere"])
 def test_memory_flat_for_incoherent_rays(hemisphere):
-    # Random directions make wide packet bounds that keep most of the
-    # tree; such packets must fall back to the per-ray walk instead of
-    # expanding every surviving leaf to all their rays.
+    # Random directions spread each chunk's rays over all six cube faces,
+    # so each face's grid is coarse and its cells hold scattered rays.
     verts, faces = jittered_sphere(9, 64, 33, [0.0, 0.0, 3.0], 1.6)
     tris = verts[faces]
     dirs = SplitMix64(21).normal_array(4096 * 3).reshape(-1, 3)

@@ -69,8 +69,10 @@ def test_aggregate_oracle_holds_one_warped_map_at_a_time(dataset_dir, tmp_path):
 
 def test_aggregate_oracle_reads_each_frame_once(dataset_dir, tmp_path, monkeypatch):
     reads = []
-    read = tensorio.read_tensor
+    read, read_channel = tensorio.read_tensor, tensorio.read_channel
     monkeypatch.setattr(tensorio, "read_tensor", lambda p: reads.append(p.name) or read(p))
+    monkeypatch.setattr(tensorio, "read_channel",
+                        lambda p, c: reads.append(p.name) or read_channel(p, c))
     argv = ["aggregate-oracle", "--data", str(dataset_dir), "--target", "3",
             "--out", str(tmp_path / "agg"), "--tracks-out", str(tmp_path / "tracks.csv")]
     with contextlib.redirect_stdout(io.StringIO()):

@@ -17,8 +17,8 @@ from scene4d.errors import (BadMagic, InputError, MalformedHeader,
 from scene4d import tensorio
 from scene4d.rng import SplitMix64
 from scene4d.synth import TrajectorySet, generate
-from scene4d.tensorio import (load_dataset, open_dataset, read_cameras, read_ply,
-                              read_tensor, read_trajectories, save_dataset,
+from scene4d.tensorio import (load_dataset, open_dataset, read_cameras, read_channel,
+                              read_ply, read_tensor, read_trajectories, save_dataset,
                               write_cameras, write_channels, write_ply, write_tensor,
                               write_tensor_blocks, write_trajectories)
 
@@ -179,6 +179,21 @@ def test_read_tensor_into_out(tmp_path, dtype):
     assert _bits(read_tensor(path, out=strided)) == _bits(arr)
     with pytest.raises(ValueError):
         read_tensor(path, out=np.empty((4, 3), dtype=dtype))
+
+
+@pytest.mark.parametrize("block_pixels", [5, 16, 1000])
+def test_read_channel_equals_slicing_the_whole_tensor(tmp_path, monkeypatch, block_pixels):
+    # blocks of 1 row, 2 rows (not dividing 7) and all, as the writer's test
+    monkeypatch.setattr(tensorio, "_BLOCK_PIXELS", block_pixels)
+    arr = SplitMix64(4).normal_array(7 * 8 * 5).reshape(7, 8, 5)
+    write_tensor(tmp_path / "t.ct4", arr)
+    for c in range(5):
+        got = read_channel(tmp_path / "t.ct4", c)
+        assert got.flags.c_contiguous and _bits(got) == _bits(arr[..., c])
+    write_tensor(tmp_path / "flat.ct4", arr[..., 0])
+    for path, c in ((tmp_path / "t.ct4", 5), (tmp_path / "t.ct4", -1), (tmp_path / "flat.ct4", 0)):
+        with pytest.raises(ValueError):
+            read_channel(path, c)
 
 
 def test_load_depth_stack_equals_stacked_depth_maps(tmp_path):
