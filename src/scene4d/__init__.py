@@ -5,9 +5,7 @@ from .geometry import (SE3, SIM3, CameraParams, DepthMap, PointMap,
                        camera_decode, camera_encode, intrinsics, project,
                        se3_apply, se3_compose, se3_invert, sim3_apply,
                        sim3_compose, sim3_invert, unproject)
-from .lifting import (ClipBoundary, MeshSequence, SurfaceAttachment,
-                      attach_pixel, classify_dynamic, lift_trajectory,
-                      split_clips)
+from .lifting import ClipBoundary, classify_dynamic, split_clips
 from .losses import (LossConfig, LossValue, camera_loss, depth_loss,
                      finite_diff_check, focal_weight, point_loss,
                      spatial_gradient, total_loss)
@@ -16,12 +14,11 @@ from .metrics import (DepthMetrics, PoseMetrics, ReconMetrics, TrackMetrics,
                       downsample_random, estimate_normals, median_scale_align,
                       nn_distances, normal_consistency, pose_metrics,
                       recon_metrics, select_queries, umeyama_sim3)
-from .raycast import RayHit, raycast
 from .synth import (SceneObject, SceneSpec, SequenceDataset, TrajectorySet,
-                    complete_cloud, generate, oracle_aggregate, render_frame,
+                    complete_cloud, generate, oracle_aggregate,
                     tracks_from_aggregation)
 from .transformer import (AggregationFormer, ForwardResult, FrameTokens,
                           ModelConfig, TokenBank, assemble, attention_layer,
-                          forward, patchify)
+                          patchify)
 
 __version__ = "0.1.0"

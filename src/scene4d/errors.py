@@ -41,12 +41,6 @@ class QueryInvalid(Scene4DError):
     """Query pixel is invalid in the source frame."""
 
 
-# --- trajectory lifting ---
-
-class FaceOutOfRange(Scene4DError):
-    """Attachment references a face index outside the mesh."""
-
-
 # --- losses ---
 
 class ShapeMismatch(Scene4DError):

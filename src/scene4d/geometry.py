@@ -231,13 +231,6 @@ def pixel_directions(c: CameraParams, height: int, width: int) -> np.ndarray:
     return np.stack([(uu - cx) / fx, (vv - cy) / fy, np.ones_like(uu)], axis=-1)
 
 
-def pixel_direction(c: CameraParams, height: int, width: int, u: int, v: int) -> np.ndarray:
-    """(3,) camera-frame direction through the centre of pixel (u, v):
-    bitwise ``pixel_directions(c, height, width)[v, u]`` without the grid."""
-    fx, fy, cx, cy = intrinsics(c, height, width)
-    return np.array([(u + 0.5 - cx) / fx, (v + 0.5 - cy) / fy, 1.0])
-
-
 def unproject(d: DepthMap, c: CameraParams) -> PointMap:
     """Lift a depth map to world-frame points through the camera."""
     z = np.where(d.valid, d.values, 0.0)

@@ -1,11 +1,5 @@
-"""Training-data machinery: pixel-to-surface attachment, trajectory lifting
-through vertex correspondence, camera-cut clip splitting, and dynamic/static
-classification.
-
-A surface attachment binds a pixel to a mesh face via barycentric weights;
-re-evaluating those weights on the face's vertices at other frames yields a
-3D trajectory. Faces are constant across frames, so vertex index k at frame
-t corresponds to vertex index k everywhere.
+"""Training-data labels: camera-cut clip splitting of a depth sequence,
+and dynamic/static classification of point trajectories.
 """
 
 from __future__ import annotations
@@ -14,54 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadArgument, FaceOutOfRange
-from .geometry import CameraParams, DepthMap, pixel_direction
-from .raycast import raycast_batch, triangle_soup
+from .errors import BadArgument
+from .geometry import DepthMap
 
-DEPTH_AGREEMENT_TOL = 1e-3   # meters; attachment must match the depth map
 DEPTH_VALID_MIN = 1e-6       # meters; below this a depth is ignored in splits
 DEFAULT_SPLIT_TAU = 0.7
-
-
-@dataclass
-class MeshSequence:
-    """Per-frame vertex positions over a constant face topology."""
-
-    vertices: np.ndarray  # (N, V, 3) meters
-    faces: np.ndarray     # (F, 3) vertex indices
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64)
-        self.faces = np.asarray(self.faces, dtype=np.int64)
-        if self.vertices.ndim != 3 or self.vertices.shape[2] != 3:
-            raise ValueError("vertices must be (n_frames, V, 3)")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise ValueError("faces must be (F, 3)")
-        if self.vertices.shape[1] < 1 or self.faces.shape[0] < 1:
-            raise ValueError("mesh needs at least one vertex and one face")
-        if self.faces.min() < 0 or self.faces.max() >= self.vertices.shape[1]:
-            raise ValueError("face indices out of range")
-
-    @property
-    def n_frames(self) -> int:
-        return self.vertices.shape[0]
-
-
-@dataclass
-class SurfaceAttachment:
-    """(object, face, barycentric weights) binding for one pixel."""
-
-    object_id: int
-    face_id: int
-    bary: np.ndarray  # (3,) non-negative, sums to 1
-
-    def __post_init__(self):
-        self.bary = np.asarray(self.bary, dtype=np.float64).reshape(3)
-        s = float(self.bary.sum())
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError("barycentric weights must sum to 1")
-        if np.any(self.bary < -1e-9) or np.any(self.bary > 1.0 + 1e-9):
-            raise ValueError("barycentric weights outside [0, 1]")
 
 
 @dataclass
@@ -73,47 +24,6 @@ class ClipBoundary:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.split_indices, self.split_indices[1:])):
             raise ValueError("split indices must be strictly increasing")
-
-
-def attach_pixel(pixel, depth: DepthMap, cam: CameraParams, meshes) -> SurfaceAttachment | None:
-    """Bind a valid depth pixel to the nearest face of the supplied meshes.
-
-    `pixel` is (u, v) = (column, row); `meshes` is a sequence of
-    (vertices (V,3), faces (F,3)) pairs indexed by object_id. Returns None
-    when no mesh accounts for the pixel's depth (nearest hit differs from
-    the depth map by more than 1e-3 m, or nothing is hit at all).
-    """
-    u, v = int(pixel[0]), int(pixel[1])
-    if not depth.valid[v, u]:
-        raise ValueError("pixel is invalid in the depth map")
-    direction = pixel_direction(cam, *depth.values.shape, u, v) @ cam.rotation
-
-    soup = triangle_soup(meshes, range(len(meshes)))
-    t, idx, bary = raycast_batch(cam.center(), direction[None, :], soup.tris)
-    if idx[0] < 0:
-        return None
-    if abs(t[0] - depth.values[v, u]) > DEPTH_AGREEMENT_TOL:
-        return None
-    return SurfaceAttachment(object_id=int(soup.owner[idx[0]]),
-                             face_id=int(soup.face[idx[0]]),
-                             bary=bary[0])
-
-
-def lift_trajectory(att: SurfaceAttachment, seq: MeshSequence) -> np.ndarray:
-    """Barycentric re-evaluation of an attachment at every frame -> (N, 3)."""
-    if not (0 <= att.face_id < seq.faces.shape[0]):
-        raise FaceOutOfRange(f"face {att.face_id} outside mesh with {seq.faces.shape[0]} faces")
-    corners = seq.vertices[:, seq.faces[att.face_id], :]  # (N, 3, 3)
-    return np.einsum("k,nkd->nd", att.bary, corners)
-
-
-def lift_trajectories(bary: np.ndarray, face_ids: np.ndarray, seq: MeshSequence) -> np.ndarray:
-    """Batch form of lift_trajectory: (M,3) weights, (M,) faces -> (M, N, 3)."""
-    face_ids = np.asarray(face_ids, dtype=np.int64)
-    if face_ids.size and (face_ids.min() < 0 or face_ids.max() >= seq.faces.shape[0]):
-        raise FaceOutOfRange("face index outside mesh")
-    corners = seq.vertices[:, seq.faces[face_ids], :]     # (N, M, 3, 3)
-    return np.einsum("mk,nmkd->mnd", np.asarray(bary, dtype=np.float64), corners)
 
 
 def depth_shift(prev: DepthMap, nxt: DepthMap) -> float | None:

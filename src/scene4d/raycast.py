@@ -9,8 +9,7 @@ Accepted region: a (ray, triangle) pair hits when |det| >= 1e-12,
 b1 >= -1e-9, b2 >= -1e-9, b1 + b2 <= 1 + 1e-9 (that is, b0 >= -1e-9 up
 to rounding) and t > 1e-9. All three weights get the same slack, so there
 is no separate b1 <= 1 + 1e-9 test; b1 <= 1 + 2e-9 follows from the
-others. The scalar `raycast` is a one-ray call of `raycast_batch`, so both
-accept exactly this region.
+others.
 
 `raycast_batch` is exact: it returns bitwise what testing every ray
 against every triangle with the per-pair arithmetic below returns. It
@@ -80,12 +79,6 @@ _NEAR = 1e-4          # boxes are cut at s * x_k >= _NEAR; the near cube's half-
 
 
 @dataclass
-class RayHit:
-    t: float
-    bary: np.ndarray  # (3,) weights summing to 1
-
-
-@dataclass
 class TriangleSoup:
     """Triangles of several meshes in one array, each tagged with its source."""
 
@@ -108,22 +101,6 @@ def triangle_soup(meshes, owners) -> TriangleSoup:
         owner.append(np.full(len(faces), oid, dtype=np.int64))
         face.append(np.arange(len(faces), dtype=np.int64))
     return TriangleSoup(np.concatenate(tris), np.concatenate(owner), np.concatenate(face))
-
-
-def raycast(origin, direction, triangle) -> RayHit | None:
-    """Intersect one ray with one triangle; None means a miss.
-
-    `triangle` is (v0, v1, v2) as a (3, 3) array-like. The returned t is
-    in units of `direction` (which need not be normalized).
-    """
-    direction = np.asarray(direction, dtype=np.float64).reshape(3)
-    if not np.any(direction):
-        raise ValueError("ray direction must be nonzero")
-    t, idx, bary = raycast_batch(origin, direction[None, :],
-                                 np.asarray(triangle, dtype=np.float64).reshape(1, 3, 3))
-    if idx[0] < 0:
-        return None
-    return RayHit(t=float(t[0]), bary=bary[0])
 
 
 def raycast_batch(origin, directions, triangles):

@@ -30,9 +30,8 @@ from .errors import EmptyScene, FovOutOfRange, InputError, QueryInvalid, ZeroQua
 from .geometry import (SE3, CameraParams, DepthMap, PointMap,
                        axis_angle_rotation, pixel_directions, project_many,
                        quat_to_rotation, se3_apply, se3_compose, se3_invert)
-from .lifting import MeshSequence, SurfaceAttachment, classify_dynamic
-from .raycast import (RayHit, TriangleSoup, raycast,  # noqa: F401  (re-exported surface)
-                      raycast_batch, triangle_soup)
+from .lifting import classify_dynamic
+from .raycast import TriangleSoup, raycast_batch, triangle_soup
 from .rng import SplitMix64, check_seed
 
 BACKGROUND_ID = -1
@@ -78,14 +77,14 @@ def plane_mesh(center, u_axis, v_axis):
 def _shape_from_dict(d):
     kind = d["type"]
     if kind == "box":
-        return box_mesh(d["center"], d["size"])
+        return box_mesh(_numbers(d, "center", 3), _numbers(d, "size", 3))
     if kind == "plane":
-        return plane_mesh(d["center"], d["u_axis"], d["v_axis"])
+        return plane_mesh(*(_numbers(d, k, 3) for k in ("center", "u_axis", "v_axis")))
     if kind == "mesh":
-        verts = np.asarray(d["vertices"], dtype=np.float64)
+        verts = np.asarray(_numbers(d, "vertices", -1, 3), dtype=np.float64)
         faces = d["faces"]
         # checked as JSON: the int64 cast below would truncate 1.5 and take true as 1
-        if verts.ndim != 2 or verts.shape[1] != 3 or any(len(f) != 3 for f in faces) \
+        if verts.ndim != 2 or any(len(f) != 3 for f in faces) \
                 or not {type(i) for f in faces for i in f} <= {int}:
             raise ValueError("a mesh needs [x, y, z] vertices and integer triple faces")
         return verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3)
@@ -122,17 +121,18 @@ def _motion_from_spec(m, n_frames: int) -> list[SE3]:
         out = []
         for e in m:
             if "R" in e:
-                out.append(SE3(np.asarray(e["R"], dtype=np.float64), e["t"]))
+                out.append(SE3(np.asarray(_numbers(e, "R", 3, 3), dtype=np.float64),
+                               _numbers(e, "t", 3)))
                 continue
             # q is not normalised, so that a unit q gives the bits it always gave;
             # within a camera's tolerance of unit norm its R can still fail _is_rotation
-            norm = np.linalg.norm(e["q"])
+            norm = np.linalg.norm(_numbers(e, "q", 4))
             R = quat_to_rotation(e["q"])
             if abs(norm - 1.0) > 1e-9 or not _is_rotation(R):
                 raise ValueError(f"a motion q must be of unit norm and give a rotation R "
                                  f"(R^T R = I within 1e-9); q {e['q']} has norm "
                                  f"{norm:.12g}")
-            out.append(SE3(R, e["t"]))
+            out.append(SE3(R, _numbers(e, "t", 3)))
         return out
     if not isinstance(m, dict):
         raise TypeError("a motion must be a list or a JSON object")
@@ -140,9 +140,10 @@ def _motion_from_spec(m, n_frames: int) -> list[SE3]:
     if kind == "static":
         return [SE3.identity() for _ in range(n_frames)]
     if kind == "translate":
-        return translation_path(m["velocity"], n_frames)
+        return translation_path(_numbers(m, "velocity", 3), n_frames)
     if kind == "spin":
-        return spin_path(m["axis"], m["pivot"], m["radians_per_frame"], n_frames)
+        return spin_path(_numbers(m, "axis", 3), _numbers(m, "pivot", 3),
+                         _numbers(m, "radians_per_frame"), n_frames)
     raise ValueError(f"unknown motion kind {kind!r}")
 
 
@@ -163,10 +164,6 @@ class SceneObject:
 
     def vertices_at(self, frame: int) -> np.ndarray:
         return se3_apply(self.motion[frame], self.vertices)
-
-    def mesh_sequence(self) -> MeshSequence:
-        verts = np.stack([self.vertices_at(t) for t in range(len(self.motion))])
-        return MeshSequence(vertices=verts, faces=self.faces)
 
 
 @dataclass
@@ -219,7 +216,12 @@ class SceneSpec:
         """Parse the scene JSON; a missing field or one of the wrong type or
         shape raises InputError."""
         try:
-            n = int(d["n_frames"])
+            n, (h, w) = d["n_frames"], _numbers(d, "resolution", 2)
+            n_queries = d.get("n_queries", DEFAULT_N_QUERIES)
+            # the int-not-bool rule of rng.check_seed: int() would truncate 2.7 and take true as 1
+            if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                       for k in (n, h, w, n_queries)):
+                raise InputError("scene spec: n_frames, resolution and n_queries must be integers")
             if "camera_path" in d:
                 cams = [_camera_from_dict(c) for c in d["camera_path"]]
             else:
@@ -234,11 +236,12 @@ class SceneSpec:
                 objects=objects,
                 background=background,
                 camera_path=cams,
-                resolution=(int(d["resolution"][0]), int(d["resolution"][1])),
-                n_frames=n,
+                resolution=(int(h), int(w)),
+                n_frames=int(n),
                 seed=d["seed"],
-                n_queries=int(d.get("n_queries", DEFAULT_N_QUERIES)),
-                dynamic_delta=float(d.get("dynamic_delta", DEFAULT_DYNAMIC_DELTA)),
+                n_queries=int(n_queries),
+                dynamic_delta=float(_numbers(d, "dynamic_delta")) if "dynamic_delta" in d
+                else DEFAULT_DYNAMIC_DELTA,
             )
         except KeyError as e:
             raise InputError(f"scene spec: missing field {e}") from e
@@ -272,15 +275,21 @@ class SceneSpec:
         }
 
 
-def _numbers(c: dict, key: str, n: int) -> list:
-    """Camera field `key` as a list of `n` finite JSON numbers (NaN,
-    Infinity and integers beyond the float range excluded), else InputError."""
-    v = c[key]
-    if not (isinstance(v, (list, tuple)) and len(v) == n
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and abs(x) <= sys.float_info.max for x in v)):
-        raise InputError(f"camera field {key!r} must be a list of {n} finite numbers")
-    return v
+def _numbers(c: dict, key: str, *shape: int):
+    """Field `key` of `c` as finite JSON numbers (bools, NaN, Infinity and
+    integers beyond the float range excluded) in nested lists of `shape`,
+    -1 taking any length; one number for no shape. Else InputError."""
+    def fits(v, shape):
+        if not shape:
+            return isinstance(v, (int, float)) and not isinstance(v, bool) \
+                and abs(v) <= sys.float_info.max
+        return isinstance(v, (list, tuple)) and shape[0] in (-1, len(v)) \
+            and all(fits(x, shape[1:]) for x in v)
+    if not fits(c[key], shape):
+        size = " x ".join("n" if k < 0 else str(k) for k in shape)
+        raise InputError(f"field {key!r} must be "
+                         + (f"{size} finite numbers" if shape else "a finite number"))
+    return c[key]
 
 
 def _camera_from_dict(c) -> CameraParams:
@@ -338,13 +347,6 @@ class FrameAttachments:
     object_id: np.ndarray                # (H, W) int64, NO_ATTACHMENT_ID where uncovered
     face_id: np.ndarray | None = None    # (H, W) int64
     bary: np.ndarray | None = None       # (H, W, 3)
-
-    def get(self, u: int, v: int) -> SurfaceAttachment | None:
-        oid = int(self.object_id[v, u])
-        if oid == NO_ATTACHMENT_ID:
-            return None
-        return SurfaceAttachment(object_id=oid, face_id=int(self.face_id[v, u]),
-                                 bary=self.bary[v, u])
 
 
 @dataclass
@@ -428,14 +430,6 @@ def _render(spec: SceneSpec, frame: int):
                            bary=bary.reshape(h, w, 3))
     return (DepthMap(values=depth, valid=valid), att,
             PointMap(points=points.reshape(h, w, 3), valid=valid.copy()))
-
-
-def render_frame(spec: SceneSpec, frame: int):
-    """Public render contract: (DepthMap, FrameAttachments) for one frame."""
-    if not (0 <= frame < spec.n_frames):
-        raise ValueError("frame index out of range")
-    depth, att, _ = _render(spec, frame)
-    return depth, att
 
 
 # ---------------------------------------------------------------------------

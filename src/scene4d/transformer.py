@@ -373,9 +373,3 @@ class AggregationFormer:
         flat = feats @ self.bank.dense_head(out_channels)  # (K, p*p*out)
         blocks = flat.reshape(gh, gw, p, p, out_channels)
         return blocks.transpose(0, 2, 1, 3, 4).reshape(height, width, out_channels)
-
-
-def forward(images, target: int, config: ModelConfig,
-            collect_stats: bool = False) -> ForwardResult:
-    """Convenience one-shot forward; builds the token bank from the config."""
-    return AggregationFormer(config).forward(images, target, collect_stats)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from scene4d.geometry import CameraParams
+from scene4d.geometry import CameraParams, pixel_directions
+from scene4d.raycast import raycast_batch, triangle_soup
 from scene4d.synth import (SceneObject, SceneSpec, box_mesh, plane_mesh,
                            spin_path, translation_path)
 
@@ -54,6 +55,33 @@ def spinning_box_scene(n_frames=8, resolution=(64, 64), seed=3) -> SceneSpec:
 def demo_dataset():
     from scene4d.synth import generate
     return generate(demo_scene())
+
+
+# ---------------------------------------------------------------------------
+# attachment and lifting references (the generator does both in batch form)
+
+DEPTH_AGREEMENT_TOL = 1e-3   # meters; an attachment must match the depth map
+
+
+def attach_pixel(pixel, depth, cam, meshes):
+    """Bind pixel (u, v) = (column, row) to the nearest face its ray hits
+    among `meshes`, (vertices (V, 3), faces (F, 3)) pairs indexed by object
+    id -> (object_id, face_id, bary), or None when nothing is hit or the
+    hit is more than DEPTH_AGREEMENT_TOL off the depth map."""
+    u, v = int(pixel[0]), int(pixel[1])
+    direction = pixel_directions(cam, *depth.values.shape)[v, u] @ cam.rotation
+    soup = triangle_soup(meshes, range(len(meshes)))
+    t, idx, bary = raycast_batch(cam.center(), direction[None, :], soup.tris)
+    if idx[0] < 0 or abs(t[0] - depth.values[v, u]) > DEPTH_AGREEMENT_TOL:
+        return None
+    return int(soup.owner[idx[0]]), int(soup.face[idx[0]]), bary[0]
+
+
+def lift(bary, face_ids, vertices, faces):
+    """Barycentric lifting: (M, 3) weights on faces (M,) of a mesh whose
+    vertices are (N, V, 3) over N frames -> (M, N, 3) tracks."""
+    corners = np.asarray(vertices)[:, np.asarray(faces)[face_ids], :]   # (N, M, 3, 3)
+    return np.einsum("mk,nmkd->mnd", np.asarray(bary, dtype=np.float64), corners)
 
 
 def random_camera(rng) -> CameraParams:

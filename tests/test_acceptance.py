@@ -15,15 +15,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import demo_scene, spinning_box_scene
+from conftest import demo_scene, lift, spinning_box_scene
+from scene4d import synth
 from scene4d.geometry import SE3, axis_angle_rotation, se3_apply, sim3_apply
-from scene4d.lifting import classify_dynamic, lift_trajectories, split_clips
+from scene4d.lifting import classify_dynamic, split_clips
 from scene4d.losses import LossConfig, gradient_check_suite, point_loss
 from scene4d.metrics import (accuracy_completion, apd_epe, nn_distances,
                              recon_metrics, umeyama_sim3)
 from scene4d.rng import SplitMix64
 from scene4d.synth import (SceneObject, SceneSpec, complete_cloud, generate,
-                           oracle_aggregate, plane_mesh, render_frame)
+                           oracle_aggregate, plane_mesh)
 from scene4d.transformer import (AggregationFormer, FrameTokens, ModelConfig,
                                  assemble, attention_layer, patchify)
 from scene4d.geometry import CameraParams, DepthMap
@@ -67,18 +68,18 @@ def test_02_occlusion_completion_witness():
 
         # every aggregated point must lie on the true surface at time 0:
         # barycentric recombination of its face at frame 0 is the oracle
-        seqs = [o.mesh_sequence() for o in spec.objects]
+        meshes = [(o.vertices_at(target), o.faces) for o in spec.objects]
         worst = 0.0
         for i in range(ds.n_frames):
             att = ds.attachments[i]
             valid = maps[i].valid
             vs, us = np.nonzero(valid)
             oid = att.object_id[vs, us]
-            for o, seq in enumerate(seqs):
+            for o, (verts, faces) in enumerate(meshes):
                 sel = oid == o
                 if not np.any(sel):
                     continue
-                corners = seq.vertices[target][seq.faces[att.face_id[vs[sel], us[sel]]]]
+                corners = verts[faces[att.face_id[vs[sel], us[sel]]]]
                 truth = np.einsum("kc,kcd->kd", att.bary[vs[sel], us[sel]], corners)
                 got = maps[i].points[vs[sel], us[sel]]
                 worst = max(worst, float(np.max(np.abs(got - truth))))
@@ -169,14 +170,14 @@ def test_07_barycentric_lifting():
         cam = CameraParams(q=[1, 0, 0, 0], t=[0, 0, 0], fov=(math.pi / 2, math.pi / 2))
         spec = SceneSpec(objects=[obj], background=None, camera_path=[cam] * n_frames,
                          resolution=(128, 128), n_frames=n_frames, seed=1)
-        depth, att = render_frame(spec, 0)
+        depth, att, _ = synth._render(spec, 0)
         vs, us = np.nonzero(depth.valid)
         assert len(vs) >= 10_000
 
-        seq = obj.mesh_sequence()
+        verts = np.stack([obj.vertices_at(t) for t in range(n_frames)])
         bary = att.bary[vs, us]
         fids = att.face_id[vs, us]
-        lifted = lift_trajectories(bary, fids, seq)        # (M, N, 3)
+        lifted = lift(bary, fids, verts, obj.faces)        # (M, N, 3)
         p0 = lifted[:, 0, :]                               # frame-0 attachment points
         worst = 0.0
         for t in range(n_frames):

@@ -496,6 +496,11 @@ def test_non_finite_numbers_exit_two(tmp_path, argv):
     _exits_two_with_one_json_line(argv(tmp_path))
 
 
+def test_scene_field_that_is_no_json_number_exits_two(tmp_path):
+    # int() would read the resolution as (8, 1)
+    assert "resolution" in _exits_two_with_one_json_line(_scene(tmp_path, resolution=[8.9, True]))
+
+
 @pytest.mark.parametrize("entry", [
     {"R": [[3, 0, 0], [0, 3, 0], [0, 0, 3]], "t": [0, 0, 0]},
     {"R": [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "t": [0, 0, 0]},

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,12 @@ def numpy_only_run(tmp_path_factory):
     ]
     codes, loaded = _fresh(*commands)
     return tmp, codes, loaded
+
+
+def test_submodule_name_is_the_module():
+    # the package exports no name that shadows one of its modules
+    import scene4d.raycast as m
+    assert isinstance(m, types.ModuleType) and hasattr(m, "raycast_batch")
 
 
 def test_import_leaves_scipy_out():

@@ -1,18 +1,15 @@
 """Attachment, barycentric lifting, clip splitting, dynamic classification."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_camera
-from scene4d.errors import FaceOutOfRange
+from conftest import attach_pixel, identity_camera, lift
+from scene4d import synth
 from scene4d.geometry import DepthMap, axis_angle_rotation
-from scene4d.lifting import (MeshSequence, SurfaceAttachment, attach_pixel,
-                             classify_dynamic, lift_trajectories,
-                             lift_trajectory, split_clips)
+from scene4d.lifting import classify_dynamic, split_clips
 from scene4d.rng import SplitMix64
-from scene4d.synth import plane_mesh, render_frame, SceneObject, SceneSpec, translation_path
+from scene4d.synth import plane_mesh, SceneObject, SceneSpec, translation_path
 
 
 def _square_mesh_at(depth):
@@ -25,7 +22,7 @@ def _render_square(depth=5.0, res=32):
     spec = SceneSpec(objects=[SceneObject(v, f, translation_path([0, 0, 0], 1))],
                      background=None, camera_path=[cam], resolution=(res, res),
                      n_frames=1, seed=0)
-    d, att = render_frame(spec, 0)
+    d, att, _ = synth._render(spec, 0)
     return d, att, (v, f), cam
 
 
@@ -36,11 +33,12 @@ def test_attach_pixel_on_square():
     d, _, mesh, cam = _render_square()
     att = attach_pixel((16, 16), d, cam, [mesh])
     assert att is not None
-    assert att.object_id == 0
-    assert abs(att.bary.sum() - 1) < 1e-9
+    object_id, face_id, bary = att
+    assert object_id == 0
+    assert abs(bary.sum() - 1) < 1e-9
     # reconstructed depth agrees with the rendered depth
     v, f = mesh
-    rec = att.bary @ v[f[att.face_id]]
+    rec = bary @ v[f[face_id]]
     assert abs(rec[2] - d.values[16, 16]) < 1e-6
 
 
@@ -57,23 +55,22 @@ def test_attach_pixel_bary_sums_to_one_everywhere():
     for v, u in zip(vs[::11], us[::11]):
         att = attach_pixel((u, v), d, cam, [mesh])
         assert att is not None
-        assert abs(att.bary.sum() - 1) < 1e-9
+        assert abs(att[2].sum() - 1) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# lift_trajectory
+# lifting
 
 def _single_face_sequence(transforms):
+    """(N, 3, 3) vertices of one triangle under each transform, and its face."""
     base = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [0.0, 1.0, 5.0]])
-    verts = np.stack([base @ R.T + t for R, t in transforms])
-    return MeshSequence(vertices=verts, faces=np.array([[0, 1, 2]]))
+    return np.stack([base @ R.T + t for R, t in transforms]), np.array([[0, 1, 2]])
 
 
 def test_lift_translating_mesh():
     shifts = [np.array([0.5, 0, 0]) * t for t in range(4)]
     seq = _single_face_sequence([(np.eye(3), s) for s in shifts])
-    att = SurfaceAttachment(object_id=0, face_id=0, bary=[0.2, 0.3, 0.5])
-    track = lift_trajectory(att, seq)
+    track = lift([[0.2, 0.3, 0.5]], [0], *seq)[0]
     p0 = track[0]
     for t in range(4):
         assert np.max(np.abs(track[t] - (p0 + shifts[t]))) < 1e-9
@@ -83,8 +80,7 @@ def test_lift_rotating_mesh_matches_rotation():
     # oracle: apply the known rotation to the frame-0 attachment point
     rots = [axis_angle_rotation([0, 0, 1], 0.4 * t) for t in range(5)]
     seq = _single_face_sequence([(R, np.zeros(3)) for R in rots])
-    att = SurfaceAttachment(object_id=0, face_id=0, bary=[0.6, 0.1, 0.3])
-    track = lift_trajectory(att, seq)
+    track = lift([[0.6, 0.1, 0.3]], [0], *seq)[0]
     p0 = track[0]
     for t in range(5):
         assert np.max(np.abs(track[t] - rots[t] @ p0)) < 1e-6
@@ -92,8 +88,7 @@ def test_lift_rotating_mesh_matches_rotation():
 
 def test_lift_static_mesh_constant():
     seq = _single_face_sequence([(np.eye(3), np.zeros(3))] * 3)
-    att = SurfaceAttachment(object_id=0, face_id=0, bary=[1 / 3, 1 / 3, 1 / 3])
-    track = lift_trajectory(att, seq)
+    track = lift([[1 / 3, 1 / 3, 1 / 3]], [0], *seq)[0]
     assert np.array_equal(track[0], track[1])
     assert np.array_equal(track[0], track[2])
 
@@ -104,34 +99,20 @@ def test_lift_commutes_with_rigid_motion():
     t = np.array([0.3, -0.2, 1.1])
     base = np.array([[rng.uniform() * 2 for _ in range(3)] for _ in range(6)])
     faces = np.array([[0, 1, 2], [3, 4, 5], [1, 2, 4]])
-    seq_id = MeshSequence(vertices=base[None], faces=faces)
-    seq_tr = MeshSequence(vertices=(base @ R.T + t)[None], faces=faces)
     for fid in range(3):
-        att = SurfaceAttachment(object_id=0, face_id=fid, bary=[0.25, 0.35, 0.4])
-        lifted_then_moved = lift_trajectory(att, seq_id)[0] @ R.T + t
-        moved_then_lifted = lift_trajectory(att, seq_tr)[0]
+        lifted_then_moved = lift([[0.25, 0.35, 0.4]], [fid], base[None], faces)[0, 0] @ R.T + t
+        moved_then_lifted = lift([[0.25, 0.35, 0.4]], [fid], (base @ R.T + t)[None], faces)[0, 0]
         assert np.max(np.abs(lifted_then_moved - moved_then_lifted)) < 1e-9
-
-
-def test_lift_face_out_of_range():
-    seq = _single_face_sequence([(np.eye(3), np.zeros(3))])
-    att = SurfaceAttachment(object_id=0, face_id=0, bary=[1, 0, 0])
-    att.face_id = 7
-    with pytest.raises(FaceOutOfRange):
-        lift_trajectory(att, seq)
-    with pytest.raises(FaceOutOfRange):
-        lift_trajectories(np.array([[1.0, 0, 0]]), np.array([7]), seq)
 
 
 def test_attach_then_lift_reproduces_unprojected_point():
     from scene4d.geometry import unproject
     d, _, mesh, cam = _render_square()
     up = unproject(d, cam)
-    seq = MeshSequence(vertices=mesh[0][None], faces=mesh[1])
     vs, us = np.nonzero(d.valid)
     for v, u in zip(vs[::13], us[::13]):
-        att = attach_pixel((u, v), d, cam, [mesh])
-        p = lift_trajectory(att, seq)[0]
+        _, face_id, bary = attach_pixel((u, v), d, cam, [mesh])
+        p = lift([bary], [face_id], mesh[0][None], mesh[1])[0, 0]
         assert np.max(np.abs(p - up.points[v, u])) < 1e-6
 
 

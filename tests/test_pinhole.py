@@ -1,8 +1,8 @@
 """The one pinhole path: `geometry.pixel_directions` builds every pixel ray
-(`pixel_direction` one of them, bitwise the grid's element), `project` is
-a one-point `project_many`, and `synth._lookup_pixels` is the one
-projection-to-pixel lookup. Each is checked bitwise against the forms it
-replaced, which are kept here verbatim as references."""
+(the test attachment reference takes its one ray from the grid too),
+`project` is a one-point `project_many`, and `synth._lookup_pixels` is
+the one projection-to-pixel lookup. Each is checked bitwise against the
+forms it replaced, which are kept here verbatim as references."""
 
 import warnings
 
@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import demo_scene, identity_camera, random_camera
+from conftest import (DEPTH_AGREEMENT_TOL, attach_pixel, demo_scene, identity_camera,
+                      random_camera)
 from scene4d import synth
 from scene4d.errors import QueryInvalid
-from scene4d.geometry import (CameraParams, DepthMap, intrinsics, pixel_direction,
-                              pixel_directions, project, project_many, unproject)
-from scene4d.lifting import DEPTH_AGREEMENT_TOL, SurfaceAttachment, attach_pixel
+from scene4d.geometry import (CameraParams, DepthMap, intrinsics, pixel_directions,
+                              project, project_many, unproject)
 from scene4d.raycast import raycast_batch, triangle_soup
 from scene4d.rng import SplitMix64
 from scene4d.synth import VISIBILITY_DEPTH_TOL, generate, recover_query_pixels
@@ -97,8 +97,7 @@ def reference_attach_pixel(pixel, depth: DepthMap, cam: CameraParams, meshes):
     t, idx, bary = raycast_batch(origin, direction[None, :], soup.tris)
     if idx[0] < 0 or abs(t[0] - depth.values[v, u]) > DEPTH_AGREEMENT_TOL:
         return None
-    return SurfaceAttachment(object_id=int(soup.owner[idx[0]]),
-                             face_id=int(soup.face[idx[0]]), bary=bary[0])
+    return int(soup.owner[idx[0]]), int(soup.face[idx[0]]), bary[0]
 
 
 def _same(a, b) -> bool:
@@ -138,7 +137,6 @@ def test_rays_bitwise_equal_references(case):
         u, v = rng.randbelow(w), rng.randbelow(h)
         _, ref = reference_pixel_ray((u, v), (h, w), cam)
         assert _same(dirs[v, u] @ R, ref)
-        assert _same(pixel_direction(cam, h, w, u, v), dirs[v, u])
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,8 +188,8 @@ def test_attach_pixel_bitwise_equals_reference():
         got = attach_pixel((us[k], vs[k]), depth, cam, meshes)
         ref = reference_attach_pixel((us[k], vs[k]), depth, cam, meshes)
         assert ref is not None
-        assert (got.object_id, got.face_id) == (ref.object_id, ref.face_id)
-        assert _same(got.bary, ref.bary)
+        assert got[:2] == ref[:2]
+        assert _same(got[2], ref[2])
 
 
 # ---------------------------------------------------------------------------

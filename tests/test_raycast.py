@@ -2,7 +2,6 @@
 bitwise equality on adversarial soups and rendered scenes, the accepted
 barycentric region, and working memory that stays flat in triangle count."""
 
-import importlib
 import math
 import tracemalloc
 import warnings
@@ -15,12 +14,10 @@ from hypothesis import strategies as st
 from conftest import demo_scene, identity_camera, random_camera
 from scene4d import synth
 from scene4d.geometry import intrinsics, pixel_directions
-from scene4d.raycast import raycast, raycast_batch
+import scene4d.raycast as raycast_module
+from scene4d.raycast import raycast_batch
 from scene4d.rng import SplitMix64
 from scene4d.synth import SceneObject, SceneSpec, plane_mesh, spin_path
-
-# the module, not the `raycast` function the package exports
-raycast_module = importlib.import_module("scene4d.raycast")
 
 _DET_EPS = 1e-12
 _BARY_EPS = 1e-9
@@ -228,21 +225,19 @@ def test_rendered_frames_bitwise_equal_brute_force(spec, monkeypatch):
 # ---------------------------------------------------------------------------
 # accepted region and memory
 
-def test_scalar_and_batch_accept_the_same_region():
+def test_one_ray_accepts_the_slack_region():
     # b1 = 1 + 1.5e-9, b2 = -0.8e-9: each weight is within 1e-9 of [0, 1]
-    # except b1, which only the sum bounds. The batch form always accepted
-    # this pair; the scalar form now agrees with it.
+    # except b1, which only the sum bounds, so the pair hits.
     z = 2.0
     tri = np.array([[0.0, 0, z], [1, 0, z], [0, 1, z]])
     b1, b2 = 1 + 1.5e-9, -0.8e-9
     direction = tri[0] + b1 * (tri[1] - tri[0]) + b2 * (tri[2] - tri[0])
-    hit = raycast([0, 0, 0], direction, tri)
     t, idx, bary = raycast_batch([0, 0, 0], direction[None], tri[None])
-    assert hit is not None and idx[0] == 0
-    assert hit.t == t[0] and np.array_equal(hit.bary, bary[0])
-    # Beyond the slack on b0 (b1 + b2 > 1 + 1e-9) both miss.
+    assert idx[0] == 0 and t[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(bary[0], [1 - b1 - b2, b1, b2], rtol=0, atol=1e-12)
+    # Beyond the slack on b0 (b1 + b2 > 1 + 1e-9) it misses.
     outside = tri[0] + (1 + 3e-9) * (tri[1] - tri[0])
-    assert raycast([0, 0, 0], outside, tri) is None
+    assert raycast_batch([0, 0, 0], outside[None], tri[None])[1][0] == -1
 
 
 @pytest.mark.parametrize("slices,stacks", [(16, 9), (32, 17), (64, 33)])

@@ -118,14 +118,14 @@ def test_tracks_same_from_list_or_generator(demo_dataset):
 _TRACED_RUN = """
 import contextlib, io, json, sys, tracemalloc
 from scene4d import cli
-from scene4d.synth import SceneSpec, render_frame
+from scene4d.synth import SceneSpec, _render
 with open(sys.argv[1]) as f:
     spec = SceneSpec.from_dict(json.load(f))
 tracemalloc.start()
 render_peak = 0
 for t in range(spec.n_frames):
     tracemalloc.reset_peak()
-    render_frame(spec, t)
+    _render(spec, t)
     render_peak = max(render_peak, tracemalloc.get_traced_memory()[1])
 tracemalloc.reset_peak()
 with contextlib.redirect_stdout(io.StringIO()):

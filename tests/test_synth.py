@@ -9,26 +9,32 @@ from hypothesis import strategies as st
 
 from conftest import (JSON_NUMBERS, JSON_VALUES, demo_scene, identity_camera,
                       spinning_box_scene)
+from scene4d import synth
 from scene4d.errors import EmptyScene, InputError, QueryInvalid
 from scene4d.geometry import unproject
-from scene4d.raycast import raycast, raycast_batch
+from scene4d.raycast import raycast_batch
 from scene4d.rng import SplitMix64
 from scene4d.synth import (SceneObject, SceneSpec, box_mesh, complete_cloud,
-                           generate, oracle_aggregate, plane_mesh,
-                           render_frame, spin_path, tracks_from_aggregation,
-                           translation_path)
+                           generate, oracle_aggregate, plane_mesh, spin_path,
+                           tracks_from_aggregation, translation_path)
 
 
 # ---------------------------------------------------------------------------
 # raycast
 
+def raycast(origin, direction, triangle):
+    """One ray against one triangle -> (t, bary), or None for a miss."""
+    t, idx, bary = raycast_batch(origin, direction, triangle)
+    return (t[0], bary[0]) if idx[0] >= 0 else None
+
+
 def test_raycast_hand_solved_case():
     # Ray (0,0,0)+t(0,0,1) meets the z=2 triangle at (0,0,2).
     # Barycentric system: -b0+b1 = 0, -b0-b1+b2 = 0, b0+b1+b2 = 1
     # => b0 = b1 = 0.25, b2 = 0.5.
-    hit = raycast([0, 0, 0], [0, 0, 1], [[-1, -1, 2], [1, -1, 2], [0, 1, 2]])
-    assert hit.t == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(hit.bary, [0.25, 0.25, 0.5], atol=1e-12)
+    t, bary = raycast([0, 0, 0], [0, 0, 1], [[-1, -1, 2], [1, -1, 2], [0, 1, 2]])
+    assert t == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(bary, [0.25, 0.25, 0.5], atol=1e-12)
 
 
 def test_raycast_parallel_ray_misses():
@@ -45,7 +51,7 @@ def test_raycast_accepts_both_orientations():
     h1 = raycast([0, 0, 0], [0, 0, 1], tri)
     h2 = raycast([0, 0, 0], [0, 0, 1], flipped)
     assert h1 is not None and h2 is not None
-    assert h1.t == pytest.approx(h2.t, abs=1e-12)
+    assert h1[0] == pytest.approx(h2[0], abs=1e-12)
 
 
 def test_raycast_reconstruction_property():
@@ -57,8 +63,8 @@ def test_raycast_reconstruction_property():
         hit = raycast([0, 0, 0], direction, tri)
         if hit is None:
             continue
-        from_ray = hit.t * direction
-        from_bary = hit.bary @ tri
+        from_ray = hit[0] * direction
+        from_bary = hit[1] @ tri
         assert np.max(np.abs(from_ray - from_bary)) < 1e-7
 
 
@@ -73,8 +79,8 @@ def test_raycast_batch_matches_scalar():
         best = (np.inf, -1, None)
         for j in range(len(tris)):
             h = raycast([0, 0, 0], dirs[i], tris[j])
-            if h is not None and h.t < best[0]:
-                best = (h.t, j, h.bary)
+            if h is not None and h[0] < best[0]:
+                best = (h[0], j, h[1])
         if best[1] == -1:
             assert idx[i] == -1
         else:
@@ -96,7 +102,7 @@ def _square_scene(n_frames=1, depth=5.0):
 
 
 def test_render_square_constant_depth():
-    depth, att = render_frame(_square_scene(), 0)
+    depth, att, _ = synth._render(_square_scene(), 0)
     assert depth.valid.any()
     assert np.allclose(depth.values[depth.valid], 5.0, atol=1e-9)
     assert np.all(att.object_id[depth.valid] == 0)
@@ -109,7 +115,7 @@ def test_render_object_beats_background():
     spec = SceneSpec(objects=[SceneObject(v, f, translation_path([0, 0, 0], 1))],
                      background=plane_mesh([0, 0, 9.0], [9, 0, 0], [0, 9, 0]),
                      camera_path=[cam], resolution=(32, 32), n_frames=1, seed=0)
-    depth, att = render_frame(spec, 0)
+    depth, att, _ = synth._render(spec, 0)
     center = att.object_id[16, 16]
     assert center == 0
     assert depth.values[16, 16] == pytest.approx(3.0, abs=1e-9)
@@ -119,19 +125,19 @@ def test_render_object_beats_background():
 
 def test_attachment_reconstructs_unprojected_point():
     spec = demo_scene(n_frames=2)
-    depth, att = render_frame(spec, 1)
+    depth, att, _ = synth._render(spec, 1)
     up = unproject(depth, spec.camera_path[1])
     vs, us = np.nonzero(depth.valid)
     worst = 0.0
     for v, u in zip(vs[::7], us[::7]):
-        a = att.get(u, v)
-        if a.object_id >= 0:
-            seq = spec.objects[a.object_id].mesh_sequence()
-            corners = seq.vertices[1][seq.faces[a.face_id]]
+        oid, fid = att.object_id[v, u], att.face_id[v, u]
+        if oid >= 0:
+            obj = spec.objects[oid]
+            corners = obj.vertices_at(1)[obj.faces[fid]]
         else:
             bv, bf = spec.background
-            corners = bv[bf[a.face_id]]
-        rec = a.bary @ corners
+            corners = bv[bf[fid]]
+        rec = att.bary[v, u] @ corners
         worst = max(worst, float(np.max(np.abs(rec - up.points[v, u]))))
     assert worst < 1e-6
 
@@ -370,6 +376,34 @@ _SCENE_JSON = {
          "motion": {"kind": "translate", "velocity": [0.2, 0, 0]}},
     ],
 }
+
+
+@pytest.mark.parametrize("path,value", [
+    (("n_frames",), 2.7), (("n_frames",), "2"), (("resolution",), [8.9, True]),
+    (("n_queries",), 3.5), (("n_queries",), "4"),
+    (("dynamic_delta",), "0.5"), (("dynamic_delta",), True),
+    (("objects", 0, "shape", "center"), ["0", "0", "5"]),
+    (("objects", 0, "shape", "size"), [True, True, True]),
+    (("objects", 2, "motion", "velocity"), ["0.2", "0", "0"]),
+    (("objects", 1, "shape", "vertices"), [["0", "0", "5"], ["1", "0", "5"], ["0", "1", "5"]]),
+    (("objects", 0, "motion", "radians_per_frame"), True),
+    (("objects", 1, "motion", 1, "q"), [True, False, False, False]),
+    (("objects", 1, "motion", 0, "R"), [[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+], ids=["n_frames-a-float", "n_frames-a-string", "resolution-float-and-bool",
+        "n_queries-a-float", "n_queries-a-string", "dynamic_delta-a-string",
+        "dynamic_delta-a-bool", "box-center-strings", "box-size-bools",
+        "translate-velocity-strings", "mesh-vertices-strings", "spin-rate-a-bool",
+        "motion-q-bools", "motion-R-a-bool"])
+def test_scene_field_that_is_no_json_number_raises_input_error(path, value):
+    # int(), float() and float64 casts would read 2.7 as 2, "0.5" as 0.5 and true as 1
+    scene = json.loads(json.dumps(_SCENE_JSON))
+    field = scene
+    *parents, key = path
+    for k in parents:
+        field = field[k]
+    field[key] = value
+    with pytest.raises(InputError, match="integers|finite number"):
+        SceneSpec.from_dict(scene)
 
 
 def _slots(value):

@@ -24,7 +24,7 @@ from scene4d.rng import SplitMix64
 from scene4d.tensorio import write_tensor
 from scene4d.transformer import (AggregationFormer, FrameTokens, LayerWeights,
                                  ModelConfig, TokenBank, _self_attention,
-                                 assemble, attention_layer, forward, patchify)
+                                 assemble, attention_layer, patchify)
 
 
 def dense_self_attention(x, lw, n_heads, stats=None):
@@ -459,12 +459,6 @@ def test_forward_target_changes_outputs(model):
 def test_forward_rejects_mixed_resolutions(model):
     with pytest.raises(ShapeMismatch):
         model.forward([np.zeros((32, 32, 3)), np.zeros((16, 16, 3))], 0)
-
-
-def test_forward_convenience_wrapper():
-    cfg = ModelConfig(dim=32, n_heads=2, patch=8, seed=2)
-    res = forward(_images(2, seed=16), 0, cfg)
-    assert res.patch_features.shape[0] == 2
 
 
 # ---------------------------------------------------------------------------
