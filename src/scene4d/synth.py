@@ -184,6 +184,8 @@ class SceneSpec:
         # fails before it has written any frame
         if self.n_queries < 0:
             raise ValueError("n_queries must be >= 0")
+        if min(self.n_frames, *self.resolution) < 1:
+            raise ValueError("n_frames and both resolution sides must be >= 1")
         check_seed(self.seed)
         if not 0 < self.dynamic_delta < np.inf:
             raise ValueError("dynamic_delta must be positive and finite")

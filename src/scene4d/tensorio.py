@@ -25,6 +25,7 @@ frame as it renders it; `load_dataset` reads a whole directory and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -47,7 +48,8 @@ VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _BLOCK_PIXELS = 16384  # pixels per row block of the packed frame files
-_TEXT_ROWS = 1024  # rows per block of the PLY and trajectory text writers
+_TEXT_ROWS = 1024  # rows per block of the trajectory text writer
+_PLY_ROWS = 2048  # rows per block of the PLY writer
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +194,30 @@ def read_channel(path, channel: int) -> np.ndarray:
 # PLY point clouds (ASCII, float32)
 
 def write_ply(path, cloud: np.ndarray, normals: np.ndarray | None = None) -> None:
+    """Write `cloud` (and `normals`) as float32 ASCII PLY, one row a line.
+
+    A value's text is `repr(float(v))`: the shortest decimal that reads back
+    to the double of v, the nearest to v among those. `_ply_rows` finds it
+    exactly, in uint64 arithmetic, `_PLY_ROWS` rows at a time:
+
+    - v = M 2^E (2^23 <= M < 2^24) widens to a double of significand M 2^29,
+      so a decimal reads back to it iff it lies within 2^(E-30) of v (closed,
+      as that significand is even). The narrower 2^(E-31) below a power of
+      two never decides: the powers of two in range have at most 15 digits.
+    - With k = floor(log10 |v|) and s = 16 - k, v 10^s = M 5^s 2^(E+s) is an
+      exact uint64 ratio x / 2^right (5^17 < 2^40). The nearest P-digit
+      decimal n_P = round-half-even(v 10^s / 10^(17-P)) and its distance from
+      v follow exactly from x, and n_P fits iff that distance is at most
+      5^s 2^(E+s-30) in the units of v 10^s: an integer compare.
+    - n_P is the nearest P-digit decimal, so success is monotone in P and
+      repr's digits are n_P at the least P that fits; 17 always fit. At 15
+      digits the interval spans under 10^15 2^-52 < 0.23 units, so at most
+      one 15-digit decimal fits: if n_15 does, repr is n_15 less its trailing
+      zeros, else n_16 if it fits, else n_17.
+    - repr writes the digits positionally for 0.1 <= |v| < 1e15 (k in
+      [-1, 14]). Zero, subnormals and the other magnitudes, about 1 % of a
+      bench cloud, go through `_repr_texts`.
+    """
     cloud = np.asarray(cloud, dtype=np.float32).reshape(-1, 3)
     if not np.all(np.isfinite(cloud)):
         raise ValueError("cloud coordinates must be finite")
@@ -203,28 +229,130 @@ def write_ply(path, cloud: np.ndarray, normals: np.ndarray | None = None) -> Non
             raise ValueError("normals must match the cloud length")
         rows = np.concatenate([cloud, normals], axis=1)
         props += ["nx", "ny", "nz"]
-    with open(path, "w") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {len(cloud)}\n")
-        for p in props:
-            f.write(f"property float {p}\n")
-        f.write("end_header\n")
-        _write_rows(f, " ".join(["%r"] * len(props)) + "\n",
-                    (rows[s:s + _TEXT_ROWS] for s in range(0, len(rows), _TEXT_ROWS)))
+    header = "ply\nformat ascii 1.0\n" f"element vertex {len(cloud)}\n" \
+        + "".join(f"property float {p}\n" for p in props) + "end_header\n"
+    with open(path, "wb") as f:
+        f.write(header.encode())
+        for start in range(0, len(rows), _PLY_ROWS):
+            f.write(_ply_rows(rows[start:start + _PLY_ROWS]))
 
 
-def _write_rows(f, template, blocks):
-    """Write `template % row` for each row of each 2-D array of `blocks`.
+# The 40-byte text slot of one value in `_ply_rows`, five uint64 words: three
+# unused bytes, then "-", "0" and "." (the sign and the "0." of 0.1 <= |v| < 1),
+# then 17 digit columns each followed by a "." column, the last of which
+# holds the separator. The words after the first hold four digits each.
+_SLOT_WIDTH = 40
+_SEP_COL = _SLOT_WIDTH - 1
+_POW5 = 5 ** np.arange(18, dtype=np.uint64)
+_POW10 = np.array([float(f"1e{k}") for k in range(-1, 16)])  # 10^k at [k + 1]
 
-    The writers pass blocks of _TEXT_ROWS rows: each is flattened in row
-    order with one `tolist` and formatted with a single `%` on the
-    template repeated once per row. `%r` of a Python float is its `repr`,
-    the shortest string that reads back to the same double, and a float32
-    converts to a double exactly, so the text is that of `repr(float(v))`;
-    `%d` of an integral float is the integer's `str`.
+
+@functools.cache
+def _slot_tables():
+    """The read-only lookup tables of `_ply_rows`, built at the first PLY
+    write, so that a process that writes none does not hold them:
+
+    - head[d]: the first word of a slot whose leading digit is d;
+    - quads[i]: the word "d.d.d.d." of the four digits of i, built without a
+      temporary larger than itself;
+    - keep[(sign 16 + decpt) 18 + length]: the kept columns of a slot, a "-"
+      for a negative value, "0." when decpt = 0, `length` digits with a "."
+      after the first decpt of them when decpt >= 1, and the separator;
+    - text_keep[l]: a text of l bytes from column 3 on, and the separator.
     """
-    for block in blocks:
-        f.write(template * len(block) % tuple(block.ravel().tolist()))
+    head = np.frombuffer(b"".join(b"\0\0\0-0.%d." % d for d in range(10)), dtype=np.uint64)
+    quads = np.full((10, 10, 10, 10, 8), ord("."), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for col in range(4):
+        quads[..., 2 * col] = digits.reshape((10,) + (1,) * (3 - col))
+    keep = np.zeros((2, 16, 18, _SLOT_WIDTH), dtype=bool)
+    sign, decpt, length = np.ix_(range(2), range(16), range(18))
+    digit = np.arange(17)
+    keep[..., 3] = sign == 1
+    keep[..., 4] = keep[..., 5] = decpt == 0
+    keep[..., 6::2] = digit < length[..., None]
+    keep[..., 7::2] = digit == decpt[..., None] - 1
+    keep[..., _SEP_COL] = True
+    cols = np.arange(_SLOT_WIDTH)
+    text_keep = (cols >= 3) & (cols < 3 + np.arange(_SEP_COL - 3)[:, None]) | (cols == _SEP_COL)
+    tables = (head, quads.reshape(-1).view(np.uint64), keep.reshape(-1, _SLOT_WIDTH), text_keep)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _repr_texts(values: np.ndarray) -> list[bytes]:
+    """`repr(float(v))` of each of `values`: the text of the values that
+    `_ply_rows` does not write positionally itself."""
+    return [repr(x).encode() for x in values.tolist()]
+
+
+def _ply_rows(rows: np.ndarray) -> bytes:
+    """The text lines of the float32 rows of `rows`: the values of a row are
+    `repr(float(v))` joined by " " and each row ends in "\\n" (see
+    `write_ply` for why the digits are exact)."""
+    head, quads, keep_rows, text_keep = _slot_tables()
+    v = rows.ravel()
+    mag = np.abs(v).astype(np.float64)
+    fast = (mag >= 0.1) & (mag < 1e15)
+    mag[~fast] = 1.0
+    bits = mag.astype(np.float32).view(np.uint32)
+    m = ((bits & 0x7FFFFF) | 0x800000).astype(np.uint64)
+    e = (bits >> 23).astype(np.int64) - 150
+    # np.log10 may fall short at an exact power of ten; no float32 lies near
+    # enough below one for it to reach the power instead
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    k += mag >= _POW10.take(k + 2)
+
+    # v 10^s = x / 2^right at s = 16 - k, the scale of 17 digits: q is its
+    # floor and frac the rest, in units of 2^-right.
+    s = 16 - k
+    pow5 = _POW5.take(s)
+    left = np.maximum(e + s, 0).astype(np.uint64)
+    right = np.maximum(-(e + s), 0).astype(np.uint64)
+    x = (m * pow5) << left
+    q = x >> right
+    frac = x - (q << right)
+    unit = np.uint64(1) << right
+    # the round-trip half-interval in the same units
+    slack = (pow5 << left) >> np.uint64(30)
+
+    def nearest(step):
+        """(n_P, whether it fits) for P = 17 - log10(step) digits."""
+        n = q // np.uint64(step)
+        rest = (q - n * np.uint64(step)) * unit + frac
+        span = unit * np.uint64(step)
+        up = (2 * rest > span) | ((2 * rest == span) & (n & np.uint64(1) == 1))
+        return n + up, np.where(up, span - rest, rest) <= slack
+
+    n15, fit15 = nearest(100)
+    n16, fit16 = nearest(10)
+    n17, _ = nearest(1)
+    digits = np.where(fit15, n15 * np.uint64(100), np.where(fit16, n16 * np.uint64(10), n17))
+
+    hi, lo = np.divmod(digits, np.uint64(10**8))
+    lead, hi = np.divmod(hi, np.uint64(10**8))
+    words = np.empty((len(v), _SLOT_WIDTH // 8), dtype=np.uint64)
+    words[:, 0] = head.take(lead)
+    for col, group in ((1, hi), (3, lo)):
+        upper, lower = np.divmod(group, np.uint64(10**4))
+        words[:, col], words[:, col + 1] = quads.take(upper), quads.take(lower)
+    slots = words.view(np.uint8)
+    # the digits up to the last nonzero one, and those before the point
+    length = 17 - np.argmax(slots[:, _SEP_COL - 1:5:-2] != ord("0"), axis=1)
+    decpt = k + 1
+    keep = keep_rows.take((np.signbit(v) * 16 + decpt) * 18 + np.maximum(length, decpt + 1),
+                          axis=0)
+
+    slots[:, _SEP_COL] = ord(" ")
+    slots[rows.shape[1] - 1::rows.shape[1], _SEP_COL] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = _repr_texts(v[slow])
+        padded = np.array(texts)
+        slots[slow, 3:3 + padded.itemsize] = padded.view(np.uint8).reshape(len(slow), -1)
+        keep[slow] = text_keep.take([len(t) for t in texts], axis=0)
+    return np.compress(keep.ravel(), slots).tobytes()
 
 
 def _read_rows(f, max_rows, blank_error, **loadtxt):
@@ -310,6 +438,19 @@ _TRAJECTORY_DTYPE = np.dtype([(name, np.float64 if name in ("x", "y", "z") else 
                               for name in ("track_id", "frame", "x", "y", "z",
                                            "visible", "dynamic")])
 _TRAJECTORY_HEADER = list(_TRAJECTORY_DTYPE.names)
+
+
+def _write_rows(f, template, blocks):
+    """Write `template % row` for each row of each 2-D array of `blocks`:
+    the trajectory writer's text, `template` its row format.
+
+    Each block is flattened in row order with one `tolist` and formatted
+    with a single `%` on the template repeated once per row. `%r` of a
+    Python float is its `repr`, the shortest string that reads back to the
+    same double; `%d` of an integral float is the integer's `str`.
+    """
+    for block in blocks:
+        f.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_trajectories(path, traj: TrajectorySet) -> None:

@@ -305,6 +305,9 @@ def _short_ply(tmp_path):
     (lambda d: _scene(d, n_frames=float("inf")), "InputError"),
     (lambda d: _scene(d, dynamic_delta=-1), "InputError"),
     (lambda d: _scene(d, n_queries=-3), "InputError"),
+    (lambda d: _scene(d, resolution=[-4, 16]), "InputError"),
+    (lambda d: _scene(d, resolution=[0, 16]), "InputError"),
+    (lambda d: _scene(d, n_frames=0), "InputError"),
     (lambda d: _cameras(d, json.dumps([{"q": [2, 0, 0, 0], "t": [0, 0, 0],
                                         "fov": [1, 1]}] * 2)), "InputError"),
     (lambda d: _cameras(d, json.dumps([{"q": [1, 0, 0, 0], "t": [0, 0, 0],
@@ -322,7 +325,8 @@ def _short_ply(tmp_path):
         "camera-q-three-numbers", "camera-t-two-numbers", "camera-fov-a-number",
         "scene-camera-without-fov", "scene-camera-fov-not-numbers", "scene-without-n_frames",
         "scene-resolution-a-string", "scene-n_frames-infinite", "scene-dynamic_delta-negative",
-        "scene-n_queries-negative", "camera-q-not-unit", "camera-fov-over-pi",
+        "scene-n_queries-negative", "scene-resolution-negative", "scene-resolution-zero",
+        "scene-n_frames-zero", "camera-q-not-unit", "camera-fov-over-pi",
         "camera-t-nan", "loss-config-unknown-key",
         "model-config-unknown-key", "model-config-n_heads-zero", "model-config-patch-zero",
         "model-config-dim-negative", "loss-config-alpha-negative", "ply-short-body"])

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import identity_camera, random_camera
@@ -198,18 +198,20 @@ def test_compose_invert_identity():
 @given(scale=st.floats(0.01, 100.0),
        px=st.floats(-5, 5), py=st.floats(-5, 5), pz=st.floats(-5, 5),
        qx=st.floats(-5, 5), qy=st.floats(-5, 5), qz=st.floats(-5, 5))
+# np.linalg.norm squares this difference into the subnormal range; hypot does not
+@example(scale=2.0, px=0.0, py=0.0, pz=0.0, qx=0.0, qy=0.0, qz=2.969691144905038e-159)
 def test_sim3_scales_pairwise_distances(scale, px, py, pz, qx, qy, qz):
     R = quat_to_rotation(np.array([0.5, 0.5, 0.5, 0.5]))
     a = np.array([px, py, pz])
     b = np.array([qx, qy, qz])
-    d0 = np.linalg.norm(a - b)
+    d0 = math.hypot(*(a - b))
     # pure scale+rotation: distance scaling is exact to rounding
     T0 = SIM3(scale, R, [0, 0, 0])
-    d1 = np.linalg.norm(sim3_apply(T0, a) - sim3_apply(T0, b))
+    d1 = math.hypot(*(sim3_apply(T0, a) - sim3_apply(T0, b)))
     assert d1 == pytest.approx(scale * d0, rel=1e-12, abs=1e-300)
     # with a translation the cancellation leaves absolute noise ~eps*|t|
     T1 = SIM3(scale, R, [1, 2, 3])
-    d2 = np.linalg.norm(sim3_apply(T1, a) - sim3_apply(T1, b))
+    d2 = math.hypot(*(sim3_apply(T1, a) - sim3_apply(T1, b)))
     assert d2 == pytest.approx(scale * d0, rel=1e-9, abs=1e-13)
 
 

@@ -700,6 +700,53 @@ def test_write_ply_bytes_equal_reference(tmp_path_factory, seed, n, with_normals
     assert (d / "a.ply").read_bytes() == (d / "b.ply").read_bytes()
 
 
+def _assert_ply_values_are_repr(path, values):
+    """write_ply of `values`, three to a row (the last row wrapping round to
+    the first values), writes each as `repr(float(v))`."""
+    rows = np.resize(np.asarray(values, dtype=np.float32), (-(-len(values) // 3), 3))
+    write_ply(path, rows)
+    got = path.read_bytes().split(b"end_header\n", 1)[1]
+    want = "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist()).encode()
+    if got != want:  # name the first wrong row rather than diff megabytes
+        i, g, w = next((i, g, w) for i, (g, w) in enumerate(zip(got.split(b"\n"),
+                                                                  want.split(b"\n"))) if g != w)
+        pytest.fail(f"row {i} {rows[i].tolist()}: wrote {g!r}, repr gives {w!r}")
+
+
+def test_write_ply_sweep_of_float32_bit_patterns(tmp_path):
+    # every 4099th bit pattern: about 1.05M finite values of every exponent
+    values = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    _assert_ply_values_are_repr(tmp_path / "s.ply", values[np.isfinite(values)])
+
+
+def test_write_ply_ulp_walks_round_powers_and_range_edges(tmp_path):
+    # +-64 ulps round each power of ten and of two and the positional range's
+    # edges 0.1 and 1e15, where the digit count, the interval or k changes
+    centres = [10.0**i for i in range(-5, 17)] + [2.0**i for i in range(-20, 61)] + [0.1, 1e15]
+    bits = np.array(centres, dtype=np.float32).view(np.uint32).astype(np.int64)
+    walks = (bits[:, None] + np.arange(-64, 65)).astype(np.uint32).view(np.float32).ravel()
+    _assert_ply_values_are_repr(tmp_path / "w.ply", np.concatenate([walks, -walks]))
+
+
+def test_write_ply_formats_its_positional_range_without_repr(tmp_path, monkeypatch):
+    fallen_back, repr_texts = [], tensorio._repr_texts
+
+    def counting_repr_texts(values):
+        fallen_back.extend(values.tolist())
+        return repr_texts(values)
+    monkeypatch.setattr(tensorio, "_repr_texts", counting_repr_texts)
+    rng = np.random.default_rng(11)
+    values = (10 ** rng.uniform(-1, 15, 30000) * rng.choice([-1, 1], 30000)).astype(np.float32)
+    edges = np.array([0.1, 999999986991104.0, -0.1, -999999986991104.0], dtype=np.float32)
+    values = np.concatenate([edges, values[(np.abs(values) >= 0.1) & (np.abs(values) < 1e15)]])
+    _assert_ply_values_are_repr(tmp_path / "f.ply", values)
+    assert fallen_back == []
+    outside = np.array([0.0, -0.0, 1e-45, 0.099999994, 1000000054099968.0, -3e38],
+                       dtype=np.float32)
+    _assert_ply_values_are_repr(tmp_path / "o.ply", np.concatenate([outside, values[:3]]))
+    assert sorted(fallen_back) == sorted(outside.tolist())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(0, 9))
 def test_write_trajectories_bytes_equal_reference(tmp_path_factory, seed, m, n):
