@@ -10,8 +10,8 @@ Conventions (fixed once, relied on everywhere):
   and resolution alone.
 * Pixel ``(u, v)`` covers ``[u, u+1) x [v, v+1)``; rays pass through the
   pixel center ``(u + 0.5, v + 0.5)``. ``pixel_directions`` is the one
-  place that builds those rays, and ``project`` returns continuous image
-  coordinates in that same frame.
+  place that builds those rays, and ``project_many`` returns continuous
+  image coordinates in that same frame.
 * Depth is z-depth: distance along the camera z axis, not ray length.
 * Image arrays are indexed ``[v, u]`` (row-major, v = row, u = column).
 """
@@ -241,18 +241,6 @@ def unproject(d: DepthMap, c: CameraParams) -> PointMap:
     return PointMap(points=world, valid=d.valid.copy())
 
 
-def project(p, c: CameraParams, height: int, width: int):
-    """Pinhole projection of a world point: a one-point `project_many`.
-
-    Returns (u, v, z) continuous image coordinates and camera-frame depth,
-    or None when the point lies behind the camera (z <= 1e-9).
-    """
-    u, v, z, _ = project_many(np.asarray(p, dtype=np.float64).reshape(1, 3), c, height, width)
-    if z[0] <= 1e-9:
-        return None
-    return u[0], v[0], z[0]
-
-
 def project_many(points: np.ndarray, c: CameraParams, height: int, width: int):
     """Vectorized projection: (n,3) -> (u, v, z arrays, in_front mask)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -287,16 +275,6 @@ def se3_invert(T: SE3) -> SE3:
 def sim3_apply(T: SIM3, p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     return T.scale * (p @ T.rotation.T) + T.translation
-
-
-def sim3_compose(A: SIM3, B: SIM3) -> SIM3:
-    return SIM3(A.scale * B.scale, A.rotation @ B.rotation,
-                A.scale * (A.rotation @ B.translation) + A.translation)
-
-
-def sim3_invert(T: SIM3) -> SIM3:
-    Rt = T.rotation.T
-    return SIM3(1.0 / T.scale, Rt, -(Rt @ T.translation) / T.scale)
 
 
 def rotation_angle_deg(R) -> float:

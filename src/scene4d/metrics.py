@@ -158,12 +158,6 @@ def _matched(p: np.ndarray, g: np.ndarray, k: int):
     return acc, comp, float(vals.mean()), float(np.median(vals))
 
 
-def normal_consistency(pred: np.ndarray, gt: np.ndarray,
-                       k: int = DEFAULT_NC_NEIGHBORS):
-    """Bidirectional |cos| agreement between estimated normals -> (mean, median)."""
-    return _matched(np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64), k)[2:]
-
-
 def recon_metrics(pred: np.ndarray, gt: np.ndarray,
                   n_max: int = DEFAULT_DOWNSAMPLE, seed: int = 0,
                   k: int = DEFAULT_NC_NEIGHBORS) -> ReconMetrics:
@@ -270,17 +264,6 @@ def apd_epe(pred_tracks: np.ndarray, gt_tracks: np.ndarray,
     per = tuple(float(100.0 * np.mean(err < d)) for d in APD_THRESHOLDS)
     return TrackMetrics(apd_per_threshold=per, apd=float(np.mean(per)),
                         epe=float(err.mean()), alignment=alignment)
-
-
-def average_track_metrics(per_sequence: list[TrackMetrics]) -> TrackMetrics:
-    """Cross-sequence average of per-sequence track metrics."""
-    if not per_sequence:
-        raise NoSamples("no sequences to average")
-    per = np.array([m.apd_per_threshold for m in per_sequence]).mean(axis=0)
-    return TrackMetrics(apd_per_threshold=tuple(float(x) for x in per),
-                        apd=float(np.mean([m.apd for m in per_sequence])),
-                        epe=float(np.mean([m.epe for m in per_sequence])),
-                        alignment=per_sequence[0].alignment)
 
 
 def select_queries(trajectories: TrajectorySet) -> np.ndarray:

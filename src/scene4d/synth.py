@@ -375,10 +375,6 @@ class SequenceDataset:
     def n_frames(self) -> int:
         return len(self.cameras)
 
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.depths[0].values.shape
-
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -438,11 +434,9 @@ def _render(spec: SceneSpec, frame: int):
 # generation
 
 def _base_points(spec: SceneSpec, att: FrameAttachments, pix_v, pix_u,
-                 base_tris: np.ndarray | None = None):
+                 base_tris: np.ndarray):
     """Base-placement surface points for attached pixels; `base_tris` is
-    `_soup(spec, None).tris`, built here if not given."""
-    if base_tris is None:
-        base_tris = _soup(spec, None).tris
+    `_soup(spec, None).tris`."""
     oid = att.object_id[pix_v, pix_u]
     # object o's faces start at starts[o], the background's (id -1, last) at starts[-1]
     starts = np.cumsum([0] + [len(obj.faces) for obj in spec.objects])

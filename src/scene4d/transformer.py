@@ -19,8 +19,8 @@ rows are grouped into blocks.
 There is no temporal position encoding: frame identity enters only through
 those special token sets, so permuting non-special frames permutes the
 outputs. The patch embedding is a fixed seeded linear map (a stand-in for
-a pretrained backbone, which is not what is under test here); the heads
-are fixed seeded linear maps as well. All weights derive from one
+a pretrained backbone, which is not what is under test here); the camera
+head is a fixed seeded linear map as well. All weights derive from one
 splitmix64 stream in the documented order, normal(0, 0.02).
 """
 
@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndivisibleResolution, ShapeMismatch, TargetOutOfRange
-from .rng import SplitMix64, check_seed, derive_seed
+from .rng import SplitMix64, check_seed
 
-_DENSE_HEAD_TAG = 0xD5
 _INIT_STD = 0.02
 _LN_EPS = 1e-6
 _SCORE_BLOCK = 2**18  # float64 score elements per block of attention rows: 2 MiB
@@ -90,8 +89,7 @@ class TokenBank:
     first-frame registration tokens, shared registration tokens, target
     aggregation tokens, shared aggregation tokens, then per layer
     (wq, wk, wv, wo, w1, w2), then the camera head. Biases start at zero
-    and layer-norm gains at one (not drawn). Dense-head weights come from
-    a separate stream derived from (seed, head tag, out_channels).
+    and layer-norm gains at one (not drawn).
     """
 
     config: ModelConfig
@@ -126,17 +124,6 @@ class TokenBank:
                 ln1_g=np.ones(c), ln1_b=np.zeros(c),
                 ln2_g=np.ones(c), ln2_b=np.zeros(c)))
         self.cam_head = draw(c, 9)
-        self._dense_cache: dict[int, np.ndarray] = {}
-
-    def dense_head(self, out_channels: int) -> np.ndarray:
-        """(dim, patch^2 * out_channels) weight, lazily drawn per out size."""
-        if out_channels not in self._dense_cache:
-            cfg = self.config
-            rng = SplitMix64(derive_seed(cfg.seed, _DENSE_HEAD_TAG, out_channels))
-            n = cfg.dim * cfg.patch * cfg.patch * out_channels
-            self._dense_cache[out_channels] = rng.normal_array(n, 0.0, _INIT_STD) \
-                .reshape(cfg.dim, cfg.patch * cfg.patch * out_channels)
-        return self._dense_cache[out_channels]
 
 
 @dataclass
@@ -337,12 +324,12 @@ class AggregationFormer:
         return ForwardResult(frames=frames, cam_features=cam,
                              patch_features=patch, softmax_row_sums=stats)
 
-    # -- heads ------------------------------------------------------------
+    # -- camera head ------------------------------------------------------
 
     def head_camera(self, cam_features: np.ndarray) -> np.ndarray:
         """Camera token features (N, n_cam, dim) -> decodable 9-vectors (N, 9).
 
-        Aggregation/registration tokens never reach the heads; only the
+        Aggregation/registration tokens never reach the head; only the
         first camera token feeds this map. Each quaternion is divided by
         its np.linalg.norm, sqrt(q · q), or is the identity below 1e-12.
         """
@@ -353,23 +340,3 @@ class AggregationFormer:
             fov = math.pi / (1.0 + np.exp(-out[:, 7:9]))
         out[:, 7:9] = np.clip(fov, 1e-6, math.pi - 1e-6)
         return out
-
-    def head_dense(self, patch_features: np.ndarray, height: int, width: int,
-                   out_channels: int) -> np.ndarray:
-        """Patch token features (K, dim) -> (H, W, out_channels) map.
-
-        Each patch token maps linearly to its patch^2 * out values; blocks
-        are placed back on the patch grid. out=3 plays the role of a point
-        head, out=2 a depth+uncertainty head.
-        """
-        cfg = self.config
-        p = cfg.patch
-        feats = np.asarray(patch_features, dtype=np.float64)
-        if height % p or width % p:
-            raise IndivisibleResolution(f"{height}x{width} not divisible by patch {p}")
-        gh, gw = height // p, width // p
-        if feats.ndim != 2 or feats.shape[0] != gh * gw or feats.shape[1] != cfg.dim:
-            raise ShapeMismatch("patch features must be (K, dim) matching H, W, patch")
-        flat = feats @ self.bank.dense_head(out_channels)  # (K, p*p*out)
-        blocks = flat.reshape(gh, gw, p, p, out_channels)
-        return blocks.transpose(0, 2, 1, 3, 4).reshape(height, width, out_channels)

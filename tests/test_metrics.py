@@ -14,12 +14,10 @@ from scene4d.errors import (DegenerateConfiguration, DegenerateScale,
                             NoValidPixels, TooFewPoints)
 from scene4d.geometry import (SIM3, CameraParams, axis_angle_rotation,
                               rotation_to_quat, sim3_apply)
-from scene4d.metrics import (accuracy_completion, apd_epe,
-                             average_track_metrics, depth_metrics,
+from scene4d.metrics import (accuracy_completion, apd_epe, depth_metrics,
                              downsample_random, estimate_normals,
-                             median_scale_align, nn_distances,
-                             normal_consistency, pose_metrics, recon_metrics,
-                             select_queries, umeyama_sim3)
+                             median_scale_align, nn_distances, pose_metrics,
+                             recon_metrics, select_queries, umeyama_sim3)
 from scene4d.rng import SplitMix64
 from scene4d.synth import TrajectorySet
 
@@ -201,7 +199,8 @@ def test_normal_consistency_same_plane():
     a[:, 2] = 0.0
     b = _random_cloud(rng, 350)
     b[:, 2] = 0.0
-    mean, med = normal_consistency(a, b, k=16)
+    m = recon_metrics(a, b, n_max=10**6, k=16)
+    mean, med = m.nc_mean, m.nc_median
     assert mean >= 0.999
     assert med >= 0.999
 
@@ -212,7 +211,7 @@ def test_normal_consistency_orthogonal_planes():
     a[:, 2] = 0.0                      # z = 0 plane
     b = _random_cloud(rng, 400)
     b[:, 0] = 0.0                      # x = 0 plane
-    mean, _ = normal_consistency(a, b, k=16)
+    mean = recon_metrics(a, b, n_max=10**6, k=16).nc_mean
     assert mean <= 0.05
 
 
@@ -220,7 +219,8 @@ def test_normal_consistency_bounded():
     rng = SplitMix64(10)
     a = _random_cloud(rng, 200)
     b = _random_cloud(rng, 200)
-    mean, med = normal_consistency(a, b, k=8)
+    m = recon_metrics(a, b, n_max=10**6, k=8)
+    mean, med = m.nc_mean, m.nc_median
     assert 0.0 <= med <= 1.0 and 0.0 <= mean <= 1.0
 
 
@@ -382,18 +382,6 @@ def test_apd_visibility_selects_samples():
     assert m.apd == 100.0
     with pytest.raises(NoSamples):
         apd_epe(pred, gt, np.zeros((4, 4), bool))
-
-
-def test_average_track_metrics():
-    gt = _tracks(SplitMix64(22))
-    a = apd_epe(gt, gt)
-    pred = gt.copy()
-    pred[..., 0] += 0.2
-    b = apd_epe(pred, gt)
-    avg = average_track_metrics([a, b])
-    assert avg.apd == pytest.approx((100.0 + 75.0) / 2)
-    assert avg.epe == pytest.approx(0.1, abs=1e-12)
-    assert avg.apd_per_threshold[0] == pytest.approx(50.0)
 
 
 def test_select_queries_filters():
@@ -566,5 +554,6 @@ def test_recon_metrics_one_tree_per_cloud_bitwise(monkeypatch, n_pred, n_gt, n_m
             m.nc_mean, m.nc_median) == want
     assert sorted(builds) == sorted([min(n_pred, n_max), min(n_gt, n_max)])
     builds.clear()
-    assert normal_consistency(pred, gt, k) == want_nc
+    m = recon_metrics(pred, gt, n_max=10**6, k=k)
+    assert (m.nc_mean, m.nc_median) == want_nc
     assert len(builds) == 2

@@ -474,24 +474,3 @@ def test_head_camera_decodable_and_deterministic(model):
         assert abs(np.linalg.norm(cam.q) - 1) < 1e-9
     # distinct camera tokens give distinct outputs on random features
     assert not np.array_equal(g1[0], g1[1])
-
-
-def test_head_dense_shape_and_patch_constant(model):
-    k, c = 16, model.config.dim
-    res = model.forward(_images(1, seed=18), 0)
-    out = model.head_dense(res.patch_features[0], 32, 32, out_channels=3)
-    assert out.shape == (32, 32, 3)
-    constant = np.tile(res.patch_features[0][0], (k, 1))
-    tiled = model.head_dense(constant, 32, 32, out_channels=2)
-    p = model.config.patch
-    first = tiled[:p, :p]
-    for gi in range(4):
-        for gj in range(4):
-            assert np.array_equal(tiled[gi * p:(gi + 1) * p, gj * p:(gj + 1) * p], first)
-
-
-def test_head_dense_rejects_wrong_k(model):
-    with pytest.raises(ShapeMismatch):
-        model.head_dense(np.zeros((7, model.config.dim)), 32, 32, 1)
-    with pytest.raises(IndivisibleResolution):
-        model.head_dense(np.zeros((16, model.config.dim)), 30, 32, 1)
