@@ -33,14 +33,9 @@ def _emit(obj) -> None:
 
 
 def _load_json(path):
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise InputError(f"{path}: no such file")
-    try:
-        with open(p) as f:
-            return json.load(f)
-    except ValueError as e:  # invalid JSON or bad bytes
-        raise InputError(f"{path}: invalid JSON ({e})") from e
+    return tensorio.read_json(path)
 
 
 # JSON values each settings field type takes: a float field also takes an

@@ -513,7 +513,16 @@ def read_trajectories(path) -> TrajectorySet:
 
 
 # ---------------------------------------------------------------------------
-# cameras JSON
+# JSON files
+
+def read_json(path):
+    """The JSON value in the file at `path`; InputError if it is not JSON text."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except ValueError as e:  # invalid JSON or bad bytes
+        raise InputError(f"{path}: invalid JSON ({e})") from e
+
 
 def write_cameras(path, cameras: list[CameraParams]) -> None:
     with open(path, "w") as f:
@@ -522,11 +531,7 @@ def write_cameras(path, cameras: list[CameraParams]) -> None:
 
 def read_cameras(path) -> list[CameraParams]:
     """A JSON list of cameras; anything else raises InputError."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except ValueError as e:  # invalid JSON or bad bytes
-        raise InputError(f"{path}: invalid JSON ({e})") from e
+    data = read_json(path)
     if not isinstance(data, list):
         raise InputError(f"{path}: expected a JSON list of cameras")
     return [_camera_from_dict(c) for c in data]
@@ -581,14 +586,19 @@ def _depth_paths(dirpath) -> list[Path]:
     return paths
 
 
-def _read_depth(path) -> DepthMap:
+def _read_depth(path, shape=None) -> DepthMap:
+    """A depth file's (H, W) map, of `shape` when given; else InputError."""
     vals = read_tensor(path)
+    if vals.ndim != 2 or shape not in (None, vals.shape):
+        raise InputError(f"{path}: depth map of shape {vals.shape}, expected {shape or '(H, W)'}")
     return DepthMap(values=vals, valid=vals > 0)
 
 
 def load_depth_dir(dirpath) -> list[DepthMap]:
-    """All depth_%04d.ct4 files of a directory, in index order."""
-    return [_read_depth(p) for p in _depth_paths(dirpath)]
+    """All depth_%04d.ct4 files of a directory, in index order, of one shape."""
+    paths = _depth_paths(dirpath)
+    first = _read_depth(paths[0])
+    return [first] + [_read_depth(p, first.valid.shape) for p in paths[1:]]
 
 
 def load_depth_stack(dirpath) -> np.ndarray:
@@ -596,7 +606,7 @@ def load_depth_stack(dirpath) -> np.ndarray:
     order, as one (N, H, W) float64 array (a pixel is valid iff its value
     is > 0). Each file after the first is read straight into its slot, so
     no per-frame copy outlives its read. Every frame gets `DepthMap`'s
-    checks; a frame whose shape differs from the first's raises ValueError.
+    checks; a frame whose shape differs from the first's raises InputError.
     """
     paths = _depth_paths(dirpath)
     first = _read_depth(paths[0]).values
@@ -604,7 +614,10 @@ def load_depth_stack(dirpath) -> np.ndarray:
     stack[0] = first
     del first
     for i, p in enumerate(paths[1:], 1):
-        read_tensor(p, out=stack[i])
+        try:
+            read_tensor(p, out=stack[i])
+        except ValueError as e:  # the file's shape is not the slot's
+            raise InputError(str(e)) from e
         DepthMap(values=stack[i], valid=stack[i] > 0)
     return stack
 
@@ -623,21 +636,30 @@ class _StoredDepth:
 
 
 def _read_pointmap(root: Path, t: int, depth: DepthMap) -> PointMap:
-    return PointMap(points=read_tensor(root / f"pointmap_{t:04d}.ct4"),
-                    valid=depth.valid.copy())
+    """Frame t's point map, (H, W, 3) over the depth map's pixels or InputError."""
+    path = root / f"pointmap_{t:04d}.ct4"
+    points = read_tensor(path)
+    if points.shape != depth.valid.shape + (3,):
+        raise InputError(f"{path}: point map of shape {points.shape}, pixels {depth.valid.shape}")
+    return PointMap(points=points, valid=depth.valid.copy())
 
 
-def _read_sequence(root: Path, n: int) -> dict:
-    """The per-sequence fields of a dataset directory of `n` frames:
-    cameras, trajectories and spec (None without scene.json)."""
+def _read_sequence(root: Path, depths) -> dict:
+    """The per-sequence fields of a dataset directory whose depth maps are
+    `depths`: cameras, trajectories and spec (None without scene.json). A
+    camera count, or a scene.json frame count or resolution, not the
+    depths' raises InputError."""
+    n, shape = len(depths), depths[0].valid.shape
     out = {"cameras": read_cameras(root / "cameras.json"),
            "trajectories": read_trajectories(root / "trajectories.csv"), "spec": None}
     if len(out["cameras"]) != n:
         raise InputError(f"{root}: {len(out['cameras'])} cameras for {n} depth files")
     scene_path = root / "scene.json"
     if scene_path.exists():
-        with open(scene_path) as f:
-            out["spec"] = SceneSpec.from_dict(json.load(f))
+        spec = out["spec"] = SceneSpec.from_dict(read_json(scene_path))
+        if (spec.n_frames, spec.resolution) != (n, shape):
+            raise InputError(f"{scene_path}: n_frames {spec.n_frames}, resolution "
+                             f"{list(spec.resolution)} for {n} depth maps of {list(shape)}")
     return out
 
 
@@ -652,7 +674,7 @@ def load_dataset(dirpath) -> SequenceDataset:
         attachments.append(_unpack_attachments(read_tensor(root / f"attachments_{t:04d}.ct4")))
         dmask.append(read_tensor(root / f"dynamic_mask_{t:04d}.ct4").astype(bool))
     return SequenceDataset(depths=depths, pointmaps=pointmaps, attachments=attachments,
-                           dynamic_mask=np.stack(dmask), **_read_sequence(root, len(depths)))
+                           dynamic_mask=np.stack(dmask), **_read_sequence(root, depths))
 
 
 class _FrameFiles(Sequence):
@@ -689,20 +711,29 @@ def open_dataset(dirpath) -> SequenceDataset:
     `_FrameFiles`), and an attachment holds only its object ids, read as
     one channel a block of rows at a time (`read_channel`): `face_id` and
     `bary` are None. The dynamic masks are not read (`dynamic_mask` is
-    None).
+    None). An object id other than -2, -1 or a spec object's index (none
+    without scene.json), or ids not of the depth map's shape, raise
+    InputError when read.
     """
     root = Path(dirpath)
     paths = _depth_paths(root)
-    depths = [_read_depth(paths[0])] + [_StoredDepth(p, _read_depth(p).valid)
-                                        for p in paths[1:]]
+    first = _read_depth(paths[0])
+    depths = [first] + [_StoredDepth(p, _read_depth(p, first.valid.shape).valid)
+                        for p in paths[1:]]
     n = len(depths)
+    sequence = _read_sequence(root, depths)
+    known_ids = np.arange(-2, 0 if sequence["spec"] is None else len(sequence["spec"].objects))
 
     def object_ids(t):
-        ids = read_channel(root / f"attachments_{t:04d}.ct4", 0)
+        path = root / f"attachments_{t:04d}.ct4"
+        ids = read_channel(path, 0)
+        # checked before the cast, which turns NaN into an arbitrary integer
+        if ids.shape != depths[t].valid.shape or not np.isin(ids, known_ids).all():
+            raise InputError(f"{path}: object ids must be {known_ids.tolist()}, "
+                             f"over {depths[t].valid.shape} pixels")
         return FrameAttachments(object_id=ids.astype(np.int64))
 
     return SequenceDataset(
         depths=depths,
         pointmaps=_FrameFiles(n, lambda t: _read_pointmap(root, t, depths[t])),
-        attachments=_FrameFiles(n, object_ids), dynamic_mask=None,
-        **_read_sequence(root, n))
+        attachments=_FrameFiles(n, object_ids), dynamic_mask=None, **sequence)

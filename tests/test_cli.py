@@ -279,6 +279,19 @@ def _config(tmp_path, command, settings=None):
     return ["forward", "--frames", str(frames), "--target", "0", "--config", str(p)]
 
 
+def _dataset_scene(tmp_path, scene: bytes):
+    """aggregate-oracle on a one-frame dataset whose scene.json holds `scene`."""
+    data = tmp_path / "data"
+    data.mkdir()
+    write_tensor(data / "depth_0000.ct4", np.ones((4, 4)))
+    (data / "cameras.json").write_text(json.dumps([{"q": [1, 0, 0, 0], "t": [0, 0, 0],
+                                                    "fov": [1, 1]}]))
+    (data / "trajectories.csv").write_text("track_id,frame,x,y,z,visible,dynamic\r\n")
+    (data / "scene.json").write_bytes(scene)
+    return ["aggregate-oracle", "--data", str(data), "--target", "0",
+            "--out", str(tmp_path / "agg")]
+
+
 def _short_ply(tmp_path):
     p = tmp_path / "short.ply"
     p.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
@@ -321,6 +334,8 @@ def _short_ply(tmp_path):
     (lambda d: _config(d, "forward", {"dim": -4}), "InputError"),
     (lambda d: _config(d, "loss-check", {"alpha": -1}), "InputError"),
     (_short_ply, "MalformedHeader"),
+    (lambda d: _dataset_scene(d, b"{not json"), "InputError"),
+    (lambda d: _dataset_scene(d, b"\xff\xfe"), "InputError"),
 ], ids=["camera-without-keys", "cameras-invalid-json", "cameras-not-a-list",
         "camera-q-three-numbers", "camera-t-two-numbers", "camera-fov-a-number",
         "scene-camera-without-fov", "scene-camera-fov-not-numbers", "scene-without-n_frames",
@@ -329,7 +344,8 @@ def _short_ply(tmp_path):
         "scene-n_frames-zero", "camera-q-not-unit", "camera-fov-over-pi",
         "camera-t-nan", "loss-config-unknown-key",
         "model-config-unknown-key", "model-config-n_heads-zero", "model-config-patch-zero",
-        "model-config-dim-negative", "loss-config-alpha-negative", "ply-short-body"])
+        "model-config-dim-negative", "loss-config-alpha-negative", "ply-short-body",
+        "dataset-scene-invalid-json", "dataset-scene-not-utf8"])
 def test_unusable_json_and_ply_inputs_exit_two(tmp_path, argv, error):
     proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv(tmp_path),
                           capture_output=True, text=True)
@@ -704,6 +720,64 @@ def test_evaluator_input_disagreement_exits_two(garbage_base, tmp_path, case):
     message = _exits_two_with_one_json_line(
         ["eval-pose", "--pred", str(pred), "--gt", str(gt)], "BadArgument")
     assert message.endswith("not 2 and 3" if case == "pose-counts" else "not 1 and 1")
+
+
+def _aggregate(data):
+    return ["aggregate-oracle", "--data", str(data), "--target", "0",
+            "--out", str(data.parent / "out")]
+
+
+def _scene_of_fewer_frames(data, n=2):
+    # a scene.json that is consistent in itself, for n of the 3 frames
+    scene = json.loads((data / "scene.json").read_text())
+    scene.update(n_frames=n, camera_path=scene["camera_path"][:n])
+    for obj in scene["objects"]:
+        obj["motion"] = obj["motion"][:n]
+    (data / "scene.json").write_text(json.dumps(scene))
+    return _aggregate(data)
+
+
+def _scene_resolution(data):
+    scene = json.loads((data / "scene.json").read_text())
+    (data / "scene.json").write_text(json.dumps({**scene, "resolution": [8, 8]}))
+    return _aggregate(data)
+
+
+def _frame_file(data, name, array, argv):
+    write_tensor(data / name, array)
+    return argv
+
+
+def _object_id(data, value):
+    path = data / "attachments_0001.ct4"
+    attachments = read_tensor(path)
+    attachments[0, 0, 0] = value
+    write_tensor(path, attachments)
+    return _aggregate(data)
+
+
+# argv on the `data` directory of a copied garbage_base, once it is spoiled
+_DISAGREEING_DATASETS = {
+    "scene-fewer-frames": _scene_of_fewer_frames,
+    "scene-resolution": _scene_resolution,
+    "split-depth-shapes": lambda d: _frame_file(d, "depth_0001.ct4", np.ones((8, 8)),
+                                                ["split", "--depth-dir", str(d)]),
+    "eval-depth-depth-shapes": lambda d: _frame_file(d, "depth_0001.ct4", np.ones((8, 8)),
+                                                     ["eval-depth", "--pred", str(d),
+                                                      "--gt", str(d)]),
+    "aggregate-pointmap-shape": lambda d: _frame_file(d, "pointmap_0001.ct4",
+                                                      np.zeros((8, 8, 3)), _aggregate(d)),
+    "aggregate-depth-3d": lambda d: _frame_file(d, "depth_0001.ct4", np.ones((16, 16, 1)),
+                                                _aggregate(d)),
+    "object-id-unknown": lambda d: _object_id(d, 7),
+    "object-id-nan": lambda d: _object_id(d, NAN),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DISAGREEING_DATASETS))
+def test_dataset_files_that_disagree_exit_two(garbage_base, tmp_path, case):
+    shutil.copytree(garbage_base / "data", tmp_path / "data")
+    _exits_two_with_one_json_line(_DISAGREEING_DATASETS[case](tmp_path / "data"))
 
 
 def _run_quiet(argv):
