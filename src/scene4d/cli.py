@@ -191,8 +191,11 @@ def cmd_aggregate_oracle(args) -> int:
 
 
 def cmd_eval_recon(args) -> int:
-    pred, _ = tensorio.read_ply(_require(args.pred))
-    gt, _ = tensorio.read_ply(_require(args.gt))
+    # only the rows that downsampling keeps are parsed (every row is checked);
+    # an --nmax below 1 is reported by recon_metrics once both files are read
+    rows = (lambda n: metrics.sample_rows(n, args.nmax, args.seed)) if args.nmax >= 1 else None
+    pred, _ = tensorio.read_ply(_require(args.pred), rows)
+    gt, _ = tensorio.read_ply(_require(args.gt), rows)
     m = metrics.recon_metrics(pred, gt, n_max=args.nmax, seed=args.seed, k=args.k)
     _emit({"command": "eval-recon", **asdict(m)})
     return 0

@@ -39,7 +39,6 @@ class LossConfig:
     alpha: float = 0.1            # log-uncertainty coefficient
     beta: float = 1.0             # focal weight scale
     gamma: float = 1.0            # focal weight exponent
-    lam: float = 1.0              # point-loss weight in the total loss
     huber_eps: float = 1.0
     weight_mode: str = "focal"
     dynamic_weight: float = 1000.0
@@ -48,13 +47,13 @@ class LossConfig:
 
     def __post_init__(self):
         # NaN would pass every range check below
-        if not np.all(np.isfinite([self.alpha, self.beta, self.gamma, self.lam,
+        if not np.all(np.isfinite([self.alpha, self.beta, self.gamma,
                                    self.huber_eps, self.dynamic_weight])):
-            raise ValueError("alpha, beta, gamma, lam, huber_eps, dynamic_weight must be finite")
+            raise ValueError("alpha, beta, gamma, huber_eps, dynamic_weight must be finite")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("alpha, beta, gamma must be non-negative")
-        if self.lam <= 0 or self.huber_eps <= 0:
-            raise ValueError("lam and huber_eps must be positive")
+        if self.huber_eps <= 0:
+            raise ValueError("huber_eps must be positive")
         if self.dynamic_weight < 1:
             raise ValueError("dynamic_weight must be >= 1")
         if self.weight_mode not in WEIGHT_MODES:

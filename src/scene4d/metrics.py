@@ -69,17 +69,23 @@ def cKDTree(data, *args, **kwargs):  # noqa: N802  (stands in for the class)
     return tree(data, *args, **kwargs)
 
 
-def downsample_random(cloud: np.ndarray, n_max: int, seed: int) -> np.ndarray:
-    """Uniform sample without replacement, order-stable; identity when the
-    cloud already fits."""
+def sample_rows(n: int, n_max: int, seed: int) -> np.ndarray | None:
+    """The rows of an n-point cloud that downsampling to n_max keeps: a
+    uniform sample without replacement, ascending, from a fresh splitmix64
+    stream of `seed`; None when the cloud already fits."""
     if n_max < 1:
         raise BadArgument(f"n_max must be >= 1, not {n_max}")
+    if n <= n_max:
+        return None
+    return np.array(SplitMix64(seed).sample_indices(n, n_max), dtype=np.int64)
+
+
+def downsample_random(cloud: np.ndarray, n_max: int, seed: int) -> np.ndarray:
+    """The rows `sample_rows` keeps of `cloud`, order-stable; identity when
+    the cloud already fits."""
     cloud = np.asarray(cloud, dtype=np.float64)
-    if len(cloud) <= n_max:
-        return cloud
-    rng = SplitMix64(seed)
-    idx = rng.sample_indices(len(cloud), n_max)
-    return cloud[idx]
+    rows = sample_rows(len(cloud), n_max, seed)
+    return cloud if rows is None else cloud[rows]
 
 
 def nn_distances(from_cloud: np.ndarray, to_cloud: np.ndarray) -> np.ndarray:
@@ -130,7 +136,7 @@ def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS,
     tree = cKDTree(cloud) if tree is None else tree
     normals = np.empty_like(cloud)
     for start in range(0, len(cloud), _NORMAL_BLOCK):
-        _, idx = tree.query(cloud[start:start + _NORMAL_BLOCK], k=k)
+        _, idx = tree.query(cloud[start:start + _NORMAL_BLOCK], k=k, workers=-1)
         nbrs = cloud[idx]                          # (block, k, 3)
         centered = nbrs - nbrs.mean(axis=1, keepdims=True)
         cov = np.einsum("nki,nkj->nij", centered, centered)
@@ -150,8 +156,8 @@ def _matched(p: np.ndarray, g: np.ndarray, k: int):
     tree_p, tree_g = cKDTree(p), cKDTree(g)
     n_p = estimate_normals(p, k, tree_p)
     n_g = estimate_normals(g, k, tree_g)
-    acc, idx_pg = tree_g.query(p, k=1)
-    comp, idx_gp = tree_p.query(g, k=1)
+    acc, idx_pg = tree_g.query(p, k=1, workers=-1)
+    comp, idx_gp = tree_p.query(g, k=1, workers=-1)
     fwd = np.abs(np.sum(n_p * n_g[idx_pg], axis=1))
     bwd = np.abs(np.sum(n_g * n_p[idx_gp], axis=1))
     vals = np.minimum(np.concatenate([fwd, bwd]), 1.0)
@@ -296,11 +302,19 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray, valid: np.ndarray,
         mp = float(np.median(p))
         if mp < 1e-12:
             raise DegenerateScale("median predicted depth too small")
-        p = p * (float(np.median(g)) / mp)
-    abs_rel = float(np.mean(np.abs(p - g) / g))
-    with np.errstate(divide="ignore"):
-        ratio = np.where(p > 0, np.maximum(p / g, g / np.where(p > 0, p, 1.0)), np.inf)
-    delta = float(100.0 * np.mean(ratio < 1.25))
+        p *= float(np.median(g)) / mp  # p is pred[valid]'s own copy
+    # in place, so at most one temporary of p's size is alive at a time
+    rel = p - g
+    np.abs(rel, out=rel)
+    rel /= g
+    abs_rel = float(np.mean(rel))
+    del rel
+    # max(p/g, g/p) < 1.25, and a non-positive prediction is never within
+    with np.errstate(divide="ignore"):  # g / p at p == 0
+        within = p / g < 1.25
+        within &= g / p < 1.25
+    within &= p > 0
+    delta = float(100.0 * np.mean(within))
     return DepthMetrics(abs_rel=abs_rel, delta_125=delta)
 
 

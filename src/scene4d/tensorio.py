@@ -26,6 +26,7 @@ frame as it renders it; `load_dataset` reads a whole directory and
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -405,20 +406,142 @@ def _read_ply_header(f, path):
     raise MalformedHeader(f"{path}: incomplete header")
 
 
-def read_ply(path):
+_PLY_BLOCK = 1 << 17  # bytes per block of the kept-row PLY reader
+
+
+def _canonical_line_ends(body: np.ndarray, n_props: int) -> np.ndarray | None:
+    """The offsets just past each line of `body`, the bytes of whole lines,
+    if every line is n_props values of the form -?D+(.D+)?([eE][+-]?D+)?
+    joined by single spaces; else None.
+
+    Each byte other than a digit or sign must follow a digit and be ".",
+    "e", "E", " " or "\\n"; a "-" must follow a space, a line end (the
+    first byte included) or an exponent, and a "+" an exponent. In the
+    sequence of the bytes that are neither digits nor signs, a "." may then
+    be followed only by an exponent or a separator and an exponent only by
+    a separator, and the separators must be n_props - 1 spaces and a line
+    end for every line.
+    """
+    digit = (body - ord("0")) < 10  # uint8 arithmetic: other bytes wrap past 9
+    sign = (body == ord("-")) | (body == ord("+"))
+    settled = digit | sign
+    if not (settled[0] and (settled[1:] | digit[:-1]).all()):
+        return None
+    signs = np.flatnonzero(sign)
+    before = body.take(signs - 1)  # a sign at 0 reads the last byte, a line end
+    if not (((before | 0x20) == ord("e")) | (body.take(signs) == ord("-"))
+            & ((before == ord(" ")) | (before == ord("\n")))).all():
+        return None
+    at = np.flatnonzero(~settled)
+    marks = body.take(at)
+    dot, exp = marks == ord("."), (marks | 0x20) == ord("e")
+    sep = (marks == ord(" ")) | (marks == ord("\n"))
+    if not (dot | exp | sep).all() \
+            or ((dot[:-1] & ~(exp | sep)[1:]) | (exp[:-1] & ~sep[1:])).any():
+        return None
+    seps = marks[sep]
+    row = np.full(n_props, ord(" "), dtype=np.uint8)
+    row[-1] = ord("\n")
+    if seps.size % n_props or not (seps.reshape(-1, n_props) == row).all():
+        return None
+    return at[marks == ord("\n")] + 1
+
+
+def _kept_lines(raw, n_vertex: int, n_props: int, keep: np.ndarray) -> np.ndarray | None:
+    """The bytes of the lines `keep` (ascending) of the first n_vertex
+    lines read from the binary file `raw`, checked `_PLY_BLOCK` bytes of
+    whole lines at a time; None unless all n_vertex lines are canonical
+    rows of n_props values (see `_canonical_line_ends`), each ending in
+    "\\n"."""
+    kept, row, rest = [], 0, b""
+    while row < n_vertex:
+        chunk = raw.read(_PLY_BLOCK)
+        if not chunk:
+            return None  # a short body, or a last row without its line end
+        buf = rest + chunk
+        end = buf.rfind(b"\n") + 1
+        body, rest = np.frombuffer(buf, dtype=np.uint8, count=end), buf[end:]
+        if not end:
+            continue
+        ends = _canonical_line_ends(body, n_props)
+        if ends is None:  # lines past n_vertex may be anything: check only those before them
+            newlines = np.flatnonzero(body == ord("\n"))
+            if len(newlines) <= n_vertex - row:
+                return None
+            ends = _canonical_line_ends(body[:newlines[n_vertex - row - 1] + 1], n_props)
+            if ends is None:
+                return None
+        wanted = np.zeros(len(ends), dtype=bool)
+        lo, hi = np.searchsorted(keep, [row, row + len(ends)])
+        wanted[keep[lo:hi] - row] = True
+        kept.append(body[:ends[-1]][np.repeat(wanted, np.diff(ends, prepend=0))])
+        row += len(ends)
+    return np.concatenate(kept) if kept else np.empty(0, dtype=np.uint8)
+
+
+def _read_kept_rows(f, n_vertex: int, n_props: int, keep: np.ndarray):
+    """The rows `keep` (ascending) of the PLY body that the text file `f`
+    is at, as a (len(keep), n_props) float64 array, when the header and
+    the first n_vertex body lines are canonical; else None, with `f` back
+    at the body's start.
+
+    Only the kept lines are parsed, by one `np.loadtxt` call, so their
+    values are those of parsing every row.
+    """
+    start = f.tell()
+    lines = None
+    if start >> 64 == 0:  # a plain byte offset: the decoder holds no state
+        f.buffer.seek(0)
+        head = f.buffer.read(start)
+        if head.isascii() and b"\r" not in head:
+            lines = _kept_lines(f.buffer, n_vertex, n_props, keep)
+    if lines is not None:
+        if not lines.size:
+            return np.empty((0, n_props))
+        try:
+            return np.loadtxt(io.BytesIO(lines), comments=None, dtype=np.float64,
+                              ndmin=2).reshape(len(keep), n_props)
+        except (ValueError, OverflowError):
+            pass
+    f.seek(start)
+    return None
+
+
+def _points_normals(vals: np.ndarray, props: list[str]):
+    return vals[:, :3], vals[:, 3:6] if props[3:6] == ["nx", "ny", "nz"] else None
+
+
+def read_ply(path, rows=None):
     """Returns (points (n,3), normals (n,3) or None).
 
     The body must hold n_vertex rows of one number per declared property,
     with no blank or whitespace-only line among them; rows past n_vertex
     are ignored. Anything else raises MalformedHeader.
+
+    `rows`, when given, maps n_vertex to the ascending indices of the rows
+    to return (None: all of them), and only those rows are parsed; the
+    result is bitwise the full read's indexed by them, and the files that
+    are accepted and the errors raised do not depend on `rows`. Every row
+    is still checked: a header and body in the canonical subset (ASCII,
+    "\n" line ends, values of the form -?D+(.D+)?([eE][+-]?D+)? joined by
+    single spaces, which covers all `write_ply` writes) are checked in
+    numpy, and any other file is read in full and indexed afterwards.
     """
-    try:
-        with open(path) as f:
+    with open(path) as f:
+        try:
             n_vertex, props = _read_ply_header(f, path)
+        except (ValueError, OverflowError) as e:  # bad bytes
+            raise MalformedHeader(f"{path}: unreadable PLY data ({e})") from e
+        keep = None if rows is None else rows(n_vertex)
+        if keep is not None:
+            kept = _read_kept_rows(f, n_vertex, len(props), np.asarray(keep))
+            if kept is not None:
+                return _points_normals(kept, props)
+        try:
             vals = _read_rows(f, n_vertex, MalformedHeader(
                 f"{path}: blank line among the {n_vertex} vertex rows"), dtype=np.float64, ndmin=2)
-    except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
-        raise MalformedHeader(f"{path}: unreadable PLY data ({e})") from e
+        except (ValueError, OverflowError) as e:  # ragged or non-numeric rows, bad bytes
+            raise MalformedHeader(f"{path}: unreadable PLY data ({e})") from e
     if n_vertex == 0:
         vals = vals.reshape(0, len(props))
     if len(vals) != n_vertex:
@@ -426,9 +549,7 @@ def read_ply(path):
     if vals.shape[1] != len(props):
         raise MalformedHeader(f"{path}: {vals.shape[1]} values per row, "
                               f"header declares {len(props)} properties")
-    pts = vals[:, :3]
-    normals = vals[:, 3:6] if props[3:6] == ["nx", "ny", "nz"] else None
-    return pts, normals
+    return _points_normals(vals if keep is None else vals[keep], props)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +707,21 @@ def _depth_paths(dirpath) -> list[Path]:
     return paths
 
 
+def _depth_map(path, vals: np.ndarray) -> DepthMap:
+    """The depth map of a depth file's values; InputError where `DepthMap`
+    rejects them (an infinite depth)."""
+    try:
+        return DepthMap(values=vals, valid=vals > 0)
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
+
+
 def _read_depth(path, shape=None) -> DepthMap:
     """A depth file's (H, W) map, of `shape` when given; else InputError."""
     vals = read_tensor(path)
     if vals.ndim != 2 or shape not in (None, vals.shape):
         raise InputError(f"{path}: depth map of shape {vals.shape}, expected {shape or '(H, W)'}")
-    return DepthMap(values=vals, valid=vals > 0)
+    return _depth_map(path, vals)
 
 
 def load_depth_dir(dirpath) -> list[DepthMap]:
@@ -618,7 +748,7 @@ def load_depth_stack(dirpath) -> np.ndarray:
             read_tensor(p, out=stack[i])
         except ValueError as e:  # the file's shape is not the slot's
             raise InputError(str(e)) from e
-        DepthMap(values=stack[i], valid=stack[i] > 0)
+        _depth_map(p, stack[i])
     return stack
 
 
@@ -641,19 +771,25 @@ def _read_pointmap(root: Path, t: int, depth: DepthMap) -> PointMap:
     points = read_tensor(path)
     if points.shape != depth.valid.shape + (3,):
         raise InputError(f"{path}: point map of shape {points.shape}, pixels {depth.valid.shape}")
-    return PointMap(points=points, valid=depth.valid.copy())
+    try:
+        return PointMap(points=points, valid=depth.valid.copy())
+    except ValueError as e:  # a valid pixel's point is not finite
+        raise InputError(f"{path}: {e}") from e
 
 
 def _read_sequence(root: Path, depths) -> dict:
     """The per-sequence fields of a dataset directory whose depth maps are
     `depths`: cameras, trajectories and spec (None without scene.json). A
-    camera count, or a scene.json frame count or resolution, not the
-    depths' raises InputError."""
+    camera count, a trajectory frame count (unless it holds no track), or a
+    scene.json frame count or resolution, not the depths' raises InputError."""
     n, shape = len(depths), depths[0].valid.shape
     out = {"cameras": read_cameras(root / "cameras.json"),
            "trajectories": read_trajectories(root / "trajectories.csv"), "spec": None}
     if len(out["cameras"]) != n:
         raise InputError(f"{root}: {len(out['cameras'])} cameras for {n} depth files")
+    if out["trajectories"].n_frames not in (0, n):
+        raise InputError(f"{root / 'trajectories.csv'}: {out['trajectories'].n_frames} frames "
+                         f"for {n} depth files")
     scene_path = root / "scene.json"
     if scene_path.exists():
         spec = out["spec"] = SceneSpec.from_dict(read_json(scene_path))
@@ -726,7 +862,10 @@ def open_dataset(dirpath) -> SequenceDataset:
 
     def object_ids(t):
         path = root / f"attachments_{t:04d}.ct4"
-        ids = read_channel(path, 0)
+        try:
+            ids = read_channel(path, 0)
+        except ValueError as e:  # not an (H, W, C) tensor
+            raise InputError(str(e)) from e
         # checked before the cast, which turns NaN into an arbitrary integer
         if ids.shape != depths[t].valid.shape or not np.isin(ids, known_ids).all():
             raise InputError(f"{path}: object ids must be {known_ids.tolist()}, "

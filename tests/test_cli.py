@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_VALUES
-from scene4d import cli
+from scene4d import cli, metrics, tensorio
 from scene4d.cli import main
 from scene4d.errors import InputError
 from scene4d.losses import LossConfig
-from scene4d.tensorio import read_tensor, write_tensor
+from scene4d.tensorio import read_ply, read_tensor, write_ply, write_tensor
 from scene4d.transformer import ModelConfig
 
 SCENE = {
@@ -77,6 +78,27 @@ def test_gen_and_aggregate_and_eval_recon_self(tmp_path, scene_file, capsys):
     m = json.loads(out)
     assert m["acc_mean"] == 0.0 and m["comp_median"] == 0.0
     assert m["nc_mean"] > 0.99
+
+
+def test_eval_recon_parses_only_kept_rows_and_prints_recon_metrics(tmp_path, capsys):
+    # clouds larger than --nmax: only the sampled rows of pred.ply and gt.ply
+    # are parsed, while gt_crlf.ply's CRLF line ends send it through the full
+    # read; each prints recon_metrics of the fully read clouds
+    rng = np.random.default_rng(2)
+    cloud = rng.normal(0, 2, (700, 3)).astype(np.float32)
+    write_ply(tmp_path / "pred.ply", cloud + rng.normal(0, 0.01, cloud.shape), normals=cloud)
+    write_ply(tmp_path / "gt.ply", cloud[:600])
+    crlf = tmp_path / "gt_crlf.ply"
+    crlf.write_bytes((tmp_path / "gt.ply").read_bytes().replace(b"\n", b"\r\n"))
+    m = metrics.recon_metrics(read_ply(tmp_path / "pred.ply")[0], read_ply(crlf)[0],
+                              n_max=250, seed=9, k=8)
+    want = json.dumps({"command": "eval-recon", **dataclasses.asdict(m)}, sort_keys=True) + "\n"
+    for gt, full_reads in ((tmp_path / "gt.ply", 0), (crlf, 1)):
+        with mock.patch.object(tensorio, "_read_rows", wraps=tensorio._read_rows) as slow:
+            code, out = _run(capsys, "eval-recon", "--pred", str(tmp_path / "pred.ply"),
+                             "--gt", str(gt), "--nmax", "250", "--seed", "9", "--k", "8")
+        assert code == 0 and out == want
+        assert slow.call_count == full_reads
 
 
 def test_eval_track_self_and_oracle_tracks(tmp_path, scene_file, capsys):
@@ -333,6 +355,7 @@ def _short_ply(tmp_path):
     (lambda d: _config(d, "forward", {"patch": 0}), "InputError"),
     (lambda d: _config(d, "forward", {"dim": -4}), "InputError"),
     (lambda d: _config(d, "loss-check", {"alpha": -1}), "InputError"),
+    (lambda d: _config(d, "loss-check", {"lam": 7.5}), "InputError"),
     (_short_ply, "MalformedHeader"),
     (lambda d: _dataset_scene(d, b"{not json"), "InputError"),
     (lambda d: _dataset_scene(d, b"\xff\xfe"), "InputError"),
@@ -344,7 +367,8 @@ def _short_ply(tmp_path):
         "scene-n_frames-zero", "camera-q-not-unit", "camera-fov-over-pi",
         "camera-t-nan", "loss-config-unknown-key",
         "model-config-unknown-key", "model-config-n_heads-zero", "model-config-patch-zero",
-        "model-config-dim-negative", "loss-config-alpha-negative", "ply-short-body",
+        "model-config-dim-negative", "loss-config-alpha-negative", "loss-config-lam-unknown",
+        "ply-short-body",
         "dataset-scene-invalid-json", "dataset-scene-not-utf8"])
 def test_unusable_json_and_ply_inputs_exit_two(tmp_path, argv, error):
     proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv(tmp_path),
@@ -748,12 +772,23 @@ def _frame_file(data, name, array, argv):
     return argv
 
 
+def _value_at(data, name, index, value):
+    """The array of `name` in `data` with `value` at `index`."""
+    arr = read_tensor(data / name)
+    arr[index] = value
+    return arr
+
+
 def _object_id(data, value):
-    path = data / "attachments_0001.ct4"
-    attachments = read_tensor(path)
-    attachments[0, 0, 0] = value
-    write_tensor(path, attachments)
-    return _aggregate(data)
+    return _frame_file(data, "attachments_0001.ct4",
+                       _value_at(data, "attachments_0001.ct4", (0, 0, 0), value), _aggregate(data))
+
+
+def _trajectories_without_frame_2(data):
+    path = data / "trajectories.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(ln for ln in lines if ln.split(b",")[1] != b"2"))
+    return _aggregate(data) + ["--tracks-out", str(data.parent / "tracks.csv")]
 
 
 # argv on the `data` directory of a copied garbage_base, once it is spoiled
@@ -771,6 +806,22 @@ _DISAGREEING_DATASETS = {
                                                 _aggregate(d)),
     "object-id-unknown": lambda d: _object_id(d, 7),
     "object-id-nan": lambda d: _object_id(d, NAN),
+    "split-depth-inf": lambda d: _frame_file(d, "depth_0001.ct4",
+                                             _value_at(d, "depth_0001.ct4", (0, 0), INF),
+                                             ["split", "--depth-dir", str(d)]),
+    "eval-depth-depth-inf": lambda d: _frame_file(d, "depth_0001.ct4",
+                                                  _value_at(d, "depth_0001.ct4", (0, 0), INF),
+                                                  ["eval-depth", "--pred", str(d),
+                                                   "--gt", str(d)]),
+    "aggregate-pointmap-nan": lambda d: _frame_file(
+        d, "pointmap_0001.ct4",
+        _value_at(d, "pointmap_0001.ct4",
+                  tuple(np.argwhere(read_tensor(d / "depth_0001.ct4") > 0)[0]), NAN),
+        _aggregate(d)),
+    "aggregate-attachments-2d": lambda d: _frame_file(
+        d, "attachments_0001.ct4", read_tensor(d / "attachments_0001.ct4")[..., 0],
+        _aggregate(d)),
+    "trajectories-fewer-frames": _trajectories_without_frame_2,
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from scene4d import metrics
-from scene4d.errors import (DegenerateConfiguration, DegenerateScale,
+from scene4d.errors import (BadArgument, DegenerateConfiguration, DegenerateScale,
                             EmptyCloud, EmptyReference, NoSamples,
                             NoValidPixels, TooFewPoints)
 from scene4d.geometry import (SIM3, CameraParams, axis_angle_rotation,
@@ -17,7 +17,7 @@ from scene4d.geometry import (SIM3, CameraParams, axis_angle_rotation,
 from scene4d.metrics import (accuracy_completion, apd_epe, depth_metrics,
                              downsample_random, estimate_normals,
                              median_scale_align, nn_distances, pose_metrics,
-                             recon_metrics, select_queries, umeyama_sim3)
+                             recon_metrics, sample_rows, select_queries, umeyama_sim3)
 from scene4d.rng import SplitMix64
 from scene4d.synth import TrajectorySet
 
@@ -46,6 +46,16 @@ def test_downsample_counts_membership_and_determinism():
     assert all(tuple(r) in rows for r in a)
     c = downsample_random(cloud, 150, seed=10)
     assert not np.array_equal(a, c)
+
+
+def test_sample_rows_are_the_rows_downsampling_keeps():
+    cloud = _random_cloud(SplitMix64(1), 400)
+    rows = sample_rows(len(cloud), 150, seed=9)
+    assert np.array_equal(rows, SplitMix64(9).sample_indices(400, 150))
+    assert downsample_random(cloud, 150, seed=9).tobytes() == cloud[rows].tobytes()
+    assert sample_rows(150, 150, seed=9) is None
+    with pytest.raises(BadArgument):
+        sample_rows(400, 0, seed=9)
 
 
 def test_nn_identical_clouds_zero():
@@ -425,6 +435,18 @@ def test_depth_median_scaling_cancels_global_scale():
     m = depth_metrics(7.3 * gt, gt, np.ones((8, 8), bool))
     assert m.abs_rel < 1e-12
     assert m.delta_125 == 100.0
+
+
+def test_depth_non_positive_predictions_are_outside_delta_and_inputs_kept():
+    gt = np.array([[1.0, 2.0], [4.0, 8.0]])
+    pred = np.array([[1.1, 0.0], [-4.0, 8.0]])
+    before = pred.copy()
+    m = depth_metrics(pred, gt, np.ones((2, 2), bool), apply_scaling=False)
+    # |p - g| / g is 0.1, 1, 2 and 0; only the first and last are within 1.25
+    assert m.abs_rel == pytest.approx(0.775)
+    assert m.delta_125 == 50.0
+    depth_metrics(pred, gt, np.ones((2, 2), bool))
+    assert np.array_equal(pred, before)
 
 
 def test_depth_no_valid_pixels():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,8 +216,9 @@ def test_load_depth_stack_rejects_what_depth_maps_reject(tmp_path, bad):
     write_tensor(tmp_path / "depth_0001.ct4", {"shape": np.ones((5, 4)),
                                                "inf": np.full((4, 5), np.inf),
                                                "ndim": np.ones((4, 5, 1))}[bad])
-    # a frame of another shape than the first is an unusable input file
-    with pytest.raises(ValueError if bad == "inf" else InputError):
+    # a frame of another shape than the first, or with an infinite depth, is
+    # an unusable input file
+    with pytest.raises(InputError):
         tensorio.load_depth_stack(tmp_path)
 
 
@@ -505,6 +507,99 @@ def test_fuzz_read_ply_parses_or_raises_typed_error(tmp_path_factory, text):
         return
     assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 3
     assert normals is None or normals.shape == pts.shape
+
+
+def _first_value(line: bytes, text: bytes) -> bytes:
+    return b" ".join([text] + line.split(b" ")[1:])
+
+
+# body mutations: (lines, i) -> lines, the list of the body's lines (each
+# with its line end) spoiled at line i
+_PLY_MUTATIONS = {
+    "tab": lambda ls, i: ls[:i] + [ls[i].replace(b" ", b"\t", 1)] + ls[i + 1:],
+    "double-space": lambda ls, i: ls[:i] + [ls[i].replace(b" ", b"  ", 1)] + ls[i + 1:],
+    "leading-space": lambda ls, i: ls[:i] + [b" " + ls[i]] + ls[i + 1:],
+    "trailing-space": lambda ls, i: ls[:i] + [ls[i][:-1] + b" \n"] + ls[i + 1:],
+    "crlf": lambda ls, i: [ln[:-1] + b"\r\n" for ln in ls],
+    "blank-line": lambda ls, i: ls[:i] + [b"\n"] + ls[i:],
+    "plus": lambda ls, i: ls[:i] + [b"+" + ls[i]] + ls[i + 1:],
+    "no-leading-digit": lambda ls, i: ls[:i] + [_first_value(ls[i], b".5")] + ls[i + 1:],
+    "no-trailing-digit": lambda ls, i: ls[:i] + [_first_value(ls[i], b"5.")] + ls[i + 1:],
+    "nan": lambda ls, i: ls[:i] + [_first_value(ls[i], b"nan")] + ls[i + 1:],
+    "bare-exponent": lambda ls, i: ls[:i] + [_first_value(ls[i], b"1e")] + ls[i + 1:],
+    "two-points": lambda ls, i: ls[:i] + [_first_value(ls[i], b"1.2.3")] + ls[i + 1:],
+    "stray-byte": lambda ls, i: ls[:i] + [ls[i][:1] + b"\xff" + ls[i][1:]] + ls[i + 1:],
+    "stray-letter": lambda ls, i: ls[:i] + [ls[i][:1] + b"x" + ls[i][1:]] + ls[i + 1:],
+    "ragged": lambda ls, i: ls[:i] + [ls[i].rsplit(b" ", 1)[0] + b"\n"] + ls[i + 1:],
+    "short-body": lambda ls, i: ls[:i],
+    "no-final-line-end": lambda ls, i: ls[:-1] + [ls[-1][:-1]],
+    "rows-past-n_vertex": lambda ls, i: ls + [b"9 9\n", b"\n", b"nan\tx\r\n"],
+}
+
+
+_HEADER_SPOILS = {
+    "header-crlf": lambda head: head.replace(b"\n", b"\r\n"),
+    "header-non-ascii": lambda head: head.replace(
+        b"format ascii 1.0\n", "format ascii 1.0\ncomment \u00e9\n".encode()),
+}
+
+
+@st.composite
+def _ply_row_cases(draw):
+    """(cloud, normals or None, line to spoil, kept rows, block size): a
+    `write_ply` cloud of random float32 rows (normal values, -0.0, and bit
+    patterns written in exponent form)."""
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = _bit_pattern_floats(seed, (n, 6), np.float32)
+    rows[~np.isfinite(rows)] = -0.0
+    rows[::2] = np.random.default_rng(seed).normal(0, 3, size=rows[::2].shape)
+    rows[draw(st.integers(0, n - 1)), draw(st.integers(0, 5))] = -0.0
+    normals = rows[:, 3:] if draw(st.booleans()) else None
+    keep = draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted))
+    block = draw(st.sampled_from([7, 64, tensorio._PLY_BLOCK]))
+    return rows[:, :3], normals, draw(st.integers(0, n - 1)), keep, block
+
+
+@pytest.mark.parametrize("spoil", [None, *_HEADER_SPOILS, *_PLY_MUTATIONS])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=_ply_row_cases())
+def test_read_ply_rows_is_the_full_read_indexed(tmp_path_factory, spoil, case):
+    # read_ply(p, rows) returns the full read's rows, bitwise, or raises
+    # the same MalformedHeader; only a file off the canonical subset is
+    # read in full
+    cloud, normals, at, keep, block = case
+    path = tmp_path_factory.mktemp("ply") / "r.ply"
+    write_ply(path, cloud, normals)
+    head, body = path.read_bytes().split(b"end_header\n")
+    lines = body.splitlines(keepends=True)
+    if spoil in _HEADER_SPOILS:
+        head = _HEADER_SPOILS[spoil](head)
+    elif spoil is not None:
+        lines = _PLY_MUTATIONS[spoil](lines, at)
+    path.write_bytes(head + b"end_header\n" + b"".join(lines))
+
+    def errors(read):
+        try:
+            return read(), None
+        except MalformedHeader as e:
+            return None, str(e)
+    full, full_error = errors(lambda: read_ply(path))
+    asked = []
+    with mock.patch.object(tensorio, "_PLY_BLOCK", block), \
+            mock.patch.object(tensorio, "_read_rows", wraps=tensorio._read_rows) as slow:
+        part, part_error = errors(lambda: read_ply(path, lambda n: asked.append(n)
+                                                   or np.array(keep, dtype=np.int64)))
+    assert part_error == full_error
+    if full is not None:
+        assert part[0].tobytes() == full[0][keep].tobytes()
+        assert (part[1] is None) == (full[1] is None)
+        assert part[1] is None or part[1].tobytes() == full[1][keep].tobytes()
+    # the text reader decodes ahead of the header, so a bad byte in the
+    # first rows can fail the header before `rows` is asked
+    assert asked == [len(cloud)] or asked == [] and full_error is not None
+    if asked:
+        assert slow.called == (spoil not in (None, "rows-past-n_vertex"))
 
 
 @settings(max_examples=300, deadline=None)
