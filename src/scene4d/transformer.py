@@ -10,11 +10,16 @@ are taken one at a time: each is patchified and dropped before the next
 is drawn, so frames from a generator are alive one at a time.
 
 Attention never holds an (L, L) array. Scores, softmax and the weighted
-values run one block of rows at a time, _SCORE_BLOCK float64 score
-elements per block (2 MiB), so a global layer's working memory grows as
-L, not L^2. Each output value comes from its own BLAS call (one gemv per
-row of scores, one dot per value), so its rounding does not depend on how
-rows are grouped into blocks.
+values run over blocks of rows, spread over one worker per CPU in the
+process's affinity mask (the calling thread and a thread pool). The
+workers' blocks together hold at most _SCORE_BLOCK float64 scores (2 MiB),
+so a global layer's working memory grows as L, not L^2. Each output value
+comes from its own BLAS call (one gemv per row of scores, one dot per
+value), so its rounding depends neither on how rows are grouped into
+blocks nor on which worker runs them. `forward` runs with numpy's OpenBLAS
+pinned to one thread, so no BLAS call is split over BLAS threads and its
+bytes do not depend on OPENBLAS_NUM_THREADS at any L. They still depend
+on the BLAS kernel and on numpy's SIMD level.
 
 There is no temporal position encoding: frame identity enters only through
 those special token sets, so permuting non-special frames permutes the
@@ -26,7 +31,10 @@ splitmix64 stream in the documented order, normal(0, 0.02).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,14 +230,19 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 def _self_attention(x: np.ndarray, lw: LayerWeights, n_heads: int, stats=None) -> np.ndarray:
     """Multi-head self-attention over a batch of sequences (B, L, C).
 
-    Each (sequence, head) pair runs over blocks of max(1, _SCORE_BLOCK // L)
-    query rows; nothing (L, L) is allocated. Per row, the scores are one
+    Each (sequence, head) pair runs over blocks of query rows; nothing
+    (L, L) is allocated. The blocks are split into contiguous runs over n
+    workers, n the number of CPUs in the affinity mask: the calling thread
+    and n - 1 pool threads, each with its own block of
+    max(1, _SCORE_BLOCK // (n L)) score rows, so the workers together hold
+    at most _SCORE_BLOCK scores. Per row, the scores are one
     gemv (numpy's matmul of a (1, d) row by the C-contiguous (d, L) k^T,
     q pre-scaled by 1/sqrt(d)), the softmax numerator exp(s - max s) is
     elementwise, and each of the d values is one dot of that row with a
     C-contiguous row of v^T (`np.vecdot`), divided by the row's sum. Every
     output value is thus reduced by calls that see one row only, and its
-    bits do not depend on the block size.
+    bits depend neither on the block size nor on the worker count.
+    Workers make only numpy calls into preallocated outputs.
     If `stats` is a list, the (B, heads, L) row sums of the normalised
     weights are appended to it flattened.
     """
@@ -238,23 +251,40 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, n_heads: int, stats=None) -
     q = ((x @ lw.wq) / math.sqrt(d)).reshape(b, l, n_heads, d).transpose(0, 2, 1, 3)
     kt = np.ascontiguousarray((x @ lw.wk).reshape(b, l, n_heads, d).transpose(0, 2, 3, 1))
     vt = np.ascontiguousarray((x @ lw.wv).reshape(b, l, n_heads, d).transpose(0, 2, 3, 1))
-    rows = max(1, _SCORE_BLOCK // l)
-    scores = np.empty((min(rows, l), 1, l))
+    n = len(os.sched_getaffinity(0))
+    rows = max(1, _SCORE_BLOCK // (n * l))
+    blocks = [(i, j, r) for i in range(b) for j in range(n_heads) for r in range(0, l, rows)]
+    n = min(n, len(blocks))
     out = np.empty((b, n_heads, l, d))
     sums = None if stats is None else np.empty((b, n_heads, l))
-    for i in range(b):
-        for j in range(n_heads):
-            for r in range(0, l, rows):
-                q_blk = q[i, j, r:r + rows]
-                e = np.matmul(q_blk[:, None, :], kt[i, j], out=scores[:len(q_blk)])[:, 0]
-                e -= e.max(axis=-1, keepdims=True)
-                np.exp(e, out=e)
-                z = e.sum(axis=-1, keepdims=True)
-                o = out[i, j, r:r + rows]
-                np.vecdot(e[:, None, :], vt[i, j], out=o)
-                o /= z
-                if sums is not None:
-                    (e / z).sum(axis=-1, out=sums[i, j, r:r + rows])
+
+    def run(part, scores):
+        for i, j, r in part:
+            q_blk = q[i, j, r:r + rows]
+            e = np.matmul(q_blk[:, None, :], kt[i, j], out=scores[:len(q_blk)])[:, 0]
+            e -= e.max(axis=-1, keepdims=True)
+            np.exp(e, out=e)
+            z = e.sum(axis=-1, keepdims=True)
+            o = out[i, j, r:r + rows]
+            np.vecdot(e[:, None, :], vt[i, j], out=o)
+            o /= z
+            if sums is not None:
+                e /= z
+                e.sum(axis=-1, out=sums[i, j, r:r + rows])
+
+    scores = np.empty((n, min(rows, l), 1, l))
+    parts = [(blocks[w * len(blocks) // n:(w + 1) * len(blocks) // n], scores[w])
+             for w in range(n)]
+    if n == 1:
+        run(*parts[0])
+    else:
+        # here, not at the top: only attention runs a pool
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(n - 1) as pool:
+            futures = [pool.submit(run, *part) for part in parts[1:]]
+            run(*parts[0])
+            for f in futures:
+                f.result()
     if sums is not None:
         stats.append(sums.reshape(-1))
     return out.transpose(0, 2, 1, 3).reshape(b, l, c) @ lw.wo
@@ -276,6 +306,41 @@ def attention_layer(frames: list[FrameTokens], lw: LayerWeights, scope: str,
     return [FrameTokens(tokens=x[i], frame_index=f.frame_index,
                         is_target=f.is_target, is_first=f.is_first)
             for i, f in enumerate(frames)]
+
+
+def _blas_thread_functions():
+    """(get, set) of the thread count of numpy's own OpenBLAS, or None
+    where numpy's extension exports no such functions (another BLAS)."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread and restore its
+    thread count afterwards, also when the block raises. The count is
+    process-wide, so two blocks must not overlap in time. A dot product
+    longer than 10,000 elements is split over OpenBLAS's threads, so
+    pinning one thread keeps its rounding, and it spares waking threads
+    that buy no speed on the trunk's small gemv and gemm calls."""
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @dataclass
@@ -309,18 +374,21 @@ class AggregationFormer:
 
     def forward(self, images, target: int, collect_stats: bool = False) -> ForwardResult:
         """Run the trunk over `images`, any iterable of (H, W, 3) frames;
-        a generator is consumed one frame at a time."""
+        a generator is consumed one frame at a time. The whole pass runs
+        with numpy's OpenBLAS pinned to one thread (`_one_blas_thread`);
+        attention spreads its heads over the CPUs instead."""
         cfg = self.config
-        frames = assemble(self._patch_tokens(images), target, self.bank)
-        stats = [] if collect_stats else None
-        for li, lw in enumerate(self.bank.layers):
-            scope = "frame" if li % 2 == 0 else "global"
-            frames = attention_layer(frames, lw, scope, cfg.n_heads, stats)
+        with _one_blas_thread():
+            frames = assemble(self._patch_tokens(images), target, self.bank)
+            stats = [] if collect_stats else None
+            for li, lw in enumerate(self.bank.layers):
+                scope = "frame" if li % 2 == 0 else "global"
+                frames = attention_layer(frames, lw, scope, cfg.n_heads, stats)
 
-        n_prefix = cfg.n_cam_tokens + cfg.n_reg_tokens \
-            + (cfg.n_agg_tokens if cfg.fusion == "concatenate" else 0)
-        cam = np.stack([f.tokens[:cfg.n_cam_tokens] for f in frames])
-        patch = np.stack([f.tokens[n_prefix:] for f in frames])
+            n_prefix = cfg.n_cam_tokens + cfg.n_reg_tokens \
+                + (cfg.n_agg_tokens if cfg.fusion == "concatenate" else 0)
+            cam = np.stack([f.tokens[:cfg.n_cam_tokens] for f in frames])
+            patch = np.stack([f.tokens[n_prefix:] for f in frames])
         return ForwardResult(frames=frames, cam_features=cam,
                              patch_features=patch, softmax_row_sums=stats)
 

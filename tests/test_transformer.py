@@ -274,15 +274,34 @@ def test_self_attention_bitwise_equals_dense_across_row_blocks(case, budget, wit
 
 def multi_block_check() -> int:
     """Equality cases at the module's block budget, each with a last block
-    shorter than the others from L = 513 on; run in a child process;
-    returns how many."""
+    shorter than the others from L = 513 on, at the worker count the
+    affinity mask gives; run in a child process; returns how many."""
     cases = [(l, 1, l, n_heads, d, scale)
              for l in (511, 512, 513, 777, 1025)
              for n_heads, d in ((1, 5), (4, 16)) for scale in (0.1, 8.0)]
-    assert all(l % max(1, BLOCK // l) for l in (513, 777, 1025))
+    workers = len(transformer.os.sched_getaffinity(0))
+    assert all(l % max(1, BLOCK // (workers * l)) for l in (513, 777, 1025))
     for case in cases:
         _assert_equals_dense(case, True)
     return len(cases)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_self_attention_bits_do_not_depend_on_worker_count(workers, monkeypatch):
+    # the row blocks go to `workers` threads, each making the same per-row
+    # calls, so outputs and row sums equal the dense reference at any count
+    import concurrent.futures
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(transformer.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    assert multi_block_check() == 20
+    assert pools == ([workers - 1] * 20 if workers > 1 else [])
 
 
 def _simd_found() -> list[str]:
@@ -373,6 +392,72 @@ def test_forward_cli_bytes_equal_at_one_and_two_blas_threads(tmp_path):
     assert runs[0][1] == runs[1][1]
 
 
+def long_sequence_digest() -> str:
+    """sha256 of `forward`'s patch and camera features over 402 frames of
+    64² (25 tokens each at dim 8, one head): L = 10,050 at global scope,
+    above the 10,000 elements from which OpenBLAS splits a dot product
+    over its threads. Run in a child process."""
+    import hashlib
+    rng = SplitMix64(27)
+    frames = (rng.uniform_array(64 * 64 * 3).reshape(64, 64, 3) for _ in range(402))
+    res = AggregationFormer(ModelConfig(dim=8, n_heads=1, n_layers=2)).forward(frames, 5)
+    assert sum(f.tokens.shape[0] for f in res.frames) == 10_050
+    digest = hashlib.sha256(res.patch_features.tobytes())
+    digest.update(res.cam_features.tobytes())
+    return digest.hexdigest()
+
+
+def test_forward_bytes_equal_at_one_and_two_blas_threads_above_ten_thousand_tokens():
+    # `forward` pins OpenBLAS to one thread, so the value dots over 10,050
+    # weights are not split over threads at OPENBLAS_NUM_THREADS=2
+    src = Path(transformer.__file__).resolve().parents[1]
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_transformer as t; print(t.long_sequence_digest())"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                 "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), str(src)])})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
+_BLAS_THREADS = transformer._blas_thread_functions()
+
+
+@pytest.mark.skipif(_BLAS_THREADS is None, reason="numpy's BLAS has no thread-count functions")
+def test_forward_pins_one_blas_thread_and_restores_the_count(model, monkeypatch):
+    get, set_ = _BLAS_THREADS
+    seen = []
+    patchify_ = transformer.patchify
+
+    def spy(image, bank):
+        seen.append(get())
+        return patchify_(image, bank)
+
+    monkeypatch.setattr(transformer, "patchify", spy)
+    imgs = _images(3, seed=23)
+    before = get()
+    try:
+        set_(2)
+        assert get() == 2
+        pinned = model.forward(imgs, 1)
+        assert get() == 2
+        # the second frame's shape raises after the pin is set
+        with pytest.raises(ShapeMismatch):
+            model.forward([imgs[0], np.zeros((16, 16, 3))], 0)
+        assert get() == 2
+        assert seen == [1] * 4
+        monkeypatch.setattr(transformer, "_blas_thread_functions", lambda: None)
+        unpinned = model.forward(imgs, 1)
+        assert seen[4:] == [2] * 3
+    finally:
+        set_(before)
+    assert np.array_equal(pinned.patch_features, unpinned.patch_features)
+    assert np.array_equal(pinned.cam_features, unpinned.cam_features)
+
+
 def test_global_attention_layer_memory_bound():
     # a (2120, 2120) float64 score buffer alone would be 36 MB; the row
     # blocks hold 2 MiB of scores beside the layer's (L, dim) arrays
@@ -412,7 +497,7 @@ def test_forward_holds_one_frame_at_a_time():
         tracemalloc.stop()
     length = sum(f.tokens.shape[0] for f in res.frames)
     assert length == 2120
-    scores = transformer._SCORE_BLOCK * 8  # one block of score rows
+    scores = transformer._SCORE_BLOCK * 8  # the workers' blocks of score rows
     # beside its scores a global layer holds about 10 (L, dim) arrays: its
     # input tokens, their stack and layer norm, q, k^T, v^T, the head
     # outputs, their merged copy, its projection and the softmax row vectors
