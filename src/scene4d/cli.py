@@ -14,6 +14,7 @@ RuntimeWarnings on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields
@@ -192,8 +193,10 @@ def cmd_aggregate_oracle(args) -> int:
 
 def cmd_eval_recon(args) -> int:
     # only the rows that downsampling keeps are parsed (every row is checked);
-    # an --nmax below 1 is reported by recon_metrics once both files are read
-    rows = (lambda n: metrics.sample_rows(n, args.nmax, args.seed)) if args.nmax >= 1 else None
+    # an --nmax below 1 is reported by recon_metrics once both files are read.
+    # Clouds of equal size keep the same rows, so each size is sampled once.
+    rows = functools.cache(lambda n: metrics.sample_rows(n, args.nmax, args.seed)) \
+        if args.nmax >= 1 else None
     pred, _ = tensorio.read_ply(_require(args.pred), rows)
     gt, _ = tensorio.read_ply(_require(args.gt), rows)
     m = metrics.recon_metrics(pred, gt, n_max=args.nmax, seed=args.seed, k=args.k)

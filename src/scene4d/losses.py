@@ -17,10 +17,23 @@ instead of endpoint coordinates) shares this exact compute path; only the
 interpretation of the inputs changes, which is what makes the two
 representations equivalent under a common translation of prediction and
 ground truth.
+
+The per-pixel terms of the point and depth losses come from one function,
+`_pixel_terms`, and the term of pixel (v, u) reads only (v, u), its right
+neighbour and the one below. The finite-difference checks use this local
+form: moving one coordinate of pixel (v, u) changes only the terms of
+(v, u), (v, u-1) and (v-1, u), so each ±h copy is evaluated on the 3x3
+window around its pixel and those three terms are spliced into the
+unperturbed ones. The spliced terms go through the same `_valid_mean` as a
+whole copy's, which sums each copy's valid pixels in one fixed order, and
+every term is computed by the same elementwise and per-pixel operations as
+in the whole copy; so each central difference is bitwise the one of
+evaluating the whole perturbed image.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,6 +134,12 @@ def _check_positive_sigma(sigma, valid):
         raise NonPositiveSigma("uncertainty must be positive and finite on valid pixels")
 
 
+def _residual(pred, gt, mask) -> np.ndarray:
+    """pred - gt where `mask`, 0 elsewhere (invalid pixels may hold inf/nan)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(mask, pred - gt, 0.0)
+
+
 def _promote(a) -> np.ndarray:
     """At least float64, but keep extended precision if the caller passed it.
 
@@ -185,21 +204,44 @@ def _residual_weight(cfg: LossConfig, e: np.ndarray,
     return np.ones_like(e)
 
 
-def _uncertain_mean(data, diff, sigma, valid, alpha, compute_grads, data_grad) -> LossValue:
-    """Mean over valid pixels of sigma * data + sigma * ||diff|| - alpha * ln(sigma),
-    and its gradients: the tail of point_loss and depth_loss.
+def _pixel_terms(e, sigma, valid, alpha, w=None, grad_term=True):
+    """Per-pixel terms sigma * data + sigma * ||∇e||_2 - alpha * ln(sigma) of
+    point_loss and depth_loss, before the mean over valid pixels.
 
-    data is the (..., H, W) data-term norm, diff the (..., H, W, 2C) spatial
-    gradient of the masked residual (None: no such term), and data_grad(scale)
-    the data term's gradient of the mean, called only for compute_grads.
+    e is the masked residual: (..., H, W, 3) with `w` its detached weight
+    and data = ||w ⊙ e||_2 (point loss), or (..., H, W) with w None and
+    data = |e| (depth loss, which always has the gradient term). sigma and
+    valid are (..., H, W), valid broadcasting. The term of pixel (v, u)
+    reads e and sigma only at (v, u), (v, u+1) and (v+1, u). Returns
+    (terms, data, diff, n2): diff the spatial gradient of e (None without
+    the gradient term) and n2 its per-pixel norm, which the gradients reuse.
     """
+    _check_positive_sigma(sigma, valid)
+    if w is None:
+        data, diff = np.abs(e), spatial_gradient(e[..., None], valid)
+    else:
+        we = w * e
+        data = np.sqrt(np.sum(we * we, axis=-1))        # per-pixel weighted norm
+        # forward differencing is linear, so one pass over the masked residual
+        # equals the difference of the two gradient fields
+        diff = spatial_gradient(e, valid) if grad_term else None
     n2 = 0.0 if diff is None else np.sqrt(np.sum(diff * diff, axis=-1))
     log_sig = np.where(valid, np.log(np.where(valid, sigma, 1.0)), 0.0)
-    per_pixel = sigma * data + sigma * n2 - alpha * log_sig
+    return sigma * data + sigma * n2 - alpha * log_sig, data, diff, n2
+
+
+def _uncertain_mean(parts, sigma, valid, alpha, compute_grads, data_grad) -> LossValue:
+    """Mean over valid pixels of the `_pixel_terms` result `parts`, and its
+    gradients: the tail of point_loss and depth_loss.
+
+    data_grad(data, scale) is the data term's gradient of the mean, called
+    only for compute_grads.
+    """
+    per_pixel, data, diff, n2 = parts
     value, scale = _valid_mean(per_pixel, valid)  # keeps input precision
     if not compute_grads:
         return LossValue(value, None, None)
-    grad_pred = data_grad(scale)
+    grad_pred = data_grad(data, scale)
     if diff is not None:
         coef2 = np.where(valid & (n2 > 0), sigma / np.where(n2 > 0, n2, 1.0), 0.0) * scale
         grad_pred = grad_pred + _grad_term_adjoint(
@@ -236,27 +278,18 @@ def point_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
                             "gt and valid must broadcast to them")
     if dynamic_mask is not None and not _fits(np.shape(dynamic_mask), sigma.shape, 2):
         raise ShapeMismatch("dynamic_mask must broadcast to the valid mask")
-    _check_positive_sigma(sigma, valid)
+    if frozen_weight is not None and not _fits(np.shape(frozen_weight), pred.shape, 3):
+        raise ShapeMismatch("frozen_weight must broadcast to the residual shape")
 
-    with np.errstate(invalid="ignore"):
-        e = np.where(valid[..., None], pred - gt, 0.0)
-    if frozen_weight is not None:
-        w = _promote(frozen_weight)
-        if not _fits(w.shape, e.shape, 3):
-            raise ShapeMismatch("frozen_weight must broadcast to the residual shape")
-    else:
-        w = _residual_weight(cfg, e, dynamic_mask)
+    e = _residual(pred, gt, valid[..., None])
+    w = _residual_weight(cfg, e, dynamic_mask) if frozen_weight is None \
+        else _promote(frozen_weight)
 
-    we = w * e
-    n1 = np.sqrt(np.sum(we * we, axis=-1))             # per-pixel weighted norm
-    # forward differencing is linear, so one pass over the masked residual
-    # equals the difference of the two gradient fields
-    diff = spatial_gradient(e, valid) if cfg.grad_term else None
-
-    def data_grad(scale):
+    def data_grad(n1, scale):
         coef1 = np.where(valid & (n1 > 0), sigma / np.where(n1 > 0, n1, 1.0), 0.0) * scale
         return coef1[..., None] * (w * w * e)
-    return _uncertain_mean(n1, diff, sigma, valid, cfg.alpha, compute_grads, data_grad)
+    return _uncertain_mean(_pixel_terms(e, sigma, valid, cfg.alpha, w, cfg.grad_term),
+                           sigma, valid, cfg.alpha, compute_grads, data_grad)
 
 
 def depth_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
@@ -275,13 +308,11 @@ def depth_loss(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray,
     if pred.ndim < 2 or sigma.shape != pred.shape or not _fits(gt.shape, pred.shape, 2) \
             or not _fits(valid.shape, pred.shape, 2):
         raise ShapeMismatch("pred/sigma (...,H,W) required, gt and valid must broadcast to them")
-    _check_positive_sigma(sigma, valid)
 
-    with np.errstate(invalid="ignore"):
-        e = np.where(valid, pred - gt, 0.0)
-    return _uncertain_mean(np.abs(e), spatial_gradient(e[..., None], valid), sigma, valid,
-                           alpha, compute_grads,
-                           lambda scale: np.where(valid, sigma * np.sign(e), 0.0) * scale)
+    e = _residual(pred, gt, valid)
+    return _uncertain_mean(_pixel_terms(e, sigma, valid, alpha), sigma, valid, alpha,
+                           compute_grads,
+                           lambda data, scale: np.where(valid, sigma * np.sign(e), 0.0) * scale)
 
 
 def camera_loss(pred_g: np.ndarray, gt_g: np.ndarray, huber_eps: float = 1.0):
@@ -318,10 +349,45 @@ def relative_gradient_error(analytic, numeric):
     return np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
 
 
-# Perturbed longdouble elements per block of finite-difference copies
-# (2 MiB): bounds the harness's memory whatever the array size. The
-# 8x8 instances of the check helpers fit one block per array.
+# Longdouble elements per block of finite-difference copies (2 MiB): the
+# copies' perturbed arrays, or on the windowed path their spliced terms.
+# It bounds the harness's memory whatever the array size. The 8x8
+# instances of the check helpers fit one block per array.
 FD_BLOCK_ELEMENTS = 1 << 17
+
+
+@dataclass(frozen=True)
+class _PixelMean:
+    """A loss value function that is the mean over `valid` (H, W) pixels of
+    per-pixel terms, where the term of pixel (v, u) reads its (H, W, ...)
+    input maps only at (v, u), (v, u+1) and (v+1, u).
+
+    terms(maps, valid) returns the (..., H, W) terms of the maps, which hold
+    `fixed` (the maps held fixed, such as gt) and the perturbed ones. Called
+    like any value_fn it returns the loss of each whole copy;
+    finite_diff_check evaluates `terms` on 3x3 windows instead.
+    """
+    terms: object
+    valid: np.ndarray
+    fixed: dict
+
+    def __call__(self, arrays: dict):
+        return _valid_mean(self.terms({**self.fixed, **arrays}, self.valid), self.valid)[0]
+
+
+def _point_mean(cfg: LossConfig, gt, valid, w) -> _PixelMean:
+    """point_loss's value under cfg with its residual weight frozen at w."""
+    def terms(a, ok):
+        return _pixel_terms(_residual(a["pred"], a["gt"], ok[..., None]), a["sigma"], ok,
+                            cfg.alpha, a["w"], cfg.grad_term)[0]
+    return _PixelMean(terms, valid, {"gt": gt, "w": w})
+
+
+def _depth_mean(gt, valid, alpha: float) -> _PixelMean:
+    """depth_loss's value."""
+    def terms(a, ok):
+        return _pixel_terms(_residual(a["pred"], a["gt"], ok), a["sigma"], ok, alpha)[0]
+    return _PixelMean(terms, valid, {"gt": gt})
 
 
 def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5) -> float:
@@ -334,7 +400,9 @@ def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5) -> f
     loss of each copy. The ±h copies are evaluated a block at a time, at
     most FD_BLOCK_ELEMENTS perturbed elements (and at least one ± pair)
     per call. Whatever should be held fixed during perturbation (e.g. the
-    detached focal weight) must be baked into value_fn.
+    detached focal weight) must be baked into value_fn. A `_PixelMean`
+    value_fn (the point and depth checks) is evaluated on windows, see
+    `_window_values`.
     Raises NonFiniteDerivative when an analytic or central-difference
     derivative (or their relative error) is NaN or infinite.
     """
@@ -345,28 +413,14 @@ def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5) -> f
     # meaningful even when the loss is large and the gradient small
     work = {k: np.array(v, dtype=np.longdouble) for k, v in arrays.items()}
     h = np.longdouble(h)
+    values_of = _window_values(value_fn, work) if isinstance(value_fn, _PixelMean) \
+        else functools.partial(_copy_values, value_fn, work)
     for name, g in grads.items():
-        shape = work[name].shape
-        base = work[name].reshape(-1)
         gflat = np.asarray(g, dtype=np.float64).reshape(-1)
-        if gflat.size != base.size:
+        if gflat.size != work[name].size:
             raise ShapeMismatch(f"gradient of {name!r} has {gflat.size} entries, "
-                                f"the array {base.size}")
-        per_block = max(1, FD_BLOCK_ELEMENTS // (2 * base.size))
-        # row 2j holds the +h copy and row 2j+1 the -h copy of coordinate j
-        # of the current block; only those entries change between blocks
-        stack = np.repeat(base[None], 2 * min(per_block, base.size), axis=0)
-        for start in range(0, base.size, per_block):
-            idx = np.arange(start, min(start + per_block, base.size))
-            rows = np.arange(2 * len(idx))
-            stack[rows[0::2], idx] = base[idx] + h
-            stack[rows[1::2], idx] = base[idx] - h
-            copies = stack[:len(rows)].reshape((len(rows),) + shape)
-            batch = {k: np.broadcast_to(v, copies.shape[:1] + v.shape) for k, v in work.items()}
-            values = np.asarray(value_fn({**batch, name: copies}))
-            if values.shape != copies.shape[:1]:
-                raise ShapeMismatch("value_fn must return one value per copy")
-            stack[rows[0::2], idx] = stack[rows[1::2], idx] = base[idx]
+                                f"the array {work[name].size}")
+        for idx, values in values_of(name, h):
             numeric = ((values[0::2] - values[1::2]) / (2.0 * h)).astype(np.float64)
             errs = relative_gradient_error(gflat[idx], numeric)
             # a NaN error would be skipped by any max and pass the check
@@ -374,6 +428,85 @@ def finite_diff_check(value_fn, arrays: dict, grads: dict, h: float = 1e-5) -> f
                 raise NonFiniteDerivative(f"a derivative of {name!r} is not finite")
             worst = float(np.max(errs, initial=worst))
     return worst
+
+
+def _copy_values(value_fn, work: dict, name: str, h):
+    """Yields (idx, values) per block of coordinates idx of work[name]:
+    values[2j] and values[2j+1] are value_fn at the +h and -h copies of
+    coordinate idx[j], each copy a whole set of arrays."""
+    shape = work[name].shape
+    base = work[name].reshape(-1)
+    per_block = max(1, FD_BLOCK_ELEMENTS // (2 * max(base.size, 1)))
+    # row 2j holds the +h copy and row 2j+1 the -h copy of coordinate j
+    # of the current block; only those entries change between blocks
+    stack = np.repeat(base[None], 2 * min(per_block, base.size), axis=0)
+    for start in range(0, base.size, per_block):
+        idx = np.arange(start, min(start + per_block, base.size))
+        rows = np.arange(2 * len(idx))
+        stack[rows[0::2], idx] = base[idx] + h
+        stack[rows[1::2], idx] = base[idx] - h
+        copies = stack[:len(rows)].reshape((len(rows),) + shape)
+        batch = {k: np.broadcast_to(v, copies.shape[:1] + v.shape) for k, v in work.items()}
+        values = np.asarray(value_fn({**batch, name: copies}))
+        if values.shape != copies.shape[:1]:
+            raise ShapeMismatch("value_fn must return one value per copy")
+        stack[rows[0::2], idx] = stack[rows[1::2], idx] = base[idx]
+        yield idx, values
+
+
+def _window_values(fn: _PixelMean, work: dict):
+    """The `_copy_values` of a `_PixelMean`, bitwise, from 3x3 windows, as
+    a function of (name, h).
+
+    A coordinate of pixel (v, u) moves only the terms of (v, u), (v, u-1)
+    and (v-1, u). So each ±h copy is the 3x3 window around its pixel, cut
+    from the maps padded by one invalid pixel (whose differences are zero,
+    like the border's). The three terms evaluated there replace their
+    pixels' in the unperturbed terms, and `_valid_mean` reduces the
+    spliced terms, summing every copy's valid pixels in the order of the
+    whole copy, so each value is bitwise that of the whole copy. At most
+    FD_BLOCK_ELEMENTS spliced terms are held at a time.
+    """
+    maps = {**fn.fixed, **work}
+    if any(np.shape(a)[:2] != np.shape(fn.valid) for a in maps.values()):
+        raise ShapeMismatch("a pixel mean's maps must be (H, W, ...) like its valid mask")
+
+    def pad(a):
+        a = np.asarray(a)
+        out = np.zeros((a.shape[0] + 2, a.shape[1] + 2) + a.shape[2:], a.dtype)
+        out[1:-1, 1:-1] = a
+        return out
+    padded = {k: pad(a) for k, a in maps.items()}
+    ok = pad(np.asarray(fn.valid, dtype=bool))
+    base_terms = fn.terms(padded, ok)
+    per_block = max(1, FD_BLOCK_ELEMENTS // (2 * ok.size))
+    offsets = np.arange(3)
+    moved = ((1, 1), (1, 0), (0, 1))   # window positions of the pixel, left, above
+
+    def values_of(name, h):
+        base = work[name].reshape(-1)
+        per_pixel = int(np.prod(work[name].shape[2:]))  # coordinates per pixel
+        spliced = np.repeat(base_terms[None], 2 * min(per_block, base.size), axis=0)
+        for start in range(0, base.size, per_block):
+            idx = np.arange(start, min(start + per_block, base.size))
+            # row 2j is the +h copy and row 2j+1 the -h copy of coordinate j;
+            # (v, u) is its pixel's top-left window corner in the padded maps
+            v, u = np.divmod(np.repeat(idx // per_pixel, 2), ok.shape[1] - 2)
+            rows = np.arange(len(v))
+            at = (v[:, None, None] + offsets[:, None], u[:, None, None] + offsets)
+            windows = {k: a[at] for k, a in padded.items()}
+            flat = windows[name].reshape(len(rows), -1)
+            centre = 4 * per_pixel + idx % per_pixel
+            flat[rows[0::2], centre] = base[idx] + h
+            flat[rows[1::2], centre] = base[idx] - h
+            terms = fn.terms(windows, ok[at])
+            for dv, du in moved:
+                spliced[rows, v + dv, u + du] = terms[:, dv, du]
+            values = _valid_mean(spliced[:len(rows)], ok)[0]
+            for dv, du in moved:
+                spliced[rows, v + dv, u + du] = base_terms[v + dv, u + du]
+            yield idx, values
+    return values_of
 
 
 def _uniform_array(rng: SplitMix64, shape, lo: float, hi: float) -> np.ndarray:
@@ -425,11 +558,9 @@ def check_point_loss_gradients(cfg: LossConfig, seed: int, trials: int = 100,
     def instance(rng):
         pred, gt, sigma, valid, dyn = _random_point_instance(rng, size, size)
         # freeze the detached weight at the center point
-        w0 = _residual_weight(cfg, np.where(valid[..., None], pred - gt, 0.0), dyn)
+        w0 = _residual_weight(cfg, _residual(pred, gt, valid[..., None]), dyn)
         center = point_loss(pred, gt, sigma, valid, dyn, cfg)
-        return (lambda a: point_loss(a["pred"], gt, a["sigma"], valid, dyn, cfg,
-                                     frozen_weight=w0, compute_grads=False).value,
-                {"pred": pred, "sigma": sigma},
+        return (_point_mean(cfg, gt, valid, w0), {"pred": pred, "sigma": sigma},
                 {"pred": center.grad_points, "sigma": center.grad_sigma})
     return _worst_fd_error(seed, trials, h, instance)
 
@@ -442,9 +573,7 @@ def check_depth_loss_gradients(seed: int, alpha: float = 0.1, trials: int = 100,
         sigma = _uniform_array(rng, (size, size), 0.3, 2.0)
         valid = _uniform_array(rng, (size, size), 0.0, 1.0) > 0.15
         center = depth_loss(pred, gt, sigma, valid, alpha)
-        return (lambda a: depth_loss(a["pred"], gt, a["sigma"], valid, alpha,
-                                     compute_grads=False).value,
-                {"pred": pred, "sigma": sigma},
+        return (_depth_mean(gt, valid, alpha), {"pred": pred, "sigma": sigma},
                 {"pred": center.grad_points, "sigma": center.grad_sigma})
     return _worst_fd_error(seed, trials, h, instance)
 

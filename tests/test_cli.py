@@ -101,6 +101,27 @@ def test_eval_recon_parses_only_kept_rows_and_prints_recon_metrics(tmp_path, cap
         assert slow.call_count == full_reads
 
 
+def test_eval_recon_draws_one_sample_per_cloud_size(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(4)
+    cloud = rng.normal(0, 2, (500, 3)).astype(np.float32)
+    write_ply(tmp_path / "pred.ply", cloud + rng.normal(0, 0.01, cloud.shape))
+    write_ply(tmp_path / "gt.ply", cloud)
+    write_ply(tmp_path / "gt_small.ply", cloud[:450])
+    sample_rows, drawn = metrics.sample_rows, []
+
+    def counted(n, n_max, seed):
+        rows = sample_rows(n, n_max, seed)
+        if rows is not None:
+            drawn.append(n)
+        return rows
+    monkeypatch.setattr(metrics, "sample_rows", counted)
+    for gt, sizes in (("gt.ply", [500]), ("gt_small.ply", [500, 450])):
+        drawn.clear()
+        code, _ = _run(capsys, "eval-recon", "--pred", str(tmp_path / "pred.ply"),
+                       "--gt", str(tmp_path / gt), "--nmax", "200", "--seed", "3")
+        assert code == 0 and drawn == sizes
+
+
 def test_eval_track_self_and_oracle_tracks(tmp_path, scene_file, capsys):
     _run(capsys, "gen", "--spec", str(scene_file), "--out", str(tmp_path / "d"))
     _run(capsys, "aggregate-oracle", "--data", str(tmp_path / "d"), "--target", "0",

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scene4d import losses
-from scene4d.errors import NonFiniteDerivative, ShapeMismatch
+from scene4d.errors import NonFiniteDerivative, NonPositiveSigma, ShapeMismatch
 from scene4d.losses import (LossConfig, camera_loss, depth_loss, finite_diff_check,
                             gradient_check_suite, point_loss,
                             relative_gradient_error)
@@ -113,6 +113,12 @@ def test_batched_harness_rejects_wrong_value_count():
                           {"x": np.zeros(4)})
 
 
+def test_harness_of_an_empty_array_has_no_error():
+    # the block size used to divide by the array's size
+    assert finite_diff_check(lambda a: a["x"].sum(axis=-1), {"x": np.zeros(0)},
+                             {"x": np.zeros(0)}) == 0.0
+
+
 def test_harness_memory_bounded_by_block():
     # all 2 * 10^4 copies of a 10^4-element array at once would take 3.2 GB
     n = 10_000
@@ -128,6 +134,116 @@ def test_harness_memory_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert err < 1e-6
+    assert peak < 16e6
+
+
+# ---------------------------------------------------------------------------
+# the windowed harness of the point and depth checks
+
+_FD_CONFIGS = [LossConfig(grad_term=False), LossConfig(gamma=0.0), LossConfig(gamma=2.0),
+               LossConfig(weight_mode="dynamic"), LossConfig(weight_mode="none"),
+               LossConfig(representation="offset"), None]
+
+
+def _recorded_differences(run):
+    """The central differences, in order, that `run()` hands to
+    `relative_gradient_error` in the harness and in the reference loop."""
+    seen, error = [], relative_gradient_error
+
+    def record(analytic, numeric):
+        seen.append(np.atleast_1d(np.float64(numeric)))
+        return error(analytic, numeric)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "relative_gradient_error", record)
+        mp.setitem(globals(), "relative_gradient_error", record)
+        run()
+    return np.concatenate(seen)
+
+
+def _fd_instance(rng, cfg, h, w, valid):
+    """(windowed value function, the loss as a black box, arrays, grads)
+    of the point check under cfg, or of the depth check for cfg None."""
+    sigma = rng.uniform(0.3, 2.0, (h, w))
+    if cfg is None:
+        gt = rng.uniform(0.5, 3.0, (h, w))
+        pred = gt + rng.uniform(-1.0, 1.0, (h, w))
+        center = depth_loss(pred, gt, sigma, valid)
+        windowed = losses._depth_mean(gt, valid, 0.1)
+
+        def loss(a):
+            return depth_loss(a["pred"], gt, a["sigma"], valid, compute_grads=False).value
+    else:
+        gt = rng.uniform(-1.0, 1.0, (h, w, 3))
+        pred = gt + rng.uniform(-1.0, 1.0, (h, w, 3))
+        dyn = rng.uniform(size=(h, w)) < 0.5
+        w0 = losses._residual_weight(cfg, losses._residual(pred, gt, valid[..., None]), dyn)
+        center = point_loss(pred, gt, sigma, valid, dyn, cfg)
+        windowed = losses._point_mean(cfg, gt, valid, w0)
+
+        def loss(a):
+            return point_loss(a["pred"], gt, a["sigma"], valid, dyn, cfg, frozen_weight=w0,
+                              compute_grads=False).value
+    return (windowed, loss, {"pred": pred, "sigma": sigma},
+            {"pred": center.grad_points, "sigma": center.grad_sigma})
+
+
+@pytest.mark.parametrize("cfg", _FD_CONFIGS,
+                         ids=["no_grad_term", "gamma0", "gamma2", "dynamic", "none",
+                              "offset", "depth"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9))
+def test_windowed_differences_equal_per_coordinate_reference(cfg, seed, n):
+    # every central difference, not only the worst error, is bitwise that
+    # of the loss evaluated on whole copies one coordinate at a time
+    rng = np.random.default_rng(seed)
+    for h, w in [(1, 1), (1, n), (n, 1), (2, 2), (8, 8)]:
+        for valid in (rng.uniform(size=(h, w)) < 0.8, np.ones((h, w), bool),
+                      np.zeros((h, w), bool)):
+            windowed, loss, arrays, grads = _fd_instance(rng, cfg, h, w, valid)
+            got = _recorded_differences(lambda: finite_diff_check(windowed, arrays, grads))
+            want = _recorded_differences(lambda: _via_reference(loss, arrays, grads))
+            assert got.size == want.size == h * w * (2 if cfg is None else 4)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (h, w)
+
+
+def test_each_perturbed_copy_evaluates_at_most_nine_pixels(monkeypatch):
+    # a deterministic work count: the point and depth checks evaluate the
+    # terms of 3x3 windows, never of whole copies
+    pixel_terms, batches = losses._pixel_terms, []
+
+    def counted(e, sigma, *args):
+        out = pixel_terms(e, sigma, *args)
+        if sigma.ndim == 3:                      # a batch of perturbed copies
+            batches.append(out[0].shape)
+        return out
+    monkeypatch.setattr(losses, "_pixel_terms", counted)
+    gradient_check_suite(0, trials=1)
+    assert batches and all(h * w <= 9 for _, h, w in batches)
+    # one copy per ±h coordinate: three point checks of an 8x8x3 pred and
+    # an 8x8 sigma, and the depth check of two 8x8 maps
+    assert sum(n for n, _, _ in batches) == 2 * (3 * (192 + 64) + 2 * 64)
+
+
+def test_windowed_harness_checks_sigma_on_perturbed_copies():
+    # sigma is positive everywhere, but sigma - h is not at one pixel
+    gt, sigma, valid = np.ones((3, 3)), np.ones((3, 3)), np.ones((3, 3), bool)
+    sigma[1, 2] = 5e-6
+    zero = np.zeros((3, 3))
+    with pytest.raises(NonPositiveSigma):
+        finite_diff_check(losses._depth_mean(gt, valid, 0.1), {"pred": gt + 0.5, "sigma": sigma},
+                          {"pred": zero, "sigma": zero})
+
+
+def test_windowed_harness_memory_bounded_by_block():
+    # unblocked, the spliced terms of a 48x48 point instance would take
+    # 9,216 coordinates x 2 copies x 2,304 pixels x 16 B = 680 MB
+    tracemalloc.start()
+    try:
+        err = losses.check_point_loss_gradients(LossConfig(), seed=3, trials=1, size=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err < 1e-4
     assert peak < 16e6
 
 
