@@ -30,7 +30,8 @@ from .rng import check_seed
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    # strict JSON: a NaN or infinity raises ValueError (exit 1), not a bare NaN token
+    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _load_json(path):
@@ -192,11 +193,12 @@ def cmd_aggregate_oracle(args) -> int:
 
 
 def cmd_eval_recon(args) -> int:
-    # only the rows that downsampling keeps are parsed (every row is checked);
-    # an --nmax below 1 is reported by recon_metrics once both files are read.
-    # Clouds of equal size keep the same rows, so each size is sampled once.
-    rows = functools.cache(lambda n: metrics.sample_rows(n, args.nmax, args.seed)) \
-        if args.nmax >= 1 else None
+    # a sample of fewer than k points gets no normals, so that run is refused
+    # before either file is read; only the rows that downsampling keeps are
+    # parsed (every row is checked), and each cloud size is sampled once
+    if args.nmax < max(args.k, 1):
+        raise BadArgument(f"--nmax must be >= 1 and >= --k ({args.k}), not {args.nmax}")
+    rows = functools.cache(lambda n: metrics.sample_rows(n, args.nmax, args.seed))
     pred, _ = tensorio.read_ply(_require(args.pred), rows)
     gt, _ = tensorio.read_ply(_require(args.gt), rows)
     m = metrics.recon_metrics(pred, gt, n_max=args.nmax, seed=args.seed, k=args.k)
@@ -215,9 +217,11 @@ def cmd_eval_track(args) -> int:
         sel = np.arange(gt.n_tracks)
     if len(sel) == 0:
         raise Scene4DError("no query tracks selected")
+    pred_pos, gt_pos, visible = pred.positions[sel], gt.positions[sel], gt.visible[sel]
+    if not (np.isfinite(pred_pos[visible]).all() and np.isfinite(gt_pos[visible]).all()):
+        raise InputError("a scored (selected, visible) sample has a non-finite position")
     align = {"none": "none", "median": "median_scale", "sim3": "sim3"}[args.align]
-    m = metrics.apd_epe(pred.positions[sel], gt.positions[sel],
-                        gt.visible[sel], align)
+    m = metrics.apd_epe(pred_pos, gt_pos, visible, align)
     _emit({"command": "eval-track", "queries": int(len(sel)), **asdict(m),
            "apd_per_threshold": list(m.apd_per_threshold)})
     return 0

@@ -57,10 +57,6 @@ class NonFiniteDerivative(Scene4DError):
 
 # --- evaluation metrics ---
 
-class EmptyReference(Scene4DError):
-    """Nearest-neighbor reference cloud is empty."""
-
-
 class EmptyCloud(Scene4DError):
     """Point cloud argument is empty."""
 

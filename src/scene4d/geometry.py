@@ -3,8 +3,7 @@
 Conventions (fixed once, relied on everywhere):
 
 * Extrinsics ``(q, t)`` map world to camera: ``x_cam = R(q) @ x_world + t``.
-* Quaternions are ``(w, x, y, z)``, unit norm; the canonical encoding has
-  ``w >= 0``.
+* Quaternions are ``(w, x, y, z)``, unit norm.
 * ``fov`` is ``(vertical, horizontal)`` in radians, each in (0, pi). The
   principal point sits at the image center, so intrinsics come from fov
   and resolution alone.
@@ -25,8 +24,6 @@ import numpy as np
 
 from .errors import FovOutOfRange, ZeroQuaternion
 
-GVEC_SIZE = 9  # [qw, qx, qy, qz, tx, ty, tz, fov_v, fov_h]
-
 
 # ---------------------------------------------------------------------------
 # quaternions
@@ -39,31 +36,6 @@ def quat_to_rotation(q) -> np.ndarray:
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
-
-
-def rotation_to_quat(R) -> np.ndarray:
-    """3x3 rotation matrix -> unit quaternion (w, x, y, z), w >= 0."""
-    R = np.asarray(R, dtype=np.float64)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
-    else:
-        i = int(np.argmax([R[0, 0], R[1, 1], R[2, 2]]))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(R[i, i] - R[j, j] - R[k, k] + 1.0, 0.0)) * 2
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    q /= np.linalg.norm(q)
-    if q[0] < 0:
-        q = -q
-    return q
 
 
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:
@@ -82,7 +54,7 @@ def axis_angle_rotation(axis, angle: float) -> np.ndarray:
 
 @dataclass
 class CameraParams:
-    """World-to-camera pose plus field of view; the 9-value camera encoding."""
+    """World-to-camera pose plus field of view."""
 
     q: np.ndarray          # (4,) unit quaternion, (w, x, y, z)
     t: np.ndarray          # (3,) translation, meters
@@ -183,29 +155,7 @@ class PointMap:
 
 
 # ---------------------------------------------------------------------------
-# camera encoding
-
-def camera_encode(c: CameraParams) -> np.ndarray:
-    """CameraParams -> 9-vector [q(4, w first), t(3), fov_v, fov_h].
-
-    The quaternion sign is canonicalized to w >= 0 so q and -q encode
-    identically.
-    """
-    q = c.q if c.q[0] >= 0 else -c.q
-    return np.concatenate([q, c.t, np.array(c.fov, dtype=np.float64)])
-
-
-def camera_decode(g) -> CameraParams:
-    """9-vector -> CameraParams; inverse of camera_encode up to quaternion sign."""
-    g = np.asarray(g, dtype=np.float64).reshape(GVEC_SIZE)
-    qn = np.linalg.norm(g[:4])
-    if qn < 1e-12:
-        raise ZeroQuaternion("quaternion part of camera vector has zero norm")
-    for f in g[7:9]:
-        if not (0.0 < f < math.pi):
-            raise FovOutOfRange(f"fov {f} outside (0, pi)")
-    return CameraParams(q=g[:4] / qn, t=g[4:7], fov=(g[7], g[8]))
-
+# projection
 
 def intrinsics(c: CameraParams, height: int, width: int) -> tuple[float, float, float, float]:
     """(fx, fy, cx, cy) for the centered pinhole model at a given resolution."""
@@ -214,9 +164,6 @@ def intrinsics(c: CameraParams, height: int, width: int) -> tuple[float, float, 
     fy = (height / 2.0) / math.tan(fov_v / 2.0)
     return fx, fy, width / 2.0, height / 2.0
 
-
-# ---------------------------------------------------------------------------
-# projection
 
 def pixel_directions(c: CameraParams, height: int, width: int) -> np.ndarray:
     """(H, W, 3) camera-frame ray directions through the pixel centres.
@@ -229,16 +176,6 @@ def pixel_directions(c: CameraParams, height: int, width: int) -> np.ndarray:
     v = np.arange(height, dtype=np.float64) + 0.5
     uu, vv = np.meshgrid(u, v)
     return np.stack([(uu - cx) / fx, (vv - cy) / fy, np.ones_like(uu)], axis=-1)
-
-
-def unproject(d: DepthMap, c: CameraParams) -> PointMap:
-    """Lift a depth map to world-frame points through the camera."""
-    z = np.where(d.valid, d.values, 0.0)
-    cam = pixel_directions(c, *d.values.shape) * z[..., None]
-    R = c.rotation
-    world = (cam - c.t) @ R  # R^T (p - t), row-vector form
-    world = np.where(d.valid[..., None], world, 0.0)
-    return PointMap(points=world, valid=d.valid.copy())
 
 
 def project_many(points: np.ndarray, c: CameraParams, height: int, width: int):

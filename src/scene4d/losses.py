@@ -335,12 +335,6 @@ def camera_loss(pred_g: np.ndarray, gt_g: np.ndarray, huber_eps: float = 1.0):
     return per.sum(axis=tuple(range(-gt_g.ndim, 0))), grad
 
 
-def total_loss(point_value: float, camera_value: float, depth_value: float,
-               lam: float = 1.0) -> float:
-    """Multi-task combination: lam * point + camera + depth."""
-    return lam * point_value + camera_value + depth_value
-
-
 # ---------------------------------------------------------------------------
 # finite-difference verification
 

@@ -3,7 +3,8 @@ consistency), 3D track quality (APD / EPE under three alignment modes),
 video depth (AbsRel, delta < 1.25), and camera pose (ATE, RPE).
 
 Nearest-neighbor queries use a KD-tree but are exact; the test suite pins
-them against a brute-force scan. Where a protocol needs randomness
+the per-point distances of `_matched`, which `recon_metrics` reduces,
+bitwise against a brute-force scan. Where a protocol needs randomness
 (cloud downsampling) it takes an explicit seed and uses a fresh splitmix64
 stream, so exchanging the two clouds exchanges the metrics exactly.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadArgument, DegenerateConfiguration, DegenerateScale,
-                     EmptyCloud, EmptyReference, NoSamples, NoValidPixels, TooFewPoints)
+                     EmptyCloud, NoSamples, NoValidPixels, TooFewPoints)
 from .geometry import SIM3, CameraParams, rotation_angle_deg, sim3_apply
 from .rng import SplitMix64
 from .synth import TrajectorySet
@@ -86,35 +87,6 @@ def downsample_random(cloud: np.ndarray, n_max: int, seed: int) -> np.ndarray:
     cloud = np.asarray(cloud, dtype=np.float64)
     rows = sample_rows(len(cloud), n_max, seed)
     return cloud if rows is None else cloud[rows]
-
-
-def nn_distances(from_cloud: np.ndarray, to_cloud: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance from every query point to its nearest
-    neighbor in the reference cloud."""
-    to_cloud = np.asarray(to_cloud, dtype=np.float64)
-    if len(to_cloud) == 0:
-        raise EmptyReference("reference cloud is empty")
-    from_cloud = np.asarray(from_cloud, dtype=np.float64)
-    if len(from_cloud) == 0:
-        return np.zeros(0)
-    d, _ = cKDTree(to_cloud).query(from_cloud, k=1)
-    return np.asarray(d, dtype=np.float64)
-
-
-def accuracy_completion(pred: np.ndarray, gt: np.ndarray,
-                        n_max: int = DEFAULT_DOWNSAMPLE, seed: int = 0):
-    """(acc_mean, acc_median, comp_mean, comp_median) after downsampling
-    both clouds with the same seed."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if len(pred) == 0 or len(gt) == 0:
-        raise EmptyCloud("both clouds must be nonempty")
-    p = downsample_random(pred, n_max, seed)
-    g = downsample_random(gt, n_max, seed)
-    acc = nn_distances(p, g)
-    comp = nn_distances(g, p)
-    return (float(acc.mean()), float(np.median(acc)),
-            float(comp.mean()), float(np.median(comp)))
 
 
 def estimate_normals(cloud: np.ndarray, k: int = DEFAULT_NC_NEIGHBORS,

@@ -360,14 +360,17 @@ class AggregationFormer:
 
     def _patch_tokens(self, images) -> list[np.ndarray]:
         """Patch tokens of each frame of the iterable `images`, which are
-        converted, checked against the first frame's shape and patchified
-        one at a time; no frame outlives its own patchify call here."""
+        converted, checked against the first frame's shape and for finite
+        values, and patchified one at a time; no frame outlives its own
+        patchify call here."""
         patches, shape = [], None
         for im in images:
             im = np.asarray(im, dtype=np.float64)
             shape = im.shape if shape is None else shape
             if im.shape != shape:
                 raise ShapeMismatch("all frames must share one resolution")
+            if not np.isfinite(im).all():
+                raise ValueError(f"frame {len(patches)} holds a non-finite value")
             patches.append(patchify(im, self.bank))
             del im  # before the iterable makes the next frame
         return patches
@@ -395,7 +398,8 @@ class AggregationFormer:
     # -- camera head ------------------------------------------------------
 
     def head_camera(self, cam_features: np.ndarray) -> np.ndarray:
-        """Camera token features (N, n_cam, dim) -> decodable 9-vectors (N, 9).
+        """Camera token features (N, n_cam, dim) -> 9-vectors (N, 9), laid out
+        [qw, qx, qy, qz, tx, ty, tz, fov_v, fov_h], that CameraParams accepts.
 
         Aggregation/registration tokens never reach the head; only the
         first camera token feeds this map. Each quaternion is divided by

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from scene4d.geometry import CameraParams, pixel_directions
+from scene4d.geometry import CameraParams, DepthMap, intrinsics, pixel_directions
 from scene4d.raycast import raycast_batch, triangle_soup
 from scene4d.synth import (SceneObject, SceneSpec, box_mesh, plane_mesh,
                            spin_path, translation_path)
@@ -82,6 +82,59 @@ def lift(bary, face_ids, vertices, faces):
     vertices are (N, V, 3) over N frames -> (M, N, 3) tracks."""
     corners = np.asarray(vertices)[:, np.asarray(faces)[face_ids], :]   # (N, M, 3, 3)
     return np.einsum("mk,nmkd->mnd", np.asarray(bary, dtype=np.float64), corners)
+
+
+def rotation_to_quat(R) -> np.ndarray:
+    """3x3 rotation matrix -> unit quaternion (w, x, y, z), w >= 0, for
+    building cameras from rotation matrices."""
+    R = np.asarray(R, dtype=np.float64)
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0:
+        s = math.sqrt(tr + 1.0) * 2
+        q = np.array([0.25 * s,
+                      (R[2, 1] - R[1, 2]) / s,
+                      (R[0, 2] - R[2, 0]) / s,
+                      (R[1, 0] - R[0, 1]) / s])
+    else:
+        i = int(np.argmax([R[0, 0], R[1, 1], R[2, 2]]))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = math.sqrt(max(R[i, i] - R[j, j] - R[k, k] + 1.0, 0.0)) * 2
+        q = np.empty(4)
+        q[0] = (R[k, j] - R[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (R[j, i] + R[i, j]) / s
+        q[1 + k] = (R[k, i] + R[i, k]) / s
+    q /= np.linalg.norm(q)
+    if q[0] < 0:
+        q = -q
+    return q
+
+
+def reference_unproject(d: DepthMap, c: CameraParams) -> np.ndarray:
+    """Depth map -> (H, W, 3) world points through the camera, zero at
+    invalid pixels: the pinhole lift written out from the intrinsics."""
+    h, w = d.values.shape
+    fx, fy, cx, cy = intrinsics(c, h, w)
+    u = np.arange(w, dtype=np.float64) + 0.5
+    v = np.arange(h, dtype=np.float64) + 0.5
+    uu, vv = np.meshgrid(u, v)
+    z = np.where(d.valid, d.values, 0.0)
+    x = (uu - cx) / fx * z
+    y = (vv - cy) / fy * z
+    cam = np.stack([x, y, z], axis=-1)
+    R = c.rotation
+    world = (cam - c.t) @ R
+    return np.where(d.valid[..., None], world, 0.0)
+
+
+def brute_nn_distances(a, b, block=256) -> np.ndarray:
+    """Distance from each row of `a` to its nearest row of `b` by a full
+    scan, sqrt of the summed squared differences, `block` rows of `a` at a
+    time (each row's distances are computed alone, so the block size does
+    not change a bit)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return np.concatenate([np.sqrt(((a[i:i + block, None, :] - b[None, :, :]) ** 2).sum(-1))
+                           .min(axis=1) for i in range(0, len(a), block)])
 
 
 def random_camera(rng) -> CameraParams:

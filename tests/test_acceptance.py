@@ -15,13 +15,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import demo_scene, lift, spinning_box_scene
-from scene4d import synth
+from conftest import brute_nn_distances, demo_scene, lift, spinning_box_scene
+from scene4d import metrics, synth
 from scene4d.geometry import SE3, axis_angle_rotation, se3_apply, sim3_apply
 from scene4d.lifting import classify_dynamic, split_clips
 from scene4d.losses import LossConfig, gradient_check_suite, point_loss
-from scene4d.metrics import (accuracy_completion, apd_epe, nn_distances,
-                             recon_metrics, umeyama_sim3)
+from scene4d.metrics import apd_epe, recon_metrics, umeyama_sim3
 from scene4d.rng import SplitMix64
 from scene4d.synth import (SceneObject, SceneSpec, complete_cloud, generate,
                            oracle_aggregate, plane_mesh)
@@ -87,14 +86,16 @@ def test_02_occlusion_completion_witness():
 
         # and the union genuinely adds surface unseen at frame 0
         added = np.concatenate([maps[i].cloud() for i in range(1, ds.n_frames)])
-        assert (nn_distances(added, frame_only) > 0.05).sum() > 100
+        assert (brute_nn_distances(added, frame_only) > 0.05).sum() > 100
 
 
 def test_03_metric_arithmetic():
     with criterion(3, "metric arithmetic"):
-        p = np.array([[0.7, -1.1, 4.0]])
-        am, amed, cm, cmed = accuracy_completion(p + [0.2, 0, 0], p, seed=0)
-        for x in (am, amed, cm, cmed):
+        # three points far apart (k = 3, the fewest normals take), each
+        # matched to its own copy shifted by 0.2 m
+        p = np.array([[0.7, -1.1, 4.0], [3.7, -1.1, 4.0], [0.7, 1.9, 4.0]])
+        r = recon_metrics(p + [0.2, 0, 0], p, seed=0, k=3)
+        for x in (r.acc_mean, r.acc_median, r.comp_mean, r.comp_median):
             assert abs(x - 0.2) < 1e-12
         gt = np.array([[[0.7, -1.1, 4.0]] * 3])        # one track, three frames
         pred = gt + np.array([0.2, 0.0, 0.0])
@@ -311,6 +312,7 @@ def test_12_brute_force_equivalence():
             m = 50 + rng.randbelow(951)
             a = rng.uniform_array(n * 3).reshape(n, 3) * 8 - 4
             b = rng.uniform_array(m * 3).reshape(m, 3) * 8 - 4
-            fast = nn_distances(a, b)
-            brute = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)).min(axis=1)
-            assert np.array_equal(fast, brute)
+            # the per-point distances recon_metrics reduces, from its KD-trees
+            acc, comp, _, _ = metrics._matched(a, b, 3)
+            assert np.array_equal(acc, brute_nn_distances(a, b))
+            assert np.array_equal(comp, brute_nn_distances(b, a))

@@ -408,6 +408,12 @@ def _frames(tmp_path, *arrays):
     return frames
 
 
+def _with(array, value):
+    """`array` with `value` at one element."""
+    array[3, 4, 1] = value
+    return array
+
+
 def _not_a_tensor(tmp_path):
     frames = _frames(tmp_path, np.zeros((16, 16, 3)))
     (frames / "frame_0001.ct4").write_text("ply\nformat ascii 1.0\n")
@@ -427,16 +433,21 @@ def _truncated_tensor(tmp_path):
     (lambda d: _frames(d, np.zeros((16, 16))), 1, "ShapeMismatch"),
     (lambda d: _frames(d, np.zeros((16, 16, 3)), np.zeros((32, 32, 3))), 1, "ShapeMismatch"),
     (lambda d: _frames(d), 2, "InputError"),
+    (lambda d: _frames(d, np.zeros((16, 16, 3)), _with(np.zeros((16, 16, 3)), NAN)), 1,
+     "ValueError"),
+    (lambda d: _frames(d, _with(np.zeros((16, 16, 3)), -INF)), 1, "ValueError"),
 ], ids=["not-a-ct4-file", "truncated-ct4", "frame-without-channels", "mixed-sizes",
-        "empty-directory"])
+        "empty-directory", "nan-in-frame", "infinity-in-frame"])
 def test_forward_bad_frames_exit_codes(tmp_path, frames, code, error):
-    argv = ["forward", "--frames", str(frames(tmp_path)), "--target", "0"]
+    dump = tmp_path / "features.ct4"
+    argv = ["forward", "--frames", str(frames(tmp_path)), "--target", "0", "--dump", str(dump)]
     proc = subprocess.run([sys.executable, "-m", "scene4d.cli"] + argv,
                           capture_output=True, text=True)
     assert proc.returncode == code
     assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout)["error"]["type"] == error
     assert proc.stderr == ""
+    assert not dump.exists()
 
 
 @pytest.mark.parametrize("command,settings", [
@@ -703,6 +714,8 @@ _CLOUD = "{r}/agg/complete_cloud.ply"
     ["loss-check", "--trials", "1", "--h", "nan"],
     ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--nmax", "0"],
     ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--k", "2"],
+    ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--nmax", "7", "--k", "8"],
+    ["eval-recon", "--pred", "{r}/missing.ply", "--gt", "{r}/missing.ply", "--nmax", "2"],
     ["split", "--depth-dir", "{r}/data", "--tau", "0"],
     ["split", "--depth-dir", "{r}/data", "--tau", "nan"],
     ["loss-check", "--trials", "abc"],
@@ -713,6 +726,7 @@ _CLOUD = "{r}/agg/complete_cloud.ply"
     ["gen", "--spec", "{r}/scene.json", "--out", "{r}/unused", "--seed", "-18446744073709551616"],
     ["loss-check", "--trials", "1", "--seed", "18446744073709551616"],
 ], ids=["trials-zero", "trials-negative", "h-too-large", "h-nan", "nmax-zero", "k-two",
+        "nmax-below-k", "nmax-below-k-before-any-read",
         "tau-zero", "tau-nan", "trials-not-an-int", "tau-minus-inf", "h-minus-inf",
         "required-flag-missing", "unknown-flag", "seed-below-zero", "seed-past-64-bits"])
 def test_unusable_flag_values_exit_two(garbage_base, argv):
@@ -857,3 +871,53 @@ def _run_quiet(argv):
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# stdout is strict JSON: no NaN token
+
+def _strict_json(line: str):
+    def reject(token):
+        raise AssertionError(f"{token} in {line!r}")
+    return json.loads(line, parse_constant=reject)
+
+
+def _tracks_with(data_file, out, value, visible):
+    """`data_file`'s trajectories with `value` at the x of its first sample
+    whose gt visibility is `visible`, written to `out`."""
+    traj = tensorio.read_trajectories(data_file)
+    m, t = np.argwhere(traj.visible == visible)[0]
+    traj.positions[m, t, 0] = value
+    tensorio.write_trajectories(out, traj)
+    return str(out)
+
+
+@pytest.mark.parametrize("align", ["none", "median", "sim3"])
+@pytest.mark.parametrize("side,value", [("pred", NAN), ("gt", NAN), ("pred", INF)],
+                         ids=["pred-nan", "gt-nan", "pred-inf"])
+def test_eval_track_non_finite_scored_position_exits_two(garbage_base, tmp_path, side, value,
+                                                         align):
+    gt = garbage_base / "data" / "trajectories.csv"
+    paths = {"pred": str(gt), "gt": str(gt)}
+    paths[side] = _tracks_with(gt, tmp_path / "t.csv", value, visible=True)
+    message = _exits_two_with_one_json_line(["eval-track", "--pred", paths["pred"], "--gt",
+                                             paths["gt"], "--queries", "all", "--align", align])
+    assert "non-finite" in message
+
+
+def test_eval_track_non_finite_unscored_position_is_ignored(garbage_base, tmp_path):
+    # a sample that gt marks invisible is not scored, so its value does not matter
+    gt = garbage_base / "data" / "trajectories.csv"
+    pred = _tracks_with(gt, tmp_path / "t.csv", NAN, visible=False)
+    code, out = _run_quiet(["eval-track", "--pred", pred, "--gt", str(gt), "--queries", "all"])
+    assert code == 0 and _strict_json(out)["epe"] == 0.0
+
+
+def test_emit_refuses_nan_so_the_command_exits_one(garbage_base, monkeypatch):
+    # the backstop for any result that is still not finite
+    monkeypatch.setattr(metrics, "pose_metrics",
+                        lambda *args, **kwargs: metrics.PoseMetrics(NAN, 0.0, 0.0))
+    cameras = str(garbage_base / "data" / "cameras.json")
+    code, out = _run_quiet(["eval-pose", "--pred", cameras, "--gt", cameras])
+    assert code == 1 and out.count("\n") == 1
+    assert _strict_json(out)["error"]["type"] == "ValueError"

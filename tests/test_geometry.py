@@ -1,7 +1,8 @@
-"""Geometry core: camera encoding, projection round-trips, transform groups.
+"""Geometry core: camera invariants, projection round-trips, transform groups.
 
-Fixed conventions under test: g = [q(w,x,y,z), t, fov_v, fov_h], (q, t)
-maps world->camera, pixel centers at (u+0.5, v+0.5), z-depth.
+Fixed conventions under test: q = (w, x, y, z), (q, t) maps world->camera,
+pixel centers at (u+0.5, v+0.5), z-depth. Unprojection is the tests'
+reference (`conftest.reference_unproject`).
 """
 
 import math
@@ -11,56 +12,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_camera, random_camera
+from conftest import identity_camera, random_camera, reference_unproject, rotation_to_quat
 from scene4d.errors import FovOutOfRange, ZeroQuaternion
-from scene4d.geometry import (SE3, SIM3, CameraParams, camera_decode,
-                              camera_encode, intrinsics, project_many,
-                              quat_to_rotation, rotation_to_quat, se3_apply,
-                              se3_compose, se3_invert, sim3_apply, unproject)
+from scene4d.geometry import (SE3, SIM3, CameraParams, intrinsics, project_many,
+                              quat_to_rotation, se3_apply, se3_compose, se3_invert,
+                              sim3_apply)
 from scene4d.geometry import DepthMap
 from scene4d.rng import SplitMix64
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# camera invariants: a 9-vector [q(w, x, y, z), t, fov_v, fov_h] as CameraParams
+
+def _camera_from_vector(g) -> CameraParams:
+    g = np.asarray(g, dtype=np.float64)
+    return CameraParams(q=g[:4], t=g[4:7], fov=g[7:9])
+
 
 def test_identity_decode():
-    g = np.array([1, 0, 0, 0, 0, 0, 0, math.pi / 2, math.pi / 2])
-    c = camera_decode(g)
+    c = _camera_from_vector([1, 0, 0, 0, 0, 0, 0, math.pi / 2, math.pi / 2])
     assert np.allclose(c.rotation, np.eye(3))
     assert np.allclose(c.t, 0)
     assert c.fov == (math.pi / 2, math.pi / 2)
-
-
-def test_identity_encode():
-    c = identity_camera(fov=(1.0, 1.2))
-    assert np.array_equal(camera_encode(c), [1, 0, 0, 0, 0, 0, 0, 1.0, 1.2])
-
-
-def test_encode_canonicalizes_quaternion_sign():
-    q = np.array([-0.5, 0.5, 0.5, -0.5])
-    c1 = CameraParams(q=q, t=[1, 2, 3], fov=(1.0, 1.0))
-    c2 = CameraParams(q=-q, t=[1, 2, 3], fov=(1.0, 1.0))
-    assert np.array_equal(camera_encode(c1), camera_encode(c2))
-    assert camera_encode(c1)[0] >= 0
-
-
-def test_decode_encode_roundtrip_exact():
-    rng = SplitMix64(31)
-    for _ in range(100):
-        g = camera_encode(random_camera(rng))
-        assert np.max(np.abs(camera_encode(camera_decode(g)) - g)) < 1e-12
-
-
-def test_encode_decode_roundtrip_100_random_cameras():
-    rng = SplitMix64(17)
-    for _ in range(100):
-        c = random_camera(rng)
-        c2 = camera_decode(camera_encode(c))
-        # equality up to quaternion sign: compare the rotation action
-        assert np.max(np.abs(c2.rotation - c.rotation)) < 1e-9
-        assert np.array_equal(c2.t, c.t)
-        assert c2.fov == c.fov
 
 
 def test_cyclic_permutation_quaternion():
@@ -73,14 +46,14 @@ def test_cyclic_permutation_quaternion():
 
 def test_decode_rejects_zero_quaternion():
     with pytest.raises(ZeroQuaternion):
-        camera_decode([0, 0, 0, 0, 0, 0, 0, 1, 1])
+        _camera_from_vector([0, 0, 0, 0, 0, 0, 0, 1, 1])
 
 
 def test_decode_rejects_bad_fov():
     with pytest.raises(FovOutOfRange):
-        camera_decode([1, 0, 0, 0, 0, 0, 0, math.pi, 1])
+        _camera_from_vector([1, 0, 0, 0, 0, 0, 0, math.pi, 1])
     with pytest.raises(FovOutOfRange):
-        camera_decode([1, 0, 0, 0, 0, 0, 0, 1, 0.0])
+        _camera_from_vector([1, 0, 0, 0, 0, 0, 0, 1, 0.0])
 
 
 def test_rotations_from_quaternions_orthonormal():
@@ -123,9 +96,9 @@ def test_intrinsics_monotone_in_fov():
 def test_unproject_center_pixel():
     c = identity_camera()
     d = DepthMap(values=np.full((4, 4), 2.0), valid=np.ones((4, 4), bool))
-    pm = unproject(d, c)
+    points = reference_unproject(d, c)
     # pixel (1,1) center is (1.5,1.5) -> offset -0.5 px from cx=2 at fx=2
-    assert np.allclose(pm.points[1, 1], [-0.5, -0.5, 2.0])
+    assert np.allclose(points[1, 1], [-0.5, -0.5, 2.0])
 
 
 def test_project_center():
@@ -143,10 +116,10 @@ def test_project_behind_camera():
 def test_pure_translation_shifts_world_points():
     c = CameraParams(q=[1, 0, 0, 0], t=[0, 0, -1], fov=(math.pi / 2, math.pi / 2))
     d = DepthMap(values=np.full((2, 2), 3.0), valid=np.ones((2, 2), bool))
-    base = unproject(DepthMap(values=np.full((2, 2), 3.0),
-                              valid=np.ones((2, 2), bool)), identity_camera())
-    moved = unproject(d, c)
-    assert np.allclose(moved.points, base.points + [0, 0, 1])
+    base = reference_unproject(DepthMap(values=np.full((2, 2), 3.0),
+                                        valid=np.ones((2, 2), bool)), identity_camera())
+    moved = reference_unproject(d, c)
+    assert np.allclose(moved, base + [0, 0, 1])
 
 
 def test_unproject_project_roundtrip_random_cameras():
@@ -156,8 +129,8 @@ def test_unproject_project_roundtrip_random_cameras():
         c = random_camera(rng)
         vals = 0.5 + 4.5 * np.array([rng.uniform() for _ in range(48)]).reshape(6, 8)
         d = DepthMap(values=vals, valid=np.ones((6, 8), bool))
-        pm = unproject(d, c)
-        uu, vv, zz, in_front = project_many(pm.points.reshape(-1, 3), c, 6, 8)
+        points = reference_unproject(d, c)
+        uu, vv, zz, in_front = project_many(points.reshape(-1, 3), c, 6, 8)
         v, u = np.divmod(np.arange(48), 8)
         assert in_front.all()
         worst = max(worst, np.abs(uu - (u + 0.5)).max(), np.abs(vv - (v + 0.5)).max())

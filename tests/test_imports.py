@@ -4,8 +4,11 @@ Each check runs `scene4d.cli.main` in a fresh interpreter and reports which
 of scipy's two heavy subpackages ended up in `sys.modules`: `eval-recon`
 needs `scipy.spatial` (KD-trees) and `forward` needs `scipy.special`
 (erf in the GELU); every other command runs on numpy alone.
+
+Also: no public function or class of `src/scene4d` is there for tests alone.
 """
 
+import ast
 import json
 import math
 import os
@@ -21,6 +24,7 @@ import scene4d
 from scene4d.tensorio import write_tensor
 
 SCIPY_MODULES = ("scipy.spatial", "scipy.special")
+ROOT = Path(__file__).resolve().parents[1]
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -120,3 +124,33 @@ def test_forward_loads_scipy_special_only(tmp_path):
                             "--config", str(tmp_path / "model.json")])
     assert codes == [0]
     assert loaded == {"scipy.special"}
+
+
+def _referenced(tree, names_in_strings=False) -> set:
+    """Names the code of `tree` uses: every Name and Attribute node, and with
+    `names_in_strings` every string constant that is a bare identifier."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif names_in_strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) and node.value.isidentifier():
+            used.add(node.value)
+    return used
+
+
+def test_every_public_name_in_src_has_a_caller_in_src_or_bench():
+    # The export list in __init__.py does not count, nor do docstrings. The
+    # bench wraps some tensorio functions through getattr by their names
+    # (bench/spans.py), so there a string that is exactly a name counts.
+    modules = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "scene4d").glob("*.py"))
+               if p.name != "__init__.py"}
+    used = set().union(*(_referenced(t) for t in modules.values()),
+                       *(_referenced(ast.parse(p.read_text()), names_in_strings=True)
+                         for p in sorted((ROOT / "bench").glob("*.py"))))
+    unused = [f"{p.stem}.{node.name}" for p, tree in modules.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attach_pixel, identity_camera, lift
+from conftest import attach_pixel, identity_camera, lift, reference_unproject
 from scene4d import synth
 from scene4d.geometry import DepthMap, axis_angle_rotation
 from scene4d.lifting import classify_dynamic, split_clips
@@ -106,14 +106,13 @@ def test_lift_commutes_with_rigid_motion():
 
 
 def test_attach_then_lift_reproduces_unprojected_point():
-    from scene4d.geometry import unproject
     d, _, mesh, cam = _render_square()
-    up = unproject(d, cam)
+    up = reference_unproject(d, cam)
     vs, us = np.nonzero(d.valid)
     for v, u in zip(vs[::13], us[::13]):
         _, face_id, bary = attach_pixel((u, v), d, cam, [mesh])
         p = lift([bary], [face_id], mesh[0][None], mesh[1])[0, 0]
-        assert np.max(np.abs(p - up.points[v, u])) < 1e-6
+        assert np.max(np.abs(p - up[v, u])) < 1e-6
 
 
 # ---------------------------------------------------------------------------

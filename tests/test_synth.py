@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (JSON_NUMBERS, JSON_VALUES, demo_scene, identity_camera,
+from conftest import (JSON_NUMBERS, JSON_VALUES, brute_nn_distances, demo_scene,
+                      identity_camera, reference_unproject, rotation_to_quat,
                       spinning_box_scene)
 from scene4d import synth
 from scene4d.errors import EmptyScene, InputError, QueryInvalid
-from scene4d.geometry import unproject
 from scene4d.raycast import raycast_batch
 from scene4d.rng import SplitMix64
 from scene4d.synth import (SceneObject, SceneSpec, box_mesh, complete_cloud,
@@ -126,7 +126,7 @@ def test_render_object_beats_background():
 def test_attachment_reconstructs_unprojected_point():
     spec = demo_scene(n_frames=2)
     depth, att, _ = synth._render(spec, 1)
-    up = unproject(depth, spec.camera_path[1])
+    up = reference_unproject(depth, spec.camera_path[1])
     vs, us = np.nonzero(depth.valid)
     worst = 0.0
     for v, u in zip(vs[::7], us[::7]):
@@ -138,7 +138,7 @@ def test_attachment_reconstructs_unprojected_point():
             bv, bf = spec.background
             corners = bv[bf[fid]]
         rec = att.bary[v, u] @ corners
-        worst = max(worst, float(np.max(np.abs(rec - up.points[v, u]))))
+        worst = max(worst, float(np.max(np.abs(rec - up[v, u]))))
     assert worst < 1e-6
 
 
@@ -261,9 +261,8 @@ def test_complete_cloud_covers_hidden_side():
     frame0 = maps[0].cloud()
     assert len(union) > 1.2 * len(frame0)
     # points warped from the revealed side sit far from anything frame 0 saw
-    from scene4d.metrics import nn_distances
     added = complete_cloud(maps[1:])
-    d = nn_distances(added, frame0)
+    d = brute_nn_distances(added, frame0)
     assert (d > 0.05).sum() > 100
 
 
@@ -286,7 +285,7 @@ def test_tracks_from_aggregation_invalid_query(demo_dataset):
 
 def _orbiting_cameras(n, radius=6.0):
     """Cameras on an arc, all looking roughly at the origin-ish z=5 zone."""
-    from scene4d.geometry import CameraParams, rotation_to_quat, axis_angle_rotation
+    from scene4d.geometry import CameraParams, axis_angle_rotation
     cams = []
     for i in range(n):
         ang = 0.15 * i
@@ -325,9 +324,9 @@ def test_moving_camera_unprojection_consistency():
                      n_frames=n, seed=34, n_queries=64)
     ds = generate(spec)
     for t in range(n):
-        up = unproject(ds.depths[t], ds.cameras[t])
+        up = reference_unproject(ds.depths[t], ds.cameras[t])
         m = ds.depths[t].valid
-        assert np.max(np.abs(up.points[m] - ds.pointmaps[t].points[m])) < 1e-9
+        assert np.max(np.abs(up[m] - ds.pointmaps[t].points[m])) < 1e-9
 
 
 def test_moving_camera_oracle_tracks_match():

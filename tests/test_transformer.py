@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scene4d import transformer
 from scene4d.errors import (IndivisibleResolution, ShapeMismatch,
                             TargetOutOfRange)
-from scene4d.geometry import camera_decode
+from scene4d.geometry import CameraParams
 from scene4d.rng import SplitMix64
 from scene4d.tensorio import write_tensor
 from scene4d.transformer import (AggregationFormer, FrameTokens, LayerWeights,
@@ -555,7 +555,7 @@ def test_head_camera_decodable_and_deterministic(model):
     g2 = model.head_camera(res.cam_features)
     assert np.array_equal(g1, g2)
     for row in g1:
-        cam = camera_decode(row)          # raises if invariants are broken
+        cam = CameraParams(q=row[:4], t=row[4:7], fov=row[7:9])  # checks unit q, fov
         assert abs(np.linalg.norm(cam.q) - 1) < 1e-9
     # distinct camera tokens give distinct outputs on random features
     assert not np.array_equal(g1[0], g1[1])
