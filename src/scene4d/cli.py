@@ -193,9 +193,12 @@ def cmd_aggregate_oracle(args) -> int:
 
 
 def cmd_eval_recon(args) -> int:
-    # a sample of fewer than k points gets no normals, so that run is refused
-    # before either file is read; only the rows that downsampling keeps are
-    # parsed (every row is checked), and each cloud size is sampled once
+    # normals need k >= 3 neighbours and a sample of fewer than k points gets
+    # none, so both runs are refused before either file is read; only the rows
+    # that downsampling keeps are parsed (every row is checked), and each
+    # cloud size is sampled once
+    if args.k < 3:
+        raise BadArgument(f"--k must be >= 3, not {args.k}")
     if args.nmax < max(args.k, 1):
         raise BadArgument(f"--nmax must be >= 1 and >= --k ({args.k}), not {args.nmax}")
     rows = functools.cache(lambda n: metrics.sample_rows(n, args.nmax, args.seed))

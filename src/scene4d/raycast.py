@@ -20,8 +20,10 @@ triangles by the directions they cover:
 - A ray d belongs to the cube face of its dominant axis k (|d_k| is
   largest) and the sign s of d_k, at face coordinates
   (u, v) = (d_a, d_b) / (s d_k) for the other axes a and b. Rays are
-  taken _RAY_CHUNK at a time, and each face's rays are sorted by cell on
-  a grid of about one ray per cell spanning their (u, v) extent.
+  taken _RAY_CHUNK at a time, a quarter of a 256 x 256 frame, so numpy's
+  per-call cost is paid a few times per frame. Each face's rays are
+  sorted by cell on a grid of about one ray per cell spanning their
+  (u, v) extent.
 - A triangle's box, relative to the origin, is padded by _PAD_REL of its
   largest extent plus _PAD_ABS and cut at s x_k >= _NEAR. Over the cut
   box, s x_k lies in [z0, z1] with z0 > 0, so x_a / (s x_k) lies in
@@ -29,7 +31,8 @@ triangles by the directions they cover:
   covers, and likewise v. A box that meets the near cube
   [-_NEAR, _NEAR]^3 covers every face whole.
 - Each (triangle, cell row) covered is one run of sorted rays; the runs
-  are pair-tested _PAIR_BLOCK pairs at a time.
+  are pair-tested _PAIR_BLOCK pairs at a time. The per-triangle terms
+  are packed in one (m, 13) array, so a block gathers them in one take.
 
 Why culling drops no pair the full test accepts:
 
@@ -54,11 +57,14 @@ Why culling drops no pair the full test accepts:
   with a non-finite vertex never hits either (its det or t comes out nan,
   inf or 0), and it covers no face.
 
-A ray meets its triangles in ascending index order, so a block replaces
-a ray's hit only when strictly nearer and equal t keeps the lowest
-index. The result does not depend on the ray order. Working memory is
-set by _RAY_CHUNK, _PAIR_BLOCK and the per-triangle terms, not by
-rays x triangles as in the brute-force form.
+Why equal t keeps the lowest index: the runs are walked triangle-major
+and a ray lies in one cell row, so a ray meets its triangles in
+ascending index order, within a block and from block to block. A block
+sorts its hits stably by (ray, t) and takes the head of each ray's run:
+the nearest t, and on equal t the lowest index. It replaces a ray's hit
+only when strictly nearer. The result does not depend on the ray order.
+Working memory is set by _RAY_CHUNK, _PAIR_BLOCK and the per-triangle
+terms, not by rays x triangles as in the brute-force form.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ import numpy as np
 _DET_EPS = 1e-12
 _BARY_EPS = 1e-9
 _T_MIN = 1e-9
-_RAY_CHUNK = 2048     # rays binned together, on one grid per cube face
+_RAY_CHUNK = 16384    # rays binned together, on one grid per cube face
 _PAIR_BLOCK = 4096    # (triangle, row) runs, then (ray, triangle) pairs, per block
 _PAD_REL = 1e-3       # triangle box pad, relative to the box's largest extent,
 _PAD_ABS = 1e-6       # plus this much in scene units
@@ -123,7 +129,8 @@ def raycast_batch(origin, directions, triangles):
         tvec = origin[None, :] - tris[:, 0]
         qvec = np.cross(tvec, e1)
         tq = np.einsum("mk,mk->m", e2, qvec)
-        terms = (e1, e2, tvec, qvec, tq)
+        terms = np.column_stack([e1, e2, tvec, qvec, tq])     # (m, 13), one row per triangle
+        del e1, e2, tvec, qvec, tq          # the blocks read only the packed rows
         covers = _face_covers(tris, origin)
         for start in range(0, n, _RAY_CHUNK):
             d = dirs[start:start + _RAY_CHUNK]
@@ -217,11 +224,12 @@ def _pair_test(dirs, terms, ray, tri, best):
 
     The per-pair expressions are those of the brute-force form, so results
     are bitwise equal to it. `best` is (t, tri, bary) per ray, with b1 and
-    b2 in bary's last two columns; a pair replaces it when nearer, and pairs
-    arrive in ascending triangle order, so on equal t the lowest triangle
-    index stays.
+    b2 in bary's last two columns; a pair replaces it when nearer, and each
+    ray's pairs arrive in ascending triangle order, so on equal t the
+    lowest triangle index stays.
     """
-    e1, e2, tvec, qvec, tq = (a[tri] for a in terms)   # (P[, 3])
+    g = terms.take(tri, axis=0)
+    e1, e2, tvec, qvec, tq = g[:, 0:3], g[:, 3:6], g[:, 6:9], g[:, 9:12], g[:, 12]
     d = dirs[ray]
     # Determinants below the guard may be subnormal, and non-finite input
     # makes nan; neither can pass the tests below, so neither warns.
@@ -236,8 +244,8 @@ def _pair_test(dirs, terms, ray, tri, best):
             & (b1 >= -_BARY_EPS) & (b2 >= -_BARY_EPS) \
             & (b1 + b2 <= 1.0 + _BARY_EPS) & (t > _T_MIN)
     ray, tri, t, b1, b2 = ray[ok], tri[ok], t[ok], b1[ok], b2[ok]
-    nearest = np.lexsort((tri, t, ray))
-    first = nearest[np.unique(ray[nearest], return_index=True)[1]]
+    nearest = np.lexsort((t, ray))      # stable: equal (ray, t) stay in triangle order
+    first = nearest[np.diff(ray[nearest], prepend=-1) != 0]     # each ray's nearest
     best_t, best_tri, bary = best
     win = first[t[first] < best_t[ray[first]]]
     r = ray[win]

@@ -716,6 +716,7 @@ _CLOUD = "{r}/agg/complete_cloud.ply"
     ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--k", "2"],
     ["eval-recon", "--pred", _CLOUD, "--gt", _CLOUD, "--nmax", "7", "--k", "8"],
     ["eval-recon", "--pred", "{r}/missing.ply", "--gt", "{r}/missing.ply", "--nmax", "2"],
+    ["eval-recon", "--pred", "{r}/missing.ply", "--gt", "{r}/missing.ply", "--k", "2"],
     ["split", "--depth-dir", "{r}/data", "--tau", "0"],
     ["split", "--depth-dir", "{r}/data", "--tau", "nan"],
     ["loss-check", "--trials", "abc"],
@@ -726,7 +727,7 @@ _CLOUD = "{r}/agg/complete_cloud.ply"
     ["gen", "--spec", "{r}/scene.json", "--out", "{r}/unused", "--seed", "-18446744073709551616"],
     ["loss-check", "--trials", "1", "--seed", "18446744073709551616"],
 ], ids=["trials-zero", "trials-negative", "h-too-large", "h-nan", "nmax-zero", "k-two",
-        "nmax-below-k", "nmax-below-k-before-any-read",
+        "nmax-below-k", "nmax-below-k-before-any-read", "k-two-before-any-read",
         "tau-zero", "tau-nan", "trials-not-an-int", "tau-minus-inf", "h-minus-inf",
         "required-flag-missing", "unknown-flag", "seed-below-zero", "seed-past-64-bits"])
 def test_unusable_flag_values_exit_two(garbage_base, argv):

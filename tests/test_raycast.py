@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import demo_scene, identity_camera, random_camera
@@ -17,7 +17,7 @@ from scene4d.geometry import intrinsics, pixel_directions
 import scene4d.raycast as raycast_module
 from scene4d.raycast import raycast_batch
 from scene4d.rng import SplitMix64
-from scene4d.synth import SceneObject, SceneSpec, plane_mesh, spin_path
+from scene4d.synth import SceneObject, SceneSpec, box_mesh, plane_mesh, spin_path
 
 _DET_EPS = 1e-12
 _BARY_EPS = 1e-9
@@ -155,31 +155,56 @@ def soups(draw):
     return origin, dirs, tris
 
 
+def chunk_case(n_spread, n_front):
+    """(origin, directions, triangles) at the ray-chunk boundaries:
+    n_spread random directions over all six cube faces, then n_front on
+    the +z face only, cast from inside a box of 12 triangles whose
+    triangles 4 (+x) and 10 (+z) are duplicated, so equal t meets two
+    indices."""
+    verts, faces = box_mesh([0.1, -0.2, 0.3], [3.0, 2.0, 4.0])
+    tris = np.concatenate([verts[faces], verts[faces[[4, 10]]]])
+    n = n_spread + n_front
+    dirs = SplitMix64(n_spread + 7 * n_front).normal_array(3 * n).reshape(n, 3)
+    dirs[n_spread:, 2] = 1.0 + np.abs(dirs[n_spread:, :2]).sum(axis=1)
+    return np.zeros(3), dirs, tris
+
+
 # Non-finite vertices make both kernels warn while they compute nan.
 _NAN_WARNINGS = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+_CHUNK = raycast_module._RAY_CHUNK
 
 
 @_NAN_WARNINGS
 @settings(max_examples=400, deadline=None)
 @given(soups())
+@example(chunk_case(0, _CHUNK - 1))         # one face, one ray short of a chunk
+@example(chunk_case(0, _CHUNK))             # exactly one chunk
+@example(chunk_case(0, _CHUNK + 1))         # a second chunk of one ray
+@example(chunk_case(_CHUNK + 3000, 0))      # both chunks spread over six faces
+@example(chunk_case(_CHUNK, 5))             # a last chunk that holds one face
 def test_culled_kernel_bitwise_equals_brute_force(case):
     origin, dirs, tris = case
     assert_bitwise_equal(raycast_batch(origin, dirs, tris),
                          brute_force_raycast_batch(origin, dirs, tris))
 
 
-@_NAN_WARNINGS
-def test_culled_kernel_bitwise_on_dense_random_soup():
-    # Many rays against a few hundred overlapping triangles, spread over
-    # several ray chunks and pair blocks; two have a non-finite vertex.
+def dense_soup():
+    """Many rays against a few hundred overlapping triangles, spread over
+    several pair blocks; two triangles have a non-finite vertex."""
     rng = SplitMix64(11)
     tris = (rng.normal_array(300 * 9).reshape(300, 3, 3) * 0.6
             + rng.normal_array(300 * 3).reshape(300, 1, 3) * 2 + [0, 0, 6])
     tris[[40, 41], 1] = [[np.nan, 0, 0], [0, np.inf, 0]]
     dirs = np.concatenate([camera_rays(97), rng.normal_array(999).reshape(-1, 3)])
-    got = raycast_batch([0.1, -0.2, 0.0], dirs, tris)
+    return np.array([0.1, -0.2, 0.0]), dirs, tris
+
+
+@_NAN_WARNINGS
+def test_culled_kernel_bitwise_on_dense_random_soup():
+    origin, dirs, tris = dense_soup()
+    got = raycast_batch(origin, dirs, tris)
     assert (got[1] >= 0).sum() > 1000
-    assert_bitwise_equal(got, brute_force_raycast_batch([0.1, -0.2, 0.0], dirs, tris))
+    assert_bitwise_equal(got, brute_force_raycast_batch(origin, dirs, tris))
 
 
 def test_no_rays_and_no_triangles():
@@ -417,3 +442,89 @@ def test_subnormal_determinant_does_not_warn():
         warnings.simplefilter("error")
         t, idx, bary = raycast_batch([0, 0, 0], [[0.0, 0, 1], [1e-200, 1e-200, 1]], tri[None])
     assert idx.tolist() == [-1, -1] and np.isinf(t).all() and not bary.any()
+
+
+# ---------------------------------------------------------------------------
+# the nearest-hit fold, and the work and memory of one frame
+
+def record_pair_blocks(mp, blocks):
+    """Wrap `_pair_test` so that each block asserts that every ray's pairs
+    arrive in ascending triangle order, the order that lets the fold's
+    stable sort on (ray, t) keep the lowest index on equal t; each block's
+    (ray, tri) arrays are appended to `blocks`."""
+    pair_test = raycast_module._pair_test
+
+    def checked(dirs, terms, ray, tri, best):
+        order = np.argsort(ray, kind="stable")
+        same = ray[order][1:] == ray[order][:-1]
+        assert (tri[order][1:][same] > tri[order][:-1][same]).all()
+        blocks.append((ray.copy(), tri.copy()))
+        return pair_test(dirs, terms, ray, tri, best)
+    mp.setattr(raycast_module, "_pair_test", checked)
+
+
+def rays_with_several_pairs(ray):
+    return int((np.bincount(ray) > 1).sum())
+
+
+@_NAN_WARNINGS
+@pytest.mark.parametrize("case", ["two-box-frames", "dense-soup"])
+def test_each_ray_meets_its_triangles_in_ascending_order_in_a_block(case, monkeypatch):
+    blocks = []
+    record_pair_blocks(monkeypatch, blocks)
+    if case == "two-box-frames":
+        spec = demo_scene(resolution=(256, 256))
+        for f in range(spec.n_frames):
+            synth._render(spec, f)
+    else:
+        raycast_batch(*dense_soup())
+    assert sum(rays_with_several_pairs(ray) for ray, _ in blocks) > 1000
+
+
+def test_equal_t_in_one_block_keeps_the_lowest_index(monkeypatch):
+    # A full chunk of rays; triangles 1, 3 and 4 are one small triangle,
+    # 0 and 2 two others beside it, and 5 a wall behind them all. The
+    # copies' pairs share the first block, and copy 1 wins each tie.
+    n = raycast_module._RAY_CHUNK
+    small = np.array([[-0.2, -0.2, 2.0], [0.2, -0.2, 2.0], [0.0, 0.2, 2.0]])
+    wall = np.array([[-50.0, -50.0, 9.0], [50.0, -50.0, 9.0], [0.0, 50.0, 9.0]])
+    tris = np.array([small + [0.6, 0, 0], small, small - [0.6, 0, 0], small, small, wall])
+    dirs = np.column_stack([SplitMix64(3).uniform_array(2 * n).reshape(n, 2) * 2 - 1,
+                            np.ones(n)])
+    blocks = []
+    record_pair_blocks(monkeypatch, blocks)
+    got = raycast_batch(np.zeros(3), dirs, tris)
+    assert_bitwise_equal(got, brute_force_raycast_batch(np.zeros(3), dirs, tris))
+    assert (got[1] == 1).sum() > 50 and not np.isin(got[1], [3, 4]).any()
+    ray, tri = blocks[0]
+    copies = np.isin(tri, [1, 3, 4])
+    assert rays_with_several_pairs(ray[copies]) > 50
+
+
+def _two_box_frame():
+    return demo_scene(n_frames=1, resolution=(256, 256))
+
+
+def test_one_frame_takes_few_kernel_calls(monkeypatch):
+    # The 65,536 rays of one 256 x 256 frame, all on one cube face, are
+    # binned in 4 chunks; 2,048-ray chunks took 32 _cast_face calls.
+    calls = {"_cast_face": 0, "_pair_test": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(raycast_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(raycast_module, name, counted)
+    synth._render(_two_box_frame(), 0)
+    assert calls["_cast_face"] <= 8 and calls["_pair_test"] <= 24
+
+
+def test_one_frame_render_memory():
+    # Mostly the frame's own arrays: directions, hits and outputs.
+    spec = _two_box_frame()
+    tracemalloc.start()
+    try:
+        synth._render(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
